@@ -72,7 +72,9 @@ class Tensor:
 
     def _accum(self, g: np.ndarray):
         if self._grad is None:
-            self._grad = np.array(g, dtype=np.float64)
+            # C order even when g is a transposed view, so optimizer and
+            # clipping arithmetic on the buffer stays contiguous.
+            self._grad = np.array(g, dtype=np.float64, order="C")
         else:
             self._grad += g
 
@@ -307,16 +309,26 @@ def concat(parts: list) -> Tensor:
     for p in parts:
         if p.data.ndim != 1:
             raise ShapeError(f"concat expects 1-D tensors, got shape {p.data.shape}")
-    data = np.concatenate([p.data for p in parts])
+    return hconcat(parts)
+
+
+def hconcat(parts: list) -> Tensor:
+    """Concatenate tensors of equal rank along their last axis (columns)."""
+    ndim = parts[0].data.ndim
+    for p in parts:
+        if p.data.ndim != ndim or p.data.shape[:-1] != parts[0].data.shape[:-1]:
+            raise ShapeError(f"hconcat needs matching leading shapes, got "
+                             f"{[q.data.shape for q in parts]}")
+    data = np.concatenate([p.data for p in parts], axis=-1)
     if not _tracked(*parts):
         return _const(data)
-    sizes = [p.data.shape[0] for p in parts]
+    sizes = [p.data.shape[-1] for p in parts]
 
     def bwd(g):
         offset = 0
         for p, size in zip(parts, sizes):
             if p.requires_grad:
-                p._accum(g[offset : offset + size])
+                p._accum(g[..., offset : offset + size])
             offset += size
 
     return _node(data, tuple(parts), bwd)
@@ -418,22 +430,161 @@ def reshape(a: Tensor, shape: tuple) -> Tensor:
     return _node(data, (a,), bwd)
 
 
-def max_over_rows(a: Tensor) -> Tensor:
-    """Column-wise maximum of a 2-D tensor; gradient flows to the argmax row."""
+def transpose(a: Tensor) -> Tensor:
+    """Transpose of a 2-D tensor."""
     if a.data.ndim != 2:
-        raise ShapeError(f"max_over_rows expects a 2-D tensor, got shape {a.data.shape}")
-    arg = np.argmax(a.data, axis=0)
-    cols = np.arange(a.data.shape[1])
-    data = a.data[arg, cols]
+        raise ShapeError(f"transpose expects a 2-D tensor, got shape {a.data.shape}")
+    data = a.data.T
+    if not _tracked(a):
+        return _const(data)
+
+    def bwd(g):
+        a._accum(g.T)
+
+    return _node(data, (a,), bwd)
+
+
+def gather(a: Tensor, indices) -> Tensor:
+    """Rows ``a[indices]`` of a 2-D tensor; repeated indices accumulate gradient."""
+    if a.data.ndim != 2:
+        raise ShapeError(f"gather expects a 2-D tensor, got shape {a.data.shape}")
+    indices = np.asarray(indices, dtype=np.intp)
+    if indices.ndim != 1:
+        raise ShapeError(f"gather expects a 1-D index array, got shape {indices.shape}")
+    if indices.size and (indices.min() < 0 or indices.max() >= a.data.shape[0]):
+        raise IndexError(f"gather index out of range for {a.data.shape[0]} rows")
+    data = a.data[indices]
     if not _tracked(a):
         return _const(data)
 
     def bwd(g):
         if a._grad is None:
             a._grad = np.zeros_like(a.data)
-        a._grad[arg, cols] += g
+        np.add.at(a._grad, indices, g)
 
     return _node(data, (a,), bwd)
+
+
+def _segment_max(a: Tensor, starts, shape: tuple) -> Tensor:
+    if a.data.ndim != 2:
+        raise ShapeError(f"segment max expects a 2-D tensor, got shape {a.data.shape}")
+    starts = np.asarray(starts, dtype=np.intp)
+    stops = np.append(starts[1:], a.data.shape[0])
+    if starts.size == 0 or starts[0] != 0 or np.any(stops <= starts):
+        raise ShapeError(f"segments must start at row 0 and be non-empty, got starts {starts}")
+    arg = np.stack([starts[k] + np.argmax(a.data[starts[k] : stops[k]], axis=0)
+                    for k in range(starts.size)])
+    cols = np.arange(a.data.shape[1])
+    data = a.data[arg, cols].reshape(shape)
+    if not _tracked(a):
+        return _const(data)
+
+    def bwd(g):
+        if a._grad is None:
+            a._grad = np.zeros_like(a.data)
+        a._grad[arg, cols] += g.reshape(arg.shape)
+
+    return _node(data, (a,), bwd)
+
+
+def segment_max(a: Tensor, starts) -> Tensor:
+    """Column-wise maximum over consecutive row segments of a 2-D tensor.
+
+    Segment k spans rows ``starts[k]`` up to the next start (or the end);
+    the result has one row per segment.  Gradient flows to each segment's
+    argmax row, the first one on ties.
+    """
+    return _segment_max(a, starts, (len(starts), a.data.shape[-1]))
+
+
+def max_over_rows(a: Tensor) -> Tensor:
+    """Column-wise maximum of a 2-D tensor: ``segment_max`` with one segment."""
+    return _segment_max(a, [0], (a.data.shape[-1],))
+
+
+def _sig(x: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def lstm_step(xw: Tensor, w_h: Tensor, h: Tensor, c: Tensor, mask=None) -> Tensor:
+    """One fused LSTM step; returns the vector ``[h_new; c_new]``.
+
+    ``xw`` is the input projection plus bias (gate order i, f, g, o), so
+    only the recurrent product is computed here.  ``mask``, a constant
+    array, scales ``h`` inside that product only: recurrent dropout leaves
+    the cell state update a bounded combination of unscaled values.
+    """
+    n = h.data.shape[0]
+    if xw.data.shape != (4 * n,) or w_h.data.shape != (4 * n, n) or c.data.shape != (n,):
+        raise ShapeError(f"lstm_step shapes disagree: xw {xw.data.shape}, w_h {w_h.data.shape}, "
+                         f"h {h.data.shape}, c {c.data.shape}")
+    hm = h.data if mask is None else h.data * mask
+    pre = xw.data + w_h.data @ hm
+    i, f, o = _sig(pre[:n]), _sig(pre[n : 2 * n]), _sig(pre[3 * n :])
+    g = np.tanh(pre[2 * n : 3 * n])
+    c_new = f * c.data + i * g
+    tc = np.tanh(c_new)
+    data = np.concatenate([o * tc, c_new])
+    if not _tracked(xw, w_h, h, c):
+        return _const(data)
+
+    def bwd(grad):
+        gh = grad[:n]
+        gc = grad[n:] + gh * o * (1.0 - tc * tc)
+        dpre = np.concatenate([gc * g * i * (1.0 - i), gc * c.data * f * (1.0 - f),
+                               gc * i * (1.0 - g * g), gh * tc * o * (1.0 - o)])
+        if xw.requires_grad:
+            xw._accum(dpre)
+        if w_h.requires_grad:
+            w_h._accum(np.outer(dpre, hm))
+        if h.requires_grad:
+            dh = w_h.data.T @ dpre
+            h._accum(dh if mask is None else dh * mask)
+        if c.requires_grad:
+            c._accum(gc * f)
+
+    return _node(data, (xw, w_h, h, c), bwd)
+
+
+def gru_step(x_rz: Tensor, x_n: Tensor, u_rz: Tensor, u_n: Tensor, h: Tensor, mask=None) -> Tensor:
+    """One fused GRU step; returns the new hidden state.
+
+    ``x_rz`` and ``x_n`` are the input projections plus biases of the
+    reset/update gates and of the candidate.  ``mask``, a constant array,
+    scales ``h`` inside the recurrent products only; the convex update
+    keeps the raw ``h`` so the state does not grow by the keep-scale.
+    """
+    n = h.data.shape[0]
+    if (x_rz.data.shape != (2 * n,) or x_n.data.shape != (n,)
+            or u_rz.data.shape != (2 * n, n) or u_n.data.shape != (n, n)):
+        raise ShapeError(f"gru_step shapes disagree: x_rz {x_rz.data.shape}, x_n {x_n.data.shape}, "
+                         f"u_rz {u_rz.data.shape}, u_n {u_n.data.shape}, h {h.data.shape}")
+    hm = h.data if mask is None else h.data * mask
+    rz = _sig(x_rz.data + u_rz.data @ hm)
+    r, z = rz[:n], rz[n:]
+    rh = r * hm
+    cand = np.tanh(x_n.data + u_n.data @ rh)
+    data = z * h.data + (1.0 - z) * cand
+    if not _tracked(x_rz, x_n, u_rz, u_n, h):
+        return _const(data)
+
+    def bwd(grad):
+        dn = grad * (1.0 - z) * (1.0 - cand * cand)
+        drh = u_n.data.T @ dn
+        drz = np.concatenate([drh * hm, grad * (h.data - cand)]) * rz * (1.0 - rz)
+        if x_rz.requires_grad:
+            x_rz._accum(drz)
+        if x_n.requires_grad:
+            x_n._accum(dn)
+        if u_rz.requires_grad:
+            u_rz._accum(np.outer(drz, hm))
+        if u_n.requires_grad:
+            u_n._accum(np.outer(dn, rh))
+        if h.requires_grad:
+            dhm = drh * r + u_rz.data.T @ drz
+            h._accum(grad * z + (dhm if mask is None else dhm * mask))
+
+    return _node(data, (x_rz, x_n, u_rz, u_n, h), bwd)
 
 
 def softmax(a: Tensor, mask=None) -> Tensor:

@@ -15,8 +15,7 @@ invocations at 2n or fewer per sentence.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -240,6 +239,11 @@ def _candidate_mask(element: int, attached: np.ndarray) -> np.ndarray:
     return mask
 
 
+def _check_length(config: DepConfig, n: int):
+    if n > config.max_len:
+        raise ConfigError(f"sentence length {n} exceeds max_len {config.max_len}")
+
+
 def run_transition(model: DepModel, tokens, gold: DepTree = None, training: bool = False,
                    rng=None, want_trace: bool = False) -> RunResult:
     """Shared stepper for teacher forcing (gold given) and greedy decoding.
@@ -251,8 +255,7 @@ def run_transition(model: DepModel, tokens, gold: DepTree = None, training: bool
     """
     n = len(tokens)
     config = model.config
-    if n > config.max_len:
-        raise ConfigError(f"sentence length {n} exceeds max_len {config.max_len}")
+    _check_length(config, n)
     events = iter(oracle_order(gold)) if gold is not None else None
 
     encoded = model.encoder.encode(tokens, training=training, rng=rng)
@@ -385,6 +388,7 @@ def decode_beam(model: DepModel, tokens, beam_size: int = None):
     if beam_size < 1:
         raise ConfigError(f"beam size must be at least 1, got {beam_size}")
     n = len(tokens)
+    _check_length(config, n)
 
     with no_grad():
         encoded = model.encoder.encode(tokens)

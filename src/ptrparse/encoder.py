@@ -8,8 +8,6 @@ token; the EDU vector is that state object itself, not a copy.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import autodiff as ad
 from .errors import DataError, SegmentationError
 from .nn import BiRecurrentEncoder, CharCnn, Embedding, Module
@@ -104,19 +102,17 @@ class DepEncoder(Module):
     def out_dim(self):
         return self.encoder.out_dim
 
-    def _token_input(self, form, upos, chars, training, rng):
-        char_ids = [self.char_vocab[c] for c in chars]
-        x = ad.concat([self.char_cnn(char_ids),
-                       self.word_emb.lookup(self.word_vocab[form]),
-                       self.pos_emb.lookup(self.pos_vocab[upos])])
-        return ad.dropout(x, self.embed_dropout, training, rng)
-
     def encode(self, tokens, training=False, rng=None) -> EncodedSentence:
         if not tokens:
             raise DataError("cannot encode an empty sentence")
-        inputs = [self._token_input(ROOT, ROOT, (ROOT,), training, rng)]
-        for token in tokens:
-            inputs.append(self._token_input(token.form, token.upos, token.chars, training, rng))
+        forms = [ROOT] + [token.form for token in tokens]
+        tags = [ROOT] + [token.upos for token in tokens]
+        chars = [(ROOT,)] + [token.chars for token in tokens]
+        inputs = ad.hconcat([
+            self.char_cnn([[self.char_vocab[c] for c in word] for word in chars]),
+            self.word_emb.rows([self.word_vocab[f] for f in forms]),
+            self.pos_emb.rows([self.pos_vocab[t] for t in tags])])
+        inputs = ad.dropout(inputs, self.embed_dropout, training, rng)
         states = self.encoder.encode(inputs, training=training, rng=rng)
         return EncodedSentence(states, len(tokens))
 
@@ -156,9 +152,8 @@ class RstEncoder(Module):
         if not words:
             raise DataError("cannot encode an empty sentence")
         ends = check_segmentation(len(words), ends)
-        inputs = [ad.dropout(self.word_emb.lookup(self.word_vocab[w]), self.embed_dropout,
-                             training, rng)
-                  for w in words]
+        inputs = ad.dropout(self.word_emb.rows([self.word_vocab[w] for w in words]),
+                            self.embed_dropout, training, rng)
         states = self.encoder.encode(inputs, training=training, rng=rng)
         edu_states = [states[e - 1] for e in ends]
         return EncodedEdus(states, edu_states, ends)

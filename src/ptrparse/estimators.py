@@ -20,7 +20,7 @@ from .errors import ConfigError, DataError, LoadError
 from .metrics import score_dep_corpus, score_parseval_corpus
 from .rst import RstConfig, RstModel, decode_rst, train_rst
 from .scoring import LabelSet
-from .trees import DepTree, DiscTree, Token
+from .trees import Token
 
 
 class BaseEstimator:

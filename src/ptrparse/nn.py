@@ -1,8 +1,10 @@
 """Neural building blocks: embeddings, char CNN, recurrent cells, MLPs, biaffines.
 
-Everything is built from the autodiff ops, operates on single examples
-(vectors and small matrices, no batch dimension), and threads randomness
-through explicit ``numpy.random.Generator`` arguments.
+Everything is built from the autodiff ops and threads randomness through
+explicit ``numpy.random.Generator`` arguments.  Layers work on one
+sentence at a time: a single vector, or one row matrix holding every token
+of the sentence (char CNN words, encoder timesteps, pointer candidates).
+There is no batch dimension across sentences.
 """
 
 from __future__ import annotations
@@ -57,22 +59,29 @@ class Embedding(Module):
     def dim(self):
         return self.weight.data.shape[1]
 
+    def _resolve(self, indices) -> np.ndarray:
+        """Map indices past the table to the unknown row when there is one;
+        the row ops reject whatever stays out of range."""
+        indices = np.asarray(indices, dtype=np.intp)
+        if self.unk_index is not None:
+            indices = np.where(indices >= self.size, self.unk_index, indices)
+        return indices
+
     def lookup(self, index: int) -> Tensor:
-        if index < 0:
-            raise IndexError(f"negative embedding index {index}")
-        if index >= self.size:
-            if self.unk_index is None:
-                raise IndexError(f"embedding index {index} out of range for size {self.size}")
-            index = self.unk_index
-        return ad.row(self.weight, index)
+        return ad.row(self.weight, int(self._resolve(index)))
+
+    def rows(self, indices) -> Tensor:
+        """Look up many indices at once as a (len(indices), dim) matrix."""
+        return ad.gather(self.weight, self._resolve(indices))
 
 
 class CharCnn(Module):
     """Character convolution with max-over-time pooling.
 
-    One pad symbol is added on each side, so a word of any length yields at
-    least one window.  No activation follows the convolution; pooling is
-    applied directly to the affine filter responses.
+    One pad symbol is added on each side, so with a window of at most three
+    a word of any length yields at least one window.  No activation follows the convolution; pooling is
+    applied directly to the affine filter responses.  All words of a
+    sentence share one gather, one matmul and one segmented max.
     """
 
     def __init__(self, char_vocab_size: int, char_dim: int, filters: int, window: int,
@@ -91,17 +100,44 @@ class CharCnn(Module):
         return self.filters.data.shape[1]
 
     def __call__(self, char_ids) -> Tensor:
-        padded = [self.pad_index] + list(char_ids) + [self.pad_index]
-        table = ad.stack([self.embedding.lookup(c) for c in padded])
-        width = self.window * self.embedding.dim
-        windows = [ad.reshape(ad.rows(table, i, i + self.window), (width,))
-                   for i in range(len(padded) - self.window + 1)]
-        responses = ad.add(ad.matmul(ad.stack(windows), self.filters), self.bias)
+        """Pool one word (a sequence of char ids) into a vector, or a list of
+        such words into a matrix with one row per word."""
+        batched = len(char_ids) > 0 and not np.isscalar(char_ids[0])
+        words = char_ids if batched else [char_ids]
+        windows = []
+        starts = []
+        for word in words:
+            padded = [self.pad_index] + list(word) + [self.pad_index]
+            if len(padded) < self.window:
+                raise ConfigError(f"a word of {len(padded) - 2} chars is too short for "
+                                  f"window {self.window}")
+            starts.append(len(windows))
+            windows.extend(padded[i : i + self.window]
+                           for i in range(len(padded) - self.window + 1))
+        table = self.embedding.rows(np.concatenate(windows))
+        flat = ad.reshape(table, (len(windows), self.window * self.embedding.dim))
+        responses = ad.add(ad.matmul(flat, self.filters), self.bias)
+        if batched:
+            return ad.segment_max(responses, starts)
         return ad.max_over_rows(responses)
 
 
+def _project(w: Tensor, x: Tensor, b: Tensor) -> Tensor:
+    """``w·x + b`` for a vector ``x``, or ``x·wᵀ + b`` for every row of a matrix."""
+    wx = ad.matmul(w, x) if x.data.ndim == 1 else ad.matmul(x, ad.transpose(w))
+    return ad.add(wx, b)
+
+
 class LstmCell(Module):
-    """Single LSTM cell; gate order i, f, g, o; forget bias initialized to 1."""
+    """Single LSTM cell; gate order i, f, g, o; forget bias initialized to 1.
+
+    A step is split in two: ``project`` applies the input weights and bias
+    (to one vector, or to all timesteps of a sequence at once), and
+    ``recur`` runs the fused ``lstm_step`` op on one projected row.  The
+    state is the pair ``(h, c)``.
+    """
+
+    state_size = 2
 
     def __init__(self, input_dim: int, hidden_dim: int, rng):
         h = hidden_dim
@@ -112,24 +148,28 @@ class LstmCell(Module):
         self.bias = Tensor(bias, requires_grad=True)
         self.hidden_dim = h
 
-    def step(self, x: Tensor, h: Tensor, c: Tensor, h_matmul: Tensor = None):
-        # h_matmul, when given, replaces h inside the gate transformations
-        # only; recurrent dropout masks enter here so the cell state update
-        # itself stays a bounded combination of unscaled values.
+    def project(self, x: Tensor) -> tuple:
+        return (_project(self.w_x, x, self.bias),)
+
+    def recur(self, projected: tuple, state: tuple, mask=None) -> tuple:
         n = self.hidden_dim
-        hm = h_matmul if h_matmul is not None else h
-        pre = ad.add(ad.add(ad.matmul(self.w_x, x), ad.matmul(self.w_h, hm)), self.bias)
-        i = ad.sigmoid(ad.narrow(pre, 0, n))
-        f = ad.sigmoid(ad.narrow(pre, n, 2 * n))
-        g = ad.tanh(ad.narrow(pre, 2 * n, 3 * n))
-        o = ad.sigmoid(ad.narrow(pre, 3 * n, 4 * n))
-        c_new = ad.add(ad.mul(f, c), ad.mul(i, g))
-        h_new = ad.mul(o, ad.tanh(c_new))
-        return h_new, c_new
+        hc = ad.lstm_step(projected[0], self.w_h, state[0], state[1], mask)
+        return ad.narrow(hc, 0, n), ad.narrow(hc, n, 2 * n)
+
+    def step(self, x: Tensor, h: Tensor, c: Tensor):
+        """One step from input vector ``x``; returns ``(h_new, c_new)``."""
+        return self.recur(self.project(x), (h, c))
 
 
 class GruCell(Module):
-    """Single GRU cell; update gate z keeps the previous hidden state at z=1."""
+    """Single GRU cell; update gate z keeps the previous hidden state at z=1.
+
+    Split like ``LstmCell``: ``project`` yields the gate and candidate
+    input projections, ``recur`` runs the fused ``gru_step`` op.  The state
+    is the 1-tuple ``(h,)``.
+    """
+
+    state_size = 1
 
     def __init__(self, input_dim: int, hidden_dim: int, rng):
         h = hidden_dim
@@ -141,29 +181,27 @@ class GruCell(Module):
         self.b_n = Tensor(np.zeros(h), requires_grad=True)
         self.hidden_dim = h
 
-    def step(self, x: Tensor, h: Tensor, h_matmul: Tensor = None) -> Tensor:
-        # The convex update keeps the raw h: with an inverted-dropout mask in
-        # the z*h term the state would grow by the keep-scale every step.
-        n = self.hidden_dim
-        hm = h_matmul if h_matmul is not None else h
-        rz = ad.sigmoid(ad.add(ad.add(ad.matmul(self.w_rz, x), ad.matmul(self.u_rz, hm)), self.b_rz))
-        r = ad.narrow(rz, 0, n)
-        z = ad.narrow(rz, n, 2 * n)
-        cand = ad.tanh(ad.add(ad.add(ad.matmul(self.w_n, x), ad.matmul(self.u_n, ad.mul(r, hm))), self.b_n))
-        one_minus_z = ad.sub(Tensor(np.ones(n)), z)
-        return ad.add(ad.mul(z, h), ad.mul(one_minus_z, cand))
+    def project(self, x: Tensor) -> tuple:
+        return _project(self.w_rz, x, self.b_rz), _project(self.w_n, x, self.b_n)
+
+    def recur(self, projected: tuple, state: tuple, mask=None) -> tuple:
+        return (ad.gru_step(projected[0], projected[1], self.u_rz, self.u_n, state[0], mask),)
+
+    def step(self, x: Tensor, h: Tensor) -> Tensor:
+        """One step from input vector ``x``; returns the new hidden state."""
+        return self.recur(self.project(x), (h,))[0]
 
 
-def _shared_mask(dim: int, rate: float, rng) -> Tensor:
-    keep = (rng.random(dim) >= rate) / (1.0 - rate)
-    return Tensor(keep)
+def _keep_mask(dim: int, rate: float, rng) -> np.ndarray:
+    return (rng.random(dim) >= rate) / (1.0 - rate)
 
 
 class BiRecurrentEncoder(Module):
     """Stacked bidirectional recurrent encoder (LSTM or GRU cells).
 
     Dropout is variational: one mask per sequence for each recurrent
-    connection, and one mask per sequence between layers.
+    connection, and one mask per sequence between layers.  Each direction
+    projects all its inputs in one matmul before the recurrence starts.
     """
 
     def __init__(self, cell: str, layers: int, input_dim: int, hidden_dim: int, rng,
@@ -188,34 +226,30 @@ class BiRecurrentEncoder(Module):
     def out_dim(self):
         return 2 * self.hidden_dim
 
-    def _run_direction(self, cell, seq, training, rng):
-        h = Tensor(np.zeros(self.hidden_dim))
-        c = Tensor(np.zeros(self.hidden_dim)) if self.cell == "lstm" else None
+    def _run_direction(self, cell, inputs, order, training, rng):
         mask = None
         if training and self.recurrent_dropout > 0.0:
-            mask = _shared_mask(self.hidden_dim, self.recurrent_dropout, rng)
-        outputs = []
-        for x in seq:
-            h_in = ad.mul(h, mask) if mask is not None else None
-            if self.cell == "lstm":
-                h, c = cell.step(x, h, c, h_matmul=h_in)
-            else:
-                h = cell.step(x, h, h_matmul=h_in)
-            outputs.append(h)
-        return outputs
+            mask = _keep_mask(self.hidden_dim, self.recurrent_dropout, rng)
+        projected = cell.project(inputs)
+        state = (Tensor(np.zeros(self.hidden_dim)),) * cell.state_size
+        outputs = [None] * inputs.data.shape[0]
+        for t in order:
+            state = cell.recur(tuple(ad.row(p, t) for p in projected), state, mask)
+            outputs[t] = state[0]
+        return ad.stack(outputs)
 
     def encode(self, inputs, training: bool = False, rng=None):
-        """Map a list of input vectors to a list of 2*hidden_dim state vectors."""
-        seq = list(inputs)
+        """Map a (T, input_dim) matrix, or a list of T input vectors, to a
+        list of T state vectors of size 2*hidden_dim."""
+        seq = inputs if isinstance(inputs, Tensor) else ad.stack(list(inputs))
+        steps = seq.data.shape[0]
         for layer, (fw, bw) in enumerate(zip(self.forward_cells, self.backward_cells)):
             if layer > 0 and training and self.layer_dropout > 0.0:
-                mask = _shared_mask(seq[0].data.shape[0], self.layer_dropout, rng)
-                seq = [ad.mul(x, mask) for x in seq]
-            left = self._run_direction(fw, seq, training, rng)
-            right = self._run_direction(bw, list(reversed(seq)), training, rng)
-            right.reverse()
-            seq = [ad.concat([l, r]) for l, r in zip(left, right)]
-        return seq
+                seq = ad.mul(seq, Tensor(_keep_mask(seq.data.shape[1], self.layer_dropout, rng)))
+            left = self._run_direction(fw, seq, range(steps), training, rng)
+            right = self._run_direction(bw, seq, range(steps - 1, -1, -1), training, rng)
+            seq = ad.hconcat([left, right])
+        return [ad.row(seq, t) for t in range(steps)]
 
 
 class MlpElu(Module):

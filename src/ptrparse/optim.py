@@ -35,7 +35,11 @@ def clip_by_global_norm(params, max_norm: float) -> float:
 
 
 class Adam:
-    """Adam with step-count bias correction and optional decoupled L2 decay.
+    """Adam with step-count bias correction and optional coupled L2 decay.
+
+    Weight decay is classic L2 regularization: ``weight_decay * p`` is added
+    to the gradient before the moment updates, so it is rescaled by the
+    adaptive step like any other gradient (not decoupled as in AdamW).
 
     The learning rate can be multiplicatively annealed via ``decay_lr``; the
     caller decides when (this toolkit decays on a dev-metric plateau).

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import TreeError
 
@@ -104,10 +104,6 @@ def leaf(index: int) -> DiscNode:
 
 def internal(left: DiscNode, right: DiscNode, nuclearity: str, relation: str) -> DiscNode:
     return DiscNode(left.start, right.end, left, right, nuclearity, relation)
-
-
-def join_label(nuclearity: str, relation: str) -> str:
-    return f"{nuclearity}-{relation}"
 
 
 def split_label(label: str):

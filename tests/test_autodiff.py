@@ -328,3 +328,127 @@ def test_grad_cross_entropy_and_dropout():
         x = leaf(shape)
         check_gradients(
             lambda: ad.tsum(ad.dropout(x, 0.4, True, np.random.default_rng(11))), [x])
+
+
+# Fused recurrent steps and batching helpers.  Losses weight the outputs with
+# fixed random constants so every output entry gets a distinct gradient.
+
+def weighted(out):
+    weights = Tensor(np.random.default_rng(out.data.size).standard_normal(out.data.shape))
+    return ad.tsum(ad.mul(out, weights))
+
+
+def keep_mask(size):
+    return (np.random.default_rng(size).random(size) >= 0.4) / 0.6
+
+
+def test_grad_lstm_step():
+    for n in (1, 2, 4):
+        xw, w_h = leaf((4 * n,)), leaf((4 * n, n))
+        h, c = leaf((n,)), leaf((n,))
+        for mask in (None, keep_mask(n)):
+            check_gradients(lambda: weighted(ad.lstm_step(xw, w_h, h, c, mask)), [xw, w_h, h, c])
+
+
+def test_grad_gru_step():
+    for n in (1, 2, 4):
+        x_rz, x_n = leaf((2 * n,)), leaf((n,))
+        u_rz, u_n, h = leaf((2 * n, n)), leaf((n, n)), leaf((n,))
+        for mask in (None, keep_mask(n)):
+            check_gradients(lambda: weighted(ad.gru_step(x_rz, x_n, u_rz, u_n, h, mask)),
+                            [x_rz, x_n, u_rz, u_n, h])
+
+
+def test_lstm_step_matches_per_gate_ops():
+    n = 3
+    xw, w_h, h, c = leaf((4 * n,)), leaf((4 * n, n)), leaf((n,)), leaf((n,))
+    mask = keep_mask(n)
+    pre = ad.add(xw, ad.matmul(w_h, ad.mul(h, Tensor(mask))))
+    i, f = ad.sigmoid(ad.narrow(pre, 0, n)), ad.sigmoid(ad.narrow(pre, n, 2 * n))
+    g, o = ad.tanh(ad.narrow(pre, 2 * n, 3 * n)), ad.sigmoid(ad.narrow(pre, 3 * n, 4 * n))
+    c_new = ad.add(ad.mul(f, c), ad.mul(i, g))
+    h_new = ad.mul(o, ad.tanh(c_new))
+    fused = ad.lstm_step(xw, w_h, h, c, mask)
+    assert np.allclose(fused.data, np.concatenate([h_new.data, c_new.data]), rtol=0.0, atol=1e-15)
+
+
+def test_gru_step_matches_per_gate_ops():
+    n = 3
+    x_rz, x_n, u_rz, u_n, h = leaf((2 * n,)), leaf((n,)), leaf((2 * n, n)), leaf((n, n)), leaf((n,))
+    mask = keep_mask(n)
+    hm = ad.mul(h, Tensor(mask))
+    rz = ad.sigmoid(ad.add(x_rz, ad.matmul(u_rz, hm)))
+    r, z = ad.narrow(rz, 0, n), ad.narrow(rz, n, 2 * n)
+    cand = ad.tanh(ad.add(x_n, ad.matmul(u_n, ad.mul(r, hm))))
+    want = ad.add(ad.mul(z, h), ad.mul(ad.sub(Tensor(np.ones(n)), z), cand))
+    got = ad.gru_step(x_rz, x_n, u_rz, u_n, h, mask)
+    assert np.allclose(got.data, want.data, rtol=0.0, atol=1e-15)
+
+
+def test_fused_step_shape_checks():
+    with pytest.raises(ShapeError):
+        ad.lstm_step(leaf((7,)), leaf((8, 2)), leaf((2,)), leaf((2,)))
+    with pytest.raises(ShapeError):
+        ad.gru_step(leaf((4,)), leaf((3,)), leaf((4, 2)), leaf((2, 2)), leaf((2,)))
+
+
+def test_grad_gather_repeated_indices():
+    m = leaf((4, 3))
+    idx = [2, 0, 2, 2, 3]
+    out = ad.gather(m, idx)
+    assert np.array_equal(out.data, m.data[idx])
+    check_gradients(lambda: weighted(ad.gather(m, idx)), [m])
+    m.zero_grad()
+    ad.backward(ad.tsum(ad.gather(m, idx)))
+    assert np.array_equal(m.grad[:, 0], [1.0, 0.0, 3.0, 1.0])
+    with pytest.raises(IndexError):
+        ad.gather(m, [4])
+    with pytest.raises(IndexError):
+        ad.gather(m, [-1])
+
+
+def test_grad_hconcat():
+    for shapes in (((2, 3), (2, 1), (2, 4)), ((1, 2), (1, 2)), ((3,), (2,))):
+        parts = [leaf(s) for s in shapes]
+        out = ad.hconcat(parts)
+        assert np.array_equal(out.data, np.concatenate([p.data for p in parts], axis=-1))
+        check_gradients(lambda: weighted(ad.hconcat(parts)), parts)
+    with pytest.raises(ShapeError):
+        ad.hconcat([leaf((2, 3)), leaf((3, 3))])
+
+
+def test_grad_transpose():
+    for shape in ((2, 3), (1, 4), (3, 3)):
+        m = leaf(shape)
+        assert np.array_equal(ad.transpose(m).data, m.data.T)
+        check_gradients(lambda: weighted(ad.transpose(m)), [m])
+        m.zero_grad()
+        ad.backward(weighted(ad.transpose(m)))
+        assert m.grad.flags.c_contiguous  # the optimizer works on it in place
+    with pytest.raises(ShapeError):
+        ad.transpose(leaf((3,)))
+
+
+def test_grad_segment_max():
+    for rows_, starts in ((5, [0, 2, 3]), (4, [0]), (6, [0, 1, 2, 3, 4, 5])):
+        m = Tensor(RNG.permutation(np.linspace(-2.0, 2.0, rows_ * 3)).reshape(rows_, 3),
+                   requires_grad=True)
+        out = ad.segment_max(m, starts)
+        stops = starts[1:] + [rows_]
+        want = np.stack([m.data[a:b].max(axis=0) for a, b in zip(starts, stops)])
+        assert np.array_equal(out.data, want)
+        check_gradients(lambda: weighted(ad.segment_max(m, starts)), [m])
+    with pytest.raises(ShapeError):
+        ad.segment_max(leaf((3, 2)), [0, 3])
+    with pytest.raises(ShapeError):
+        ad.segment_max(leaf((3, 2)), [1])
+
+
+def test_segment_max_tie_routes_gradient_to_first_row():
+    m = Tensor(np.array([[1.0, 2.0], [4.0, 2.0], [4.0, 0.0], [7.0, 7.0], [7.0, 7.0]]),
+               requires_grad=True)
+    out = ad.segment_max(m, [0, 3])
+    assert np.array_equal(out.data, [[4.0, 2.0], [7.0, 7.0]])
+    ad.backward(ad.tsum(out))
+    assert np.array_equal(m.grad, [[0.0, 1.0], [1.0, 0.0], [0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
+    assert np.array_equal(ad.max_over_rows(m).data, [7.0, 7.0])

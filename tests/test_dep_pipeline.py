@@ -329,3 +329,40 @@ def test_gold_heads_recovered_after_overfitting_one_sentence():
         opt.step()
     decoded = decode_greedy(model, tokens)
     assert decoded == gold
+
+
+def test_teacher_forced_graph_size_per_token():
+    # Tape ops reachable from the teacher-forced loss under the criterion-3
+    # config.  Fused recurrent steps, hoisted input projections and the
+    # sentence-batched char CNN bring this to about 129 per token; the
+    # per-gate graph had about 264.  The count is exact, so a change that
+    # unfuses a layer fails here rather than only in wall time.
+    items = gen_synthetic_dep(7, 64, max_len=12, vocab_size=200, label_count=8)[:16]
+    config = DepConfig(variant="pst", fusion="sgate", encoder_hidden=64, decoder_hidden=64,
+                       arc_mlp=64, label_mlp=16, batch_size=8, seed=7).validate()
+    model = DepModel(config, *build_dep_vocabs(items), np.random.default_rng(7))
+    rng = np.random.default_rng(8)
+    work = [ad.add(*example_losses(model, tokens, tree, training=True, rng=rng))
+            for tokens, tree in items]
+    seen = {}
+    while work:
+        node = work.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            work.extend(node._parents)
+    ops = sum(1 for node in seen.values() if node._bwd is not None)
+    tokens = sum(len(tokens) for tokens, _ in items)
+    assert ops / tokens <= 150, f"{ops / tokens:.1f} tape ops per token"
+
+
+def test_max_len_enforced_by_greedy_and_beam():
+    items = items_for([[0, 1, 1]])
+    model, _ = tiny_model(items, max_len=4)
+    decode_greedy(model, sentence(4))
+    decode_beam(model, sentence(4), beam_size=2)
+    with pytest.raises(ConfigError):
+        decode_greedy(model, sentence(5))
+    with pytest.raises(ConfigError):
+        decode_beam(model, sentence(5), beam_size=2)
+    with pytest.raises(ConfigError):
+        decode_beam(model, sentence(5), beam_size=1)

@@ -219,11 +219,15 @@ def test_birecurrent_encoder_dropout_only_in_training():
 
 
 def test_birecurrent_encoder_gradients():
-    for layers, length in ((1, 3), (2, 2), (1, 1)):
-        enc = BiRecurrentEncoder("lstm", layers, 2, 2, np.random.default_rng(10))
+    for cell, layers, length, rate in (("lstm", 1, 3, 0.0), ("lstm", 2, 2, 0.0), ("lstm", 1, 1, 0.0),
+                                       ("lstm", 2, 3, 0.4), ("gru", 2, 3, 0.4)):
+        enc = BiRecurrentEncoder(cell, layers, 2, 2, np.random.default_rng(10),
+                                 recurrent_dropout=rate, layer_dropout=rate)
         xs = [Tensor(RNG.standard_normal(2), requires_grad=True) for _ in range(length)]
         tensors = [p for _, p in enc.parameters()] + xs
-        check_gradients(lambda: ad.tsum(ad.concat(enc.encode(xs))), tensors, tol=2e-4)
+        check_gradients(lambda: ad.tsum(ad.concat(enc.encode(xs, training=True,
+                                                             rng=np.random.default_rng(5)))),
+                        tensors, tol=2e-4)
 
 
 def test_mlp_elu_vector_and_matrix():
@@ -305,3 +309,60 @@ def test_biaffine_labeler_gradients():
         b = Tensor(RNG.standard_normal(right), requires_grad=True)
         tensors = [p for _, p in lab.parameters()] + [a, b]
         check_gradients(lambda: ad.tsum(lab.scores(a, b)), tensors)
+
+
+def test_charcnn_batch_rows_equal_single_words():
+    cnn = CharCnn(7, 3, 4, 3, pad_index=0, rng=np.random.default_rng(12))
+    words = [[1], [2, 3, 4, 5], [6, 6], [9, 1, 2]]  # 9 is out of range: unknown
+    cnn.embedding.unk_index = 1
+    batch = cnn(words)
+    assert batch.shape == (4, 4)
+    for i, word in enumerate(words):
+        assert np.allclose(batch.data[i], cnn(word).data, rtol=0.0, atol=1e-14)
+    single = cnn([[2, 3]])
+    assert single.shape == (1, 4)
+    with pytest.raises(ConfigError):
+        CharCnn(5, 3, 2, 4, pad_index=0, rng=np.random.default_rng(0))([[1], [1]])
+
+
+def test_charcnn_batch_gradients():
+    cnn = CharCnn(5, 3, 4, 3, pad_index=0, rng=np.random.default_rng(13))
+    weights = Tensor(RNG.standard_normal((3, 4)))
+    tensors = [p for _, p in cnn.parameters()]
+    check_gradients(lambda: ad.tsum(ad.mul(cnn([[1, 2], [3], [1, 2, 3, 4]]), weights)), tensors)
+
+
+def test_birecurrent_encoder_matrix_equals_list():
+    for cell in ("lstm", "gru"):
+        enc = BiRecurrentEncoder(cell, 2, 3, 2, np.random.default_rng(14),
+                                 recurrent_dropout=0.3, layer_dropout=0.3)
+        xs = RNG.standard_normal((5, 3))
+        for training in (False, True):
+            from_list = enc.encode([Tensor(x) for x in xs], training=training,
+                                   rng=np.random.default_rng(3))
+            from_matrix = enc.encode(Tensor(xs), training=training, rng=np.random.default_rng(3))
+            assert len(from_matrix) == 5
+            for a, b in zip(from_list, from_matrix):
+                assert np.array_equal(a.data, b.data)
+
+
+def test_birecurrent_encoder_gru_matches_reference():
+    enc = BiRecurrentEncoder("gru", 1, 3, 2, np.random.default_rng(15))
+    xs = [RNG.standard_normal(3) for _ in range(4)]
+
+    def run(cell, seq):
+        h, out = np.zeros(2), []
+        for x in seq:
+            rz = sigmoid(cell.w_rz.data @ x + cell.u_rz.data @ h + cell.b_rz.data)
+            r, z = rz[:2], rz[2:]
+            cand = np.tanh(cell.w_n.data @ x + cell.u_n.data @ (r * h) + cell.b_n.data)
+            h = z * h + (1.0 - z) * cand
+            out.append(h)
+        return out
+
+    left = run(enc.forward_cells[0], xs)
+    right = run(enc.backward_cells[0], xs[::-1])[::-1]
+    got = enc.encode([Tensor(x) for x in xs])
+    for g, l, r in zip(got, left, right):
+        assert np.allclose(g.data, np.concatenate([l, r]), rtol=0.0, atol=1e-14)
+

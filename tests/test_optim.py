@@ -58,6 +58,18 @@ def test_adam_two_steps_closed_form():
     assert p.data[0] == pytest.approx(0.8000000040000001, abs=1e-12)
 
 
+def test_adam_weight_decay_is_coupled_l2():
+    # g = -0.5, p = 2, wd = 0.5.  Coupled L2 adapts g_eff = g + wd * p = 0.5,
+    # so the first step moves p by -lr * 0.5 / (0.5 + eps).  Decoupled decay
+    # (AdamW) would step by -lr * (g / (|g| + eps) + wd * p) and leave p at 2.
+    p = Tensor(np.array([2.0]), requires_grad=True)
+    opt = Adam([("p", p)], lr=0.1, betas=(0.9, 0.99), eps=1e-8, weight_decay=0.5)
+    p.grad = np.array([-0.5])
+    opt.step()
+    assert p.data[0] == pytest.approx(2.0 - 0.1 * 0.5 / (0.5 + 1e-8), abs=1e-12)
+    assert np.array_equal(p.grad, [-0.5])
+
+
 def test_adam_weight_decay_enters_gradient():
     # Decoupled-from-loss but coupled-to-moments decay: g_eff = g + wd * p.
     p = Tensor(np.array([2.0]), requires_grad=True)
