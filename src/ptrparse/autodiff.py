@@ -304,6 +304,16 @@ def tsum(a: Tensor) -> Tensor:
     return _node(data, (a,), bwd)
 
 
+def sum_terms(terms) -> Tensor:
+    """Left-to-right sum of a list of tensors; a constant zero when empty."""
+    if not terms:
+        return Tensor(0.0)
+    acc = terms[0]
+    for t in terms[1:]:
+        acc = add(acc, t)
+    return acc
+
+
 def concat(parts: list) -> Tensor:
     """Concatenate 1-D tensors into one vector."""
     for p in parts:

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .checkpoint import load_checkpoint
 from .corpus import (gen_synthetic_dep, gen_synthetic_rst, load_embeddings, read_conllu,
@@ -30,14 +29,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ConfigError(message)
-
-
-def _default_threads() -> int:
-    value = os.environ.get("PTRPARSE_THREADS", "1")
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"PTRPARSE_THREADS must be an integer, got {value!r}")
 
 
 def build_parser() -> _Parser:
@@ -72,8 +63,6 @@ def build_parser() -> _Parser:
     parse.add_argument("--output", required=True)
     parse.add_argument("--beam", type=int, default=1,
                        help="beam size for dependency decoding (1 = greedy)")
-    parse.add_argument("--threads", type=int, default=None,
-                       help="decode sentences in parallel (default PTRPARSE_THREADS or 1)")
     parse.add_argument("--trace", dest="trace_path",
                        help="write pointer decisions for each sentence (dep, greedy only)")
     parse.set_defaults(run=run_parse)
@@ -196,9 +185,6 @@ def run_train(args):
 
 
 def run_parse(args):
-    threads = args.threads if args.threads is not None else _default_threads()
-    if threads < 1:
-        raise ConfigError(f"threads must be at least 1, got {threads}")
     if args.beam < 1:
         raise ConfigError(f"beam size must be at least 1, got {args.beam}")
     _, meta = load_checkpoint(args.model)
@@ -221,7 +207,7 @@ def run_parse(args):
                 tree = decode_greedy(model, tokens)
             return tree, None
 
-        results = _map(decode, sentences, threads)
+        results = [decode(pair) for pair in sentences]
         write_conllu(args.output, [(tokens, tree) for (tokens, _), (tree, _)
                                    in zip(sentences, results)])
         if args.trace_path:
@@ -237,24 +223,12 @@ def run_parse(args):
             raise ConfigError("beam search is only available for dependency models")
         model = DiscourseParser.load(args.model).model_
         items = read_rst_brackets(args.input)
-
-        def decode(item):
-            words, ends = segmented_from_texts(item[0])
-            return decode_rst(model, words, ends)
-
-        trees = _map(decode, items, threads)
+        trees = [decode_rst(model, *segmented_from_texts(texts)) for texts, _ in items]
         write_rst_brackets(args.output, [(texts, tree) for (texts, _), tree
                                          in zip(items, trees)])
         print(f"parsed {len(items)} sentences to {args.output}")
     else:
         raise ConfigError(f"{args.model} has unknown task {task!r}")
-
-
-def _map(fn, items, threads):
-    if threads == 1 or len(items) < 2:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def run_eval(args):

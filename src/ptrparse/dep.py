@@ -108,6 +108,75 @@ def _check_common(config, variants, fusions):
         raise ConfigError(f"decay must be in (0, 1], got {config.decay!r}")
 
 
+def fit_loop(model, items, config, example_losses, evaluate, selections, targets,
+             dev_items=None, log=None, init_hook=None, weight_decay=0.0):
+    """Teacher-forced Adam training shared by both tasks; returns (history, snapshots).
+
+    Each epoch visits ``items`` in a fresh random order in batches of
+    ``config.batch_size``.  Every example's (structure, label) losses come
+    from ``example_losses(model, *item, training=True, rng=...)``; their
+    sum, scaled by one over the batch size, is backpropagated, and each
+    batch ends with global-norm clipping and one Adam step.  A non-finite
+    loss raises ``TrainingError`` before any gradient from it is applied.
+
+    After each epoch ``evaluate(model, eval_items)`` (dev when given, else
+    the training data) returns the named metrics for the history row
+    ``{epoch, loss, <metrics>, lr}``, and ``log`` gets the same row as one
+    line.  ``selections`` maps a name to the metric names whose tuple ranks
+    epochs; the best epoch of each is kept as a parameter snapshot, and a
+    non-improving epoch of the first one decays the learning rate when a
+    dev set exists.  ``targets`` lists (metric, threshold) pairs: training
+    stops once the first threshold is set and every set one is reached.
+    ``init_hook(model)`` runs once before training.
+    """
+    if init_hook is not None:
+        init_hook(model)
+    train_rng = np.random.default_rng(config.seed + 1)
+    optimizer = Adam(model.parameters(), lr=config.lr, betas=(config.beta1, config.beta2),
+                     eps=config.eps, weight_decay=weight_decay, decay=config.decay)
+    eval_items = dev_items if dev_items is not None else items
+
+    history = []
+    best_keys = {}
+    snapshots = {}
+    step = 0
+    for epoch in range(1, config.epochs + 1):
+        order = train_rng.permutation(len(items))
+        epoch_loss = 0.0
+        for lo in range(0, len(order), config.batch_size):
+            batch = order[lo : lo + config.batch_size]
+            optimizer.zero_grad()
+            inv = Tensor(1.0 / len(batch))
+            for idx in batch:
+                s, l = example_losses(model, *items[int(idx)], training=True, rng=train_rng)
+                total = ad.add(s, l)
+                if not np.isfinite(total.data):
+                    raise TrainingError("loss is not finite", step=step)
+                ad.backward(ad.mul(total, inv))
+                epoch_loss += total.item()
+            clip_by_global_norm(optimizer.params, config.clip)
+            optimizer.step()
+            step += 1
+
+        metrics = evaluate(model, eval_items)
+        row = {"epoch": epoch, "loss": epoch_loss / len(items), **metrics, "lr": optimizer.lr}
+        history.append(row)
+        if log is not None:
+            scores = "".join(f"{name} {value:.2f} " for name, value in metrics.items())
+            log(f"epoch {epoch} loss {row['loss']:.6f} {scores}lr {row['lr']:.6g}")
+        for rank, (name, key_names) in enumerate(selections.items()):
+            key = tuple(row[k] for k in key_names)
+            if name not in best_keys or key > best_keys[name]:
+                best_keys[name] = key
+                snapshots[name] = model.snapshot()
+            elif rank == 0 and dev_items is not None:
+                optimizer.decay_lr()
+        if targets[0][1] is not None and all(
+                threshold is None or row[name] >= threshold for name, threshold in targets):
+            break
+    return history, snapshots
+
+
 class DepModel(Module):
     """Encoder, hierarchical decoder, biaffine pointer, and label classifier."""
 
@@ -130,13 +199,6 @@ class DepModel(Module):
                                    len(labels), rng, dropout=config.mlp_dropout)
         self.config = config
         self.labels = labels
-
-    def snapshot(self) -> dict:
-        return {name: p.data.copy() for name, p in self.parameters()}
-
-    def restore(self, snapshot: dict):
-        for name, p in self.parameters():
-            p.data[...] = snapshot[name]
 
 
 def oracle_order(tree: DepTree):
@@ -213,15 +275,6 @@ class RunResult:
     trace: list
     pointer_calls: int
     score_evaluations: int
-
-
-def _sum_terms(terms):
-    if not terms:
-        return Tensor(0.0)
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = ad.add(acc, t)
-    return acc
 
 
 def _candidate_mask(element: int, attached: np.ndarray) -> np.ndarray:
@@ -333,8 +386,8 @@ def run_transition(model: DepModel, tokens, gold: DepTree = None, training: bool
                                    probabilities=result.probs.data.copy() if result else None))
 
     return RunResult(heads=heads, labels=labels,
-                     structure_loss=_sum_terms(structure_terms),
-                     label_loss=_sum_terms(label_terms),
+                     structure_loss=ad.sum_terms(structure_terms),
+                     label_loss=ad.sum_terms(label_terms),
                      trace=trace, pointer_calls=pointer_calls,
                      score_evaluations=score_evaluations)
 
@@ -459,7 +512,7 @@ def build_dep_vocabs(items):
 
 
 def train_dep(items, config: DepConfig, dev_items=None, log=None, init_hook=None):
-    """Teacher-forced training; returns (model, history).
+    """Teacher-forced training through ``fit_loop``; returns (model, history).
 
     Per-epoch evaluation (on dev when given, else on the training data)
     drives best-model selection by UAS with LAS as the tiebreaker.  The
@@ -474,60 +527,19 @@ def train_dep(items, config: DepConfig, dev_items=None, log=None, init_hook=None
     for _, tree in items:
         tree.validate(single_root=config.single_root)
 
-    word_vocab, pos_vocab, char_vocab, labels = build_dep_vocabs(items)
-    init_rng = np.random.default_rng(config.seed)
-    model = DepModel(config, word_vocab, pos_vocab, char_vocab, labels, init_rng)
-    if init_hook is not None:
-        init_hook(model)
-    train_rng = np.random.default_rng(config.seed + 1)
-    optimizer = Adam(model.parameters(), lr=config.lr, betas=(config.beta1, config.beta2),
-                     eps=config.eps, decay=config.decay)
-    eval_items = dev_items if dev_items is not None else items
-
-    history = []
-    best = None
-    best_key = None
-    step = 0
-    for epoch in range(1, config.epochs + 1):
-        order = train_rng.permutation(len(items))
-        epoch_loss = 0.0
-        for lo in range(0, len(order), config.batch_size):
-            batch = order[lo : lo + config.batch_size]
-            optimizer.zero_grad()
-            inv = Tensor(1.0 / len(batch))
-            for idx in batch:
-                tokens, tree = items[int(idx)]
-                s, l = example_losses(model, tokens, tree, training=True, rng=train_rng)
-                total = ad.add(s, l)
-                if not np.isfinite(total.data):
-                    raise TrainingError("loss is not finite", step=step)
-                ad.backward(ad.mul(total, inv))
-                epoch_loss += total.item()
-            clip_by_global_norm(optimizer.params, config.clip)
-            optimizer.step()
-            step += 1
-
-        scored = [(tokens, gold, decode_greedy(model, tokens)) for tokens, gold in eval_items]
-        agg = score_dep_corpus(scored)
-        row = {"epoch": epoch, "loss": epoch_loss / len(items), "uas": agg.uas,
-               "las": agg.las, "lr": optimizer.lr}
-        history.append(row)
-        if log is not None:
-            log(f"epoch {epoch} loss {row['loss']:.6f} uas {row['uas']:.2f} "
-                f"las {row['las']:.2f} lr {row['lr']:.6g}")
-        key = (agg.uas, agg.las)
-        if best_key is None or key > best_key:
-            best_key = key
-            best = model.snapshot()
-        elif dev_items is not None:
-            optimizer.decay_lr()
-        if (config.target_uas is not None and agg.uas >= config.target_uas
-                and (config.target_las is None or agg.las >= config.target_las)):
-            break
-
-    if best is not None:
-        model.restore(best)
+    model = DepModel(config, *build_dep_vocabs(items), np.random.default_rng(config.seed))
+    history, snapshots = fit_loop(
+        model, items, config, example_losses, _evaluate_dep, {"uas": ("uas", "las")},
+        [("uas", config.target_uas), ("las", config.target_las)],
+        dev_items=dev_items, log=log, init_hook=init_hook)
+    model.restore(snapshots["uas"])
     return model, history
+
+
+def _evaluate_dep(model, items):
+    agg = score_dep_corpus([(tokens, gold, decode_greedy(model, tokens))
+                            for tokens, gold in items])
+    return {"uas": agg.uas, "las": agg.las}
 
 
 def config_to_dict(config) -> dict:

@@ -3,12 +3,14 @@
 ``DependencyParser`` and ``DiscourseParser`` wrap the training and decoding
 pipelines behind constructor hyperparameters stored verbatim, introspectable
 ``get_params``/``set_params``, fitted attributes with trailing underscores,
-and checkpoint-backed ``save``/``load``.
+and checkpoint-backed ``save``/``load``.  The hyperparameters are the fields
+of each parser's config dataclass (``DepConfig``, ``RstConfig``), declared
+there once.
 """
 
 from __future__ import annotations
 
-import inspect
+from dataclasses import fields
 
 import numpy as np
 
@@ -24,16 +26,31 @@ from .trees import Token
 
 
 class BaseEstimator:
-    """Parameter handling shared by both parsers.
+    """Parameter handling and checkpoint round-trip shared by both parsers.
 
-    Constructor arguments are hyperparameters: stored under their own names,
-    never modified, and discovered by signature introspection.
+    Constructor keywords are hyperparameters: the fields of ``_config_cls``,
+    defaulting to the field defaults, stored as attributes under their own
+    names and never modified; an unknown keyword raises ``ConfigError``.
+    ``save``/``load`` write and rebuild the fitted model from the class
+    attributes: ``_task`` (the checkpoint's task tag), ``_kind`` (its name in
+    error messages), ``_model_cls`` and ``_vocab_names`` (the encoder's
+    vocabularies, in model-constructor order).
     """
+
+    _config_cls = None
+    _task = None
+    _kind = None
+    _model_cls = None
+    _vocab_names = ()
+
+    def __init__(self, **params):
+        for spec in fields(self._config_cls):
+            setattr(self, spec.name, spec.default)
+        self.set_params(**params)
 
     @classmethod
     def _param_names(cls):
-        signature = inspect.signature(cls.__init__)
-        return [name for name in signature.parameters if name != "self"]
+        return [spec.name for spec in fields(cls._config_cls)]
 
     def get_params(self, deep: bool = True) -> dict:
         return {name: getattr(self, name) for name in self._param_names()}
@@ -53,6 +70,43 @@ class BaseEstimator:
             raise ConfigError(f"{type(self).__name__} instance is not fitted yet; "
                               "call fit or load first")
         return model
+
+    def _config(self):
+        return self._config_cls(**self.get_params()).validate()
+
+    def save(self, path):
+        """Write the fitted model to a deterministic checkpoint file."""
+        model = self._require_fitted()
+        meta = {"task": self._task, "config": config_to_dict(model.config)}
+        for name in self._vocab_names:
+            meta[name] = list(getattr(model.encoder, name).tokens)
+        meta["labels"] = list(model.labels.names)
+        meta["label_hash"] = model.labels.hash
+        save_checkpoint(path, ((name, p.data) for name, p in model.parameters()), meta)
+
+    @classmethod
+    def load(cls, path):
+        """Rebuild a fitted parser from a checkpoint file."""
+        params, meta = load_checkpoint(path)
+        if meta.get("task") != cls._task:
+            raise LoadError(f"{path} holds a {meta.get('task')!r} model, not a {cls._kind}")
+        config = config_from_dict(cls._config_cls, meta["config"]).validate()
+        labels = LabelSet(meta["labels"])
+        if labels.hash != meta["label_hash"]:
+            raise LoadError(f"{path} label inventory does not match its recorded hash")
+        vocabs = [Vocab(meta[name]) for name in cls._vocab_names]
+        model = cls._model_cls(config, *vocabs, labels, np.random.default_rng(config.seed))
+        for name, tensor in model.parameters():
+            if name not in params:
+                raise LoadError(f"{path} is missing parameter {name!r}")
+            if params[name].shape != tensor.data.shape:
+                raise LoadError(f"{path} parameter {name!r} has shape {params[name].shape}, "
+                                f"expected {tensor.data.shape}")
+            tensor.data[...] = params[name]
+        parser = cls(**meta["config"])
+        parser.model_ = model
+        parser.history_ = []
+        return parser
 
 
 def _as_tokens(sentence):
@@ -110,52 +164,15 @@ class DependencyParser(BaseEstimator):
     ``fit(X, y)`` takes sentences (lists of Token, string, or (form, upos)
     pairs) and gold ``DepTree`` targets.  ``predict`` returns trees;
     ``score`` returns labeled attachment accuracy as a fraction in [0, 1].
+    Constructor keywords are the ``DepConfig`` fields, e.g.
+    ``DependencyParser(encoder_hidden=64, epochs=20)``.
     """
 
-    def __init__(self, word_dim=100, pos_dim=100, char_dim=100, char_filters=50,
-                 char_window=3, encoder_layers=3, encoder_hidden=512, decoder_layers=1,
-                 decoder_hidden=512, arc_mlp=512, label_mlp=128, variant="ps",
-                 fusion="gate", embed_dropout=0.33, recurrent_dropout=0.33,
-                 layer_dropout=0.33, state_dropout=0.33, mlp_dropout=0.33, lr=0.01,
-                 beta1=0.9, beta2=0.9, eps=1e-8, decay=0.75, clip=5.0, batch_size=32,
-                 epochs=100, beam_size=10, seed=1, selfpoint_loss=True,
-                 single_root=False, max_len=512, target_uas=None, target_las=None):
-        self.word_dim = word_dim
-        self.pos_dim = pos_dim
-        self.char_dim = char_dim
-        self.char_filters = char_filters
-        self.char_window = char_window
-        self.encoder_layers = encoder_layers
-        self.encoder_hidden = encoder_hidden
-        self.decoder_layers = decoder_layers
-        self.decoder_hidden = decoder_hidden
-        self.arc_mlp = arc_mlp
-        self.label_mlp = label_mlp
-        self.variant = variant
-        self.fusion = fusion
-        self.embed_dropout = embed_dropout
-        self.recurrent_dropout = recurrent_dropout
-        self.layer_dropout = layer_dropout
-        self.state_dropout = state_dropout
-        self.mlp_dropout = mlp_dropout
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.decay = decay
-        self.clip = clip
-        self.batch_size = batch_size
-        self.epochs = epochs
-        self.beam_size = beam_size
-        self.seed = seed
-        self.selfpoint_loss = selfpoint_loss
-        self.single_root = single_root
-        self.max_len = max_len
-        self.target_uas = target_uas
-        self.target_las = target_las
-
-    def _config(self) -> DepConfig:
-        return DepConfig(**self.get_params()).validate()
+    _config_cls = DepConfig
+    _task = "dep"
+    _kind = "dependency parser"
+    _model_cls = DepModel
+    _vocab_names = ("word_vocab", "pos_vocab", "char_vocab")
 
     def fit(self, X, y=None, dev=None, log=None):
         """Train on sentences X with gold trees y; returns self.
@@ -199,80 +216,21 @@ class DependencyParser(BaseEstimator):
         """Labeled attachment accuracy in [0, 1]."""
         return self.evaluate(X, y).las / 100.0
 
-    def save(self, path):
-        """Write the fitted model to a deterministic checkpoint file."""
-        model = self._require_fitted()
-        meta = {"task": "dep",
-                "config": config_to_dict(model.config),
-                "word_vocab": list(model.encoder.word_vocab.tokens),
-                "pos_vocab": list(model.encoder.pos_vocab.tokens),
-                "char_vocab": list(model.encoder.char_vocab.tokens),
-                "labels": list(model.labels.names),
-                "label_hash": model.labels.hash}
-        save_checkpoint(path, ((name, p.data) for name, p in model.parameters()), meta)
-
-    @classmethod
-    def load(cls, path):
-        """Rebuild a fitted parser from a checkpoint file."""
-        params, meta = load_checkpoint(path)
-        if meta.get("task") != "dep":
-            raise LoadError(f"{path} holds a {meta.get('task')!r} model, not a dependency parser")
-        config = config_from_dict(DepConfig, meta["config"]).validate()
-        labels = LabelSet(meta["labels"])
-        if labels.hash != meta["label_hash"]:
-            raise LoadError(f"{path} label inventory does not match its recorded hash")
-        model = DepModel(config, Vocab(meta["word_vocab"]), Vocab(meta["pos_vocab"]),
-                         Vocab(meta["char_vocab"]), labels,
-                         np.random.default_rng(config.seed))
-        _restore(model, params, path)
-        parser = cls(**meta["config"])
-        parser.model_ = model
-        parser.history_ = []
-        return parser
-
 
 class DiscourseParser(BaseEstimator):
     """Sentence-level discourse parser over segmented EDU sequences.
 
     Each input sentence is either a (words, edu_ends) pair or a list of
     EDUs, each a list of word strings.  Targets are ``DiscTree`` instances.
-    ``score`` returns relation F1 as a fraction in [0, 1].
+    ``score`` returns relation F1 as a fraction in [0, 1].  Constructor
+    keywords are the ``RstConfig`` fields, e.g. ``DiscourseParser(l2=0.0)``.
     """
 
-    def __init__(self, word_dim=1024, encoder_hidden=64, encoder_layers=5,
-                 decoder_layers=5, rel_mlp=64, variant="pst", fusion="plain",
-                 embed_dropout=0.5, encoder_dropout=0.4, decoder_dropout=0.6,
-                 classifier_dropout=0.5, lr=0.001, beta1=0.9, beta2=0.95, eps=1e-8,
-                 l2=0.0005, decay=0.75, clip=5.0, batch_size=64, epochs=100, seed=1,
-                 include_root=True, max_len=512, target_span=None, target_relation=None):
-        self.word_dim = word_dim
-        self.encoder_hidden = encoder_hidden
-        self.encoder_layers = encoder_layers
-        self.decoder_layers = decoder_layers
-        self.rel_mlp = rel_mlp
-        self.variant = variant
-        self.fusion = fusion
-        self.embed_dropout = embed_dropout
-        self.encoder_dropout = encoder_dropout
-        self.decoder_dropout = decoder_dropout
-        self.classifier_dropout = classifier_dropout
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.l2 = l2
-        self.decay = decay
-        self.clip = clip
-        self.batch_size = batch_size
-        self.epochs = epochs
-        self.seed = seed
-        self.include_root = include_root
-        self.max_len = max_len
-        self.target_span = target_span
-        self.target_relation = target_relation
-
-    def _config(self) -> RstConfig:
-        return RstConfig(**self.get_params()).validate()
+    _config_cls = RstConfig
+    _task = "rst"
+    _kind = "discourse parser"
+    _model_cls = RstModel
+    _vocab_names = ("word_vocab",)
 
     def fit(self, X, y=None, dev=None, label_set: LabelSet = None, log=None):
         """Train on segmented sentences X with gold trees y; returns self.
@@ -324,41 +282,3 @@ class DiscourseParser(BaseEstimator):
             raise ConfigError(f"no {which} selection snapshot available")
         model.restore(states[which])
         return self
-
-    def save(self, path):
-        """Write the fitted model to a deterministic checkpoint file."""
-        model = self._require_fitted()
-        meta = {"task": "rst",
-                "config": config_to_dict(model.config),
-                "word_vocab": list(model.encoder.word_vocab.tokens),
-                "labels": list(model.labels.names),
-                "label_hash": model.labels.hash}
-        save_checkpoint(path, ((name, p.data) for name, p in model.parameters()), meta)
-
-    @classmethod
-    def load(cls, path):
-        """Rebuild a fitted parser from a checkpoint file."""
-        params, meta = load_checkpoint(path)
-        if meta.get("task") != "rst":
-            raise LoadError(f"{path} holds a {meta.get('task')!r} model, not a discourse parser")
-        config = config_from_dict(RstConfig, meta["config"]).validate()
-        labels = LabelSet(meta["labels"])
-        if labels.hash != meta["label_hash"]:
-            raise LoadError(f"{path} label inventory does not match its recorded hash")
-        model = RstModel(config, Vocab(meta["word_vocab"]), labels,
-                         np.random.default_rng(config.seed))
-        _restore(model, params, path)
-        parser = cls(**meta["config"])
-        parser.model_ = model
-        parser.history_ = []
-        return parser
-
-
-def _restore(model, params, path):
-    for name, tensor in model.parameters():
-        if name not in params:
-            raise LoadError(f"{path} is missing parameter {name!r}")
-        if params[name].shape != tensor.data.shape:
-            raise LoadError(f"{path} parameter {name!r} has shape {params[name].shape}, "
-                            f"expected {tensor.data.shape}")
-        tensor.data[...] = params[name]

@@ -29,6 +29,15 @@ class Module:
         for key, value in vars(self).items():
             yield from _walk(key, value)
 
+    def snapshot(self) -> dict:
+        """Copies of every parameter array, keyed by parameter name."""
+        return {name: p.data.copy() for name, p in self.parameters()}
+
+    def restore(self, snapshot: dict):
+        """Write a ``snapshot`` back into the parameters in place."""
+        for name, p in self.parameters():
+            p.data[...] = snapshot[name]
+
 
 def _walk(prefix, value):
     if isinstance(value, Tensor):

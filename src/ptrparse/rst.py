@@ -19,12 +19,14 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, no_grad
 from .decoder import DecoderFrame, FUSIONS, HierDecoder, VARIANTS, partial_tree_features
-from .dep import _check_common
+from .dep import _check_common, fit_loop
 from .encoder import RstEncoder, UNK, Vocab
-from .errors import ConfigError, TrainingError, TreeError
+from .errors import ConfigError, TreeError
 from .metrics import score_parseval_corpus
 from .nn import Module
-from .optim import Adam, clip_by_global_norm
+# Not called here (``fit_loop`` clips), but kept as a module attribute that
+# the benchmark's tracer swaps by name.
+from .optim import clip_by_global_norm  # noqa: F401
 from .scoring import LabelSet, PairLabeler, dot_attend
 from .trees import DiscTree, internal, leaf, split_label
 
@@ -97,13 +99,6 @@ class RstModel(Module):
                                    dropout=config.classifier_dropout)
         self.config = config
         self.labels = labels
-
-    def snapshot(self) -> dict:
-        return {name: p.data.copy() for name, p in self.parameters()}
-
-    def restore(self, snapshot: dict):
-        for name, p in self.parameters():
-            p.data[...] = snapshot[name]
 
 
 def oracle_splits(tree: DiscTree):
@@ -232,8 +227,8 @@ def run_splits(model: RstModel, words, ends, gold: DiscTree = None, training: bo
         raise TreeError("gold events remain after decoding finished")
 
     tree = DiscTree(_assemble(splits, 1, m))
-    return RstRunResult(tree=tree, structure_loss=_sum_terms(structure_terms),
-                        label_loss=_sum_terms(label_terms), pointer_calls=pointer_calls,
+    return RstRunResult(tree=tree, structure_loss=ad.sum_terms(structure_terms),
+                        label_loss=ad.sum_terms(label_terms), pointer_calls=pointer_calls,
                         score_evaluations=score_evaluations)
 
 
@@ -252,15 +247,6 @@ def _pick_label(model, dist, events, span, k, expect_pointed, label_terms):
         label_terms.append(ad.cross_entropy(dist, model.labels[label]))
         return split_label(label)
     return split_label(model.labels.name(int(np.argmax(dist.data))))
-
-
-def _sum_terms(terms):
-    if not terms:
-        return Tensor(0.0)
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = ad.add(acc, t)
-    return acc
 
 
 def example_losses(model: RstModel, words, ends, gold: DiscTree, training: bool = False,
@@ -311,7 +297,7 @@ class RstTrainResult:
 
 def train_rst(items, config: RstConfig, dev_items=None, label_set: LabelSet = None,
               log=None, init_hook=None) -> RstTrainResult:
-    """Teacher-forced training with joint split and label loss plus L2 decay.
+    """Teacher-forced training, joint split and label loss plus L2 decay, via ``fit_loop``.
 
     Tracks two selections in one run: the best-Span model and the
     best-Relation model.  The returned model holds the best-Span weights.
@@ -324,69 +310,21 @@ def train_rst(items, config: RstConfig, dev_items=None, label_set: LabelSet = No
     for _, _, tree in items:
         tree.validate()
 
-    vocab = build_rst_vocab(items)
     labels = label_set if label_set is not None else corpus_label_set(items)
-    init_rng = np.random.default_rng(config.seed)
-    model = RstModel(config, vocab, labels, init_rng)
-    if init_hook is not None:
-        init_hook(model)
-    train_rng = np.random.default_rng(config.seed + 1)
-    optimizer = Adam(model.parameters(), lr=config.lr, betas=(config.beta1, config.beta2),
-                     eps=config.eps, weight_decay=config.l2, decay=config.decay)
-    eval_items = dev_items if dev_items is not None else items
+    model = RstModel(config, build_rst_vocab(items), labels,
+                     np.random.default_rng(config.seed))
+    history, snapshots = fit_loop(
+        model, items, config, example_losses, _evaluate_rst,
+        {"span": ("span", "relation"), "relation": ("relation", "span")},
+        [("span", config.target_span), ("relation", config.target_relation)],
+        dev_items=dev_items, log=log, init_hook=init_hook, weight_decay=config.l2)
+    model.restore(snapshots["span"])
+    return RstTrainResult(model=model, history=history, best_span_state=snapshots["span"],
+                          best_relation_state=snapshots["relation"])
 
-    history = []
-    best_span_key = None
-    best_rel_key = None
-    best_span_state = None
-    best_rel_state = None
-    step = 0
-    for epoch in range(1, config.epochs + 1):
-        order = train_rng.permutation(len(items))
-        epoch_loss = 0.0
-        for lo in range(0, len(order), config.batch_size):
-            batch = order[lo : lo + config.batch_size]
-            optimizer.zero_grad()
-            inv = Tensor(1.0 / len(batch))
-            for idx in batch:
-                words, ends, tree = items[int(idx)]
-                s, l = example_losses(model, words, ends, tree, training=True, rng=train_rng)
-                total = ad.add(s, l)
-                if not np.isfinite(total.data):
-                    raise TrainingError("loss is not finite", step=step)
-                ad.backward(ad.mul(total, inv))
-                epoch_loss += total.item()
-            clip_by_global_norm(optimizer.params, config.clip)
-            optimizer.step()
-            step += 1
 
-        pairs = [(tree, decode_rst(model, words, ends)) for words, ends, tree in eval_items]
-        agg = score_parseval_corpus(pairs, include_root=config.include_root)
-        row = {"epoch": epoch, "loss": epoch_loss / len(items), "span": agg.span_f1,
-               "nuclearity": agg.nuclearity_f1, "relation": agg.relation_f1,
-               "lr": optimizer.lr}
-        history.append(row)
-        if log is not None:
-            log(f"epoch {epoch} loss {row['loss']:.6f} span {row['span']:.2f} "
-                f"nuclearity {row['nuclearity']:.2f} relation {row['relation']:.2f} "
-                f"lr {row['lr']:.6g}")
-
-        span_key = (agg.span_f1, agg.relation_f1)
-        rel_key = (agg.relation_f1, agg.span_f1)
-        if best_span_key is None or span_key > best_span_key:
-            best_span_key = span_key
-            best_span_state = model.snapshot()
-        elif dev_items is not None:
-            optimizer.decay_lr()
-        if best_rel_key is None or rel_key > best_rel_key:
-            best_rel_key = rel_key
-            best_rel_state = model.snapshot()
-        if (config.target_span is not None and agg.span_f1 >= config.target_span
-                and (config.target_relation is None
-                     or agg.relation_f1 >= config.target_relation)):
-            break
-
-    if best_span_state is not None:
-        model.restore(best_span_state)
-    return RstTrainResult(model=model, history=history, best_span_state=best_span_state,
-                          best_relation_state=best_rel_state)
+def _evaluate_rst(model, items):
+    pairs = [(tree, decode_rst(model, words, ends)) for words, ends, tree in items]
+    agg = score_parseval_corpus(pairs, include_root=model.config.include_root)
+    return {"span": agg.span_f1, "nuclearity": agg.nuclearity_f1,
+            "relation": agg.relation_f1}

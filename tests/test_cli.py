@@ -212,26 +212,6 @@ def test_trace_requires_greedy(dep_run, tmp_path):
                 "--trace", str(tmp_path / "t"), "--beam", "2"]) == 1
 
 
-def test_parse_threads_agree(dep_run, tmp_path, monkeypatch):
-    serial = tmp_path / "serial.conllu"
-    pooled = tmp_path / "pooled.conllu"
-    env = tmp_path / "env.conllu"
-    base = ["parse", "--model", str(dep_run["model"]), "--input", str(dep_run["data"])]
-    assert run(base + ["--output", str(serial)]) == 0
-    assert run(base + ["--output", str(pooled), "--threads", "2"]) == 0
-    monkeypatch.setenv("PTRPARSE_THREADS", "2")
-    assert run(base + ["--output", str(env)]) == 0
-    assert serial.read_bytes() == pooled.read_bytes() == env.read_bytes()
-
-
-def test_threads_validation(dep_run, tmp_path, monkeypatch):
-    base = ["parse", "--model", str(dep_run["model"]),
-            "--input", str(dep_run["data"]), "--output", str(tmp_path / "p")]
-    assert run(base + ["--threads", "0"]) == 1
-    monkeypatch.setenv("PTRPARSE_THREADS", "abc")
-    assert run(base) == 1
-
-
 def test_parse_empty_input(dep_run, tmp_path):
     empty = tmp_path / "empty.conllu"
     empty.write_text("")
@@ -321,6 +301,16 @@ def test_exit_code_numeric_failure(dep_run, tmp_path):
     assert run(["train", "--task", "dep", "--train", str(dep_run["data"]),
                 "--out", str(tmp_path / "boom"), "--config", str(dep_run["cfg"]),
                 "--set", "lr=1e8", "--epochs", "3"]) == 3
+
+
+@pytest.mark.parametrize("task", ["dep", "rst"])
+def test_divergence_exits_three_without_checkpoint(task, dep_run, rst_run, tmp_path):
+    fixture = dep_run if task == "dep" else rst_run
+    out = tmp_path / "diverged"
+    assert run(["train", "--task", task, "--train", str(fixture["data"]),
+                "--out", str(out), "--config", str(fixture["cfg"]),
+                "--set", "lr=1e100"]) == 3
+    assert list(out.glob("checkpoint*.ptp")) == []
 
 
 def test_usage_errors_exit_one(tmp_path):

@@ -11,7 +11,8 @@ from ptrparse.dep import (DepConfig, DepModel, _candidate_mask, build_dep_vocabs
                           decode_greedy, example_losses, forced_decode,
                           format_trace, oracle_order, replay_events,
                           run_transition, train_dep)
-from ptrparse.errors import ConfigError, TreeError
+from ptrparse.errors import ConfigError, TrainingError, TreeError
+from ptrparse.metrics import score_dep_corpus
 from ptrparse.trees import DepTree, Token
 
 
@@ -314,6 +315,23 @@ def test_train_dep_decays_lr_on_dev_plateau():
     _, history = train_dep(items, tiny_config(epochs=4, decay=0.5), dev_items=items)
     # With a tiny random model dev scores plateau fast; decay must appear.
     assert history[-1]["lr"] < history[0]["lr"]
+
+
+def test_train_dep_returns_the_selected_weights():
+    items = gen_synthetic_dep(2, 6, max_len=6, vocab_size=20, label_count=3)
+    dev = gen_synthetic_dep(102, 4, max_len=6, vocab_size=20, label_count=3)
+    model, history = train_dep(items, tiny_config(epochs=6), dev_items=dev)
+    keys = [(row["uas"], row["las"]) for row in history]
+    assert max(keys) != keys[-1]  # the selected epoch is not simply the last one
+    agg = score_dep_corpus([(tokens, gold, decode_greedy(model, tokens))
+                            for tokens, gold in dev])
+    assert (agg.uas, agg.las) == max(keys)
+
+
+def test_train_dep_raises_on_divergence():
+    items = items_for([[0, 1], [0, 1, 1]])
+    with np.errstate(all="ignore"), pytest.raises(TrainingError, match="loss is not finite"):
+        train_dep(items, tiny_config(lr=1e100))
 
 
 def test_gold_heads_recovered_after_overfitting_one_sentence():

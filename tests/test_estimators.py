@@ -1,12 +1,16 @@
 """Estimator protocol tests: parameter plumbing, input coercion, fitting,
 prediction, persistence, and selection snapshots."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from ptrparse.corpus import gen_synthetic_rst
+from ptrparse.dep import DepConfig, config_to_dict
 from ptrparse.errors import ConfigError, DataError, LoadError
 from ptrparse.estimators import DependencyParser, DiscourseParser
+from ptrparse.rst import RstConfig
 from ptrparse.scoring import LabelSet
 from ptrparse.trees import DepTree, Token
 
@@ -44,6 +48,10 @@ def test_get_params_mirror_init():
     assert params["encoder_hidden"] == 8
     assert params["variant"] == "ps"
     assert set(params) > {"lr", "beam_size", "fusion", "seed"}
+    for cls, config_cls in ((DependencyParser, DepConfig), (DiscourseParser, RstConfig)):
+        assert set(cls().get_params()) == {spec.name for spec in fields(config_cls)}
+        assert cls().get_params() == config_to_dict(config_cls())
+    assert DiscourseParser(**FAST_RST).l2 == 0.0
 
 
 def test_set_params_updates_and_rejects_unknown():
@@ -53,6 +61,9 @@ def test_set_params_updates_and_rejects_unknown():
     with pytest.raises(ConfigError) as info:
         parser.set_params(hidden_size=4)
     assert "hidden_size" in str(info.value)
+    for cls in (DependencyParser, DiscourseParser):
+        with pytest.raises(ConfigError, match="hidden_size"):
+            cls(hidden_size=4)
 
 
 def test_clone_by_params_roundtrip():
@@ -194,6 +205,22 @@ def test_rst_use_selection_switches_snapshots():
         assert np.array_equal(a, p.data)
     with pytest.raises(ConfigError):
         parser.use_selection("magic")
+
+
+def test_rst_fit_returns_selected_weights():
+    raw = gen_synthetic_rst(4, 10, max_edus=6, label_count=4)
+    X = [[text.split() for text in texts] for texts, _ in raw]
+    y = [tree for _, tree in raw]
+    parser = DiscourseParser(**{**FAST_RST, "epochs": 6, "lr": 0.02}).fit(X, y)
+    span_keys = [(row["span"], row["relation"]) for row in parser.history_]
+    relation_keys = [(row["relation"], row["span"]) for row in parser.history_]
+    best_span, best_relation = max(span_keys), max(relation_keys)
+    # The selections score differently, and the best-span epoch is not the last one.
+    assert best_span != best_relation[::-1] and best_span != span_keys[-1]
+    scores = parser.evaluate(X, y)
+    assert (scores.span_f1, scores.relation_f1) == best_span
+    scores = parser.use_selection("relation").evaluate(X, y)
+    assert (scores.relation_f1, scores.span_f1) == best_relation
 
 
 def test_rst_save_load_roundtrip(tmp_path):

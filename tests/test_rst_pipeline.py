@@ -9,7 +9,7 @@ from ptrparse.corpus import gen_synthetic_rst, segmented_from_texts
 from ptrparse.rst import (RstConfig, RstModel, RstTrainResult, build_rst_vocab,
                           corpus_label_set, decode_rst, example_losses,
                           forced_decode, oracle_splits, run_splits, train_rst)
-from ptrparse.errors import ConfigError, TreeError
+from ptrparse.errors import ConfigError, TrainingError, TreeError
 from ptrparse.scoring import LabelSet
 from ptrparse.trees import DiscTree, internal, leaf
 
@@ -255,3 +255,18 @@ def test_train_rst_keeps_lr_without_dev_set():
     items = [segmented_from_texts(texts) + (tree,) for texts, tree in raw]
     result = train_rst(items, tiny_config(epochs=3))
     assert all(row["lr"] == result.history[0]["lr"] for row in result.history)
+
+
+def test_train_rst_decays_lr_on_dev_plateau():
+    raw = gen_synthetic_rst(4, 4, max_edus=4, label_count=3)
+    items = [segmented_from_texts(texts) + (tree,) for texts, tree in raw]
+    result = train_rst(items, tiny_config(epochs=4, decay=0.5), dev_items=items)
+    # With a tiny random model dev scores plateau fast; decay must appear.
+    assert result.history[-1]["lr"] < result.history[0]["lr"]
+
+
+def test_train_rst_raises_on_divergence():
+    raw = gen_synthetic_rst(4, 4, max_edus=4, label_count=3)
+    items = [segmented_from_texts(texts) + (tree,) for texts, tree in raw]
+    with np.errstate(all="ignore"), pytest.raises(TrainingError, match="loss is not finite"):
+        train_rst(items, tiny_config(lr=1e100, batch_size=2))
