@@ -414,17 +414,17 @@ def pick(a: Tensor, index: int) -> Tensor:
 
 
 def narrow(a: Tensor, start: int, stop: int) -> Tensor:
-    """Slice of a 1-D tensor."""
-    if a.data.ndim != 1:
-        raise ShapeError(f"narrow expects a 1-D tensor, got shape {a.data.shape}")
-    data = a.data[start:stop]
+    """Slice of the last axis: of a vector, or of every row of a matrix."""
+    if a.data.ndim not in (1, 2):
+        raise ShapeError(f"narrow expects a 1-D or 2-D tensor, got shape {a.data.shape}")
+    data = a.data[..., start:stop]
     if not _tracked(a):
         return _const(data)
 
     def bwd(g):
         if a._grad is None:
             a._grad = np.zeros_like(a.data)
-        a._grad[start:stop] += g
+        a._grad[..., start:stop] += g
 
     return _node(data, (a,), bwd)
 
@@ -516,6 +516,14 @@ def _sig(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
 
 
+def _recur_grads(w: Tensor, d: np.ndarray, hm: np.ndarray):
+    """Gradients of the recurrent product ``w·h`` (one state) or ``H·wᵀ``
+    (a row per state) for upstream ``d``: (for w, for hm)."""
+    if d.ndim == 1:
+        return np.outer(d, hm), w.data.T @ d
+    return d.T @ hm, d @ w.data
+
+
 def lstm_step(xw: Tensor, w_h: Tensor, h: Tensor, c: Tensor, mask=None) -> Tensor:
     """One fused LSTM step; returns the vector ``[h_new; c_new]``.
 
@@ -523,32 +531,37 @@ def lstm_step(xw: Tensor, w_h: Tensor, h: Tensor, c: Tensor, mask=None) -> Tenso
     only the recurrent product is computed here.  ``mask``, a constant
     array, scales ``h`` inside that product only: recurrent dropout leaves
     the cell state update a bounded combination of unscaled values.
+
+    Row form: with ``xw``, ``h`` and ``c`` holding one row per state, every
+    row steps independently and the result is one ``[h_new; c_new]`` row
+    per state.
     """
-    n = h.data.shape[0]
-    if xw.data.shape != (4 * n,) or w_h.data.shape != (4 * n, n) or c.data.shape != (n,):
+    n, lead = h.data.shape[-1], h.data.shape[:-1]
+    if (h.data.ndim > 2 or xw.data.shape != lead + (4 * n,) or w_h.data.shape != (4 * n, n)
+            or c.data.shape != h.data.shape):
         raise ShapeError(f"lstm_step shapes disagree: xw {xw.data.shape}, w_h {w_h.data.shape}, "
                          f"h {h.data.shape}, c {c.data.shape}")
     hm = h.data if mask is None else h.data * mask
-    pre = xw.data + w_h.data @ hm
-    i, f, o = _sig(pre[:n]), _sig(pre[n : 2 * n]), _sig(pre[3 * n :])
-    g = np.tanh(pre[2 * n : 3 * n])
+    pre = xw.data + (w_h.data @ hm if hm.ndim == 1 else hm @ w_h.data.T)
+    i, f, o = _sig(pre[..., :n]), _sig(pre[..., n : 2 * n]), _sig(pre[..., 3 * n :])
+    g = np.tanh(pre[..., 2 * n : 3 * n])
     c_new = f * c.data + i * g
     tc = np.tanh(c_new)
-    data = np.concatenate([o * tc, c_new])
+    data = np.concatenate([o * tc, c_new], axis=-1)
     if not _tracked(xw, w_h, h, c):
         return _const(data)
 
     def bwd(grad):
-        gh = grad[:n]
-        gc = grad[n:] + gh * o * (1.0 - tc * tc)
+        gh = grad[..., :n]
+        gc = grad[..., n:] + gh * o * (1.0 - tc * tc)
         dpre = np.concatenate([gc * g * i * (1.0 - i), gc * c.data * f * (1.0 - f),
-                               gc * i * (1.0 - g * g), gh * tc * o * (1.0 - o)])
+                               gc * i * (1.0 - g * g), gh * tc * o * (1.0 - o)], axis=-1)
+        gw, dh = _recur_grads(w_h, dpre, hm)
         if xw.requires_grad:
             xw._accum(dpre)
         if w_h.requires_grad:
-            w_h._accum(np.outer(dpre, hm))
+            w_h._accum(gw)
         if h.requires_grad:
-            dh = w_h.data.T @ dpre
             h._accum(dh if mask is None else dh * mask)
         if c.requires_grad:
             c._accum(gc * f)
@@ -563,38 +576,68 @@ def gru_step(x_rz: Tensor, x_n: Tensor, u_rz: Tensor, u_n: Tensor, h: Tensor, ma
     reset/update gates and of the candidate.  ``mask``, a constant array,
     scales ``h`` inside the recurrent products only; the convex update
     keeps the raw ``h`` so the state does not grow by the keep-scale.
+
+    Row form: with ``x_rz``, ``x_n`` and ``h`` holding one row per state,
+    every row steps independently.
     """
-    n = h.data.shape[0]
-    if (x_rz.data.shape != (2 * n,) or x_n.data.shape != (n,)
+    n, lead = h.data.shape[-1], h.data.shape[:-1]
+    if (h.data.ndim > 2 or x_rz.data.shape != lead + (2 * n,) or x_n.data.shape != h.data.shape
             or u_rz.data.shape != (2 * n, n) or u_n.data.shape != (n, n)):
         raise ShapeError(f"gru_step shapes disagree: x_rz {x_rz.data.shape}, x_n {x_n.data.shape}, "
                          f"u_rz {u_rz.data.shape}, u_n {u_n.data.shape}, h {h.data.shape}")
     hm = h.data if mask is None else h.data * mask
-    rz = _sig(x_rz.data + u_rz.data @ hm)
-    r, z = rz[:n], rz[n:]
+    rz = _sig(x_rz.data + (u_rz.data @ hm if hm.ndim == 1 else hm @ u_rz.data.T))
+    r, z = rz[..., :n], rz[..., n:]
     rh = r * hm
-    cand = np.tanh(x_n.data + u_n.data @ rh)
+    cand = np.tanh(x_n.data + (u_n.data @ rh if rh.ndim == 1 else rh @ u_n.data.T))
     data = z * h.data + (1.0 - z) * cand
     if not _tracked(x_rz, x_n, u_rz, u_n, h):
         return _const(data)
 
     def bwd(grad):
         dn = grad * (1.0 - z) * (1.0 - cand * cand)
-        drh = u_n.data.T @ dn
-        drz = np.concatenate([drh * hm, grad * (h.data - cand)]) * rz * (1.0 - rz)
+        gu_n, drh = _recur_grads(u_n, dn, rh)
+        drz = np.concatenate([drh * hm, grad * (h.data - cand)], axis=-1) * rz * (1.0 - rz)
+        gu_rz, dh_rz = _recur_grads(u_rz, drz, hm)
         if x_rz.requires_grad:
             x_rz._accum(drz)
         if x_n.requires_grad:
             x_n._accum(dn)
         if u_rz.requires_grad:
-            u_rz._accum(np.outer(drz, hm))
+            u_rz._accum(gu_rz)
         if u_n.requires_grad:
-            u_n._accum(np.outer(dn, rh))
+            u_n._accum(gu_n)
         if h.requires_grad:
-            dhm = drh * r + u_rz.data.T @ drz
+            dhm = drh * r + dh_rz
             h._accum(grad * z + (dhm if mask is None else dhm * mask))
 
     return _node(data, (x_rz, x_n, u_rz, u_n, h), bwd)
+
+
+def _softmax(a: Tensor, mask) -> Tensor:
+    """Masked, max-stabilized softmax over the last axis; masked scores
+    count as -inf, so they come out exactly zero."""
+    scores = a.data
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != scores.shape:
+            raise ShapeError(f"mask shape {mask.shape} does not match scores {scores.shape}")
+        if not mask.any(axis=-1).all():
+            raise MaskError("softmax mask excludes every position")
+        scores = np.where(mask, scores, -np.inf)
+    expd = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    data = expd / expd.sum(axis=-1, keepdims=True)
+    if not _tracked(a):
+        return _const(data)
+
+    def bwd(g):
+        if data.ndim == 1:
+            inner = np.dot(g, data)
+        else:
+            inner = np.einsum("ij,ij->i", g, data)[:, None]
+        a._accum(data * (g - inner))
+
+    return _node(data, (a,), bwd)
 
 
 def softmax(a: Tensor, mask=None) -> Tensor:
@@ -604,24 +647,33 @@ def softmax(a: Tensor, mask=None) -> Tensor:
     """
     if a.data.ndim != 1:
         raise ShapeError(f"softmax expects a 1-D tensor, got shape {a.data.shape}")
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != a.data.shape:
-            raise ShapeError(f"mask shape {mask.shape} does not match scores {a.data.shape}")
-        if not mask.any():
-            raise MaskError("softmax mask excludes every position")
-        shifted = a.data - a.data[mask].max()
-        expd = np.where(mask, np.exp(np.where(mask, shifted, 0.0)), 0.0)
-    else:
-        expd = np.exp(a.data - a.data.max())
-    data = expd / expd.sum()
-    if not _tracked(a):
+    return _softmax(a, mask)
+
+
+def softmax_rows(a: Tensor, mask=None) -> Tensor:
+    """``softmax`` of every row of a 2-D tensor, each row under its own mask row."""
+    if a.data.ndim != 2:
+        raise ShapeError(f"softmax_rows expects a 2-D tensor, got shape {a.data.shape}")
+    return _softmax(a, mask)
+
+
+def matvec_rows(a: Tensor, b: Tensor) -> Tensor:
+    """Row-wise matrix-vector products: ``out[i] = a[i] @ b[i]`` for a
+    (k, m, n) stack of matrices and a (k, n) matrix of vectors."""
+    if a.data.ndim != 3 or b.data.ndim != 2 or a.data.shape[::2] != b.data.shape:
+        raise ShapeError(f"matvec_rows needs (k, m, n) and (k, n), got {a.data.shape} "
+                         f"and {b.data.shape}")
+    data = np.matmul(a.data, b.data[:, :, None])[:, :, 0]
+    if not _tracked(a, b):
         return _const(data)
 
     def bwd(g):
-        a._accum(data * (g - np.dot(g, data)))
+        if a.requires_grad:
+            a._accum(g[:, :, None] * b.data[:, None, :])
+        if b.requires_grad:
+            b._accum(np.matmul(g[:, None, :], a.data)[:, 0, :])
 
-    return _node(data, (a,), bwd)
+    return _node(data, (a, b), bwd)
 
 
 def cross_entropy(probabilities: Tensor, target: int) -> Tensor:

@@ -59,19 +59,26 @@ def load_checkpoint(path):
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise LoadError(f"{path} has a corrupt header: {err}") from err
     offset += header_len
-    if header.get("format") != 1:
-        raise LoadError(f"{path} has unsupported format {header.get('format')!r}")
+    if not isinstance(header, dict) or header.get("format") != 1:
+        found = header.get("format") if isinstance(header, dict) else header
+        raise LoadError(f"{path} has unsupported format {found!r}")
+    entries, meta = header.get("params"), header.get("meta")
+    if not isinstance(entries, list) or not isinstance(meta, dict):
+        raise LoadError(f"{path} header lacks its parameter table or metadata")
 
     params = {}
-    for entry in header["params"]:
-        shape = tuple(entry["shape"])
+    for entry in entries:
+        try:
+            name, shape = entry["name"], tuple(int(size) for size in entry["shape"])
+        except (KeyError, TypeError, ValueError) as err:
+            raise LoadError(f"{path} has a malformed parameter entry {entry!r}") from err
         count = int(np.prod(shape)) if shape else 1
         nbytes = count * 8
         if offset + nbytes > len(blob):
-            raise LoadError(f"{path} is truncated inside parameter {entry['name']!r}")
+            raise LoadError(f"{path} is truncated inside parameter {name!r}")
         flat = np.frombuffer(blob[offset : offset + nbytes], dtype="<f8")
-        params[entry["name"]] = flat.reshape(shape).astype(np.float64)
+        params[name] = flat.reshape(shape).astype(np.float64)
         offset += nbytes
     if offset != len(blob):
         raise LoadError(f"{path} has {len(blob) - offset} trailing bytes")
-    return params, header["meta"]
+    return params, meta

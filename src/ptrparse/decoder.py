@@ -13,6 +13,9 @@ all variants share one code path:
 Fusion modes: "plain" uses the combined state as is, "gate" multiplies it
 by a sigmoid gate over the three raw states, "sgate" gates with products
 of the temporal state with the parent and sibling states.
+
+``fuse`` and ``step`` take one decoder state, or k states stacked as rows
+(one per beam hypothesis) and advance each row on its own.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError
-from .nn import GruCell, LstmCell, Module, glorot
+from .nn import GruCell, LstmCell, Module, glorot, linear
 
 VARIANTS = ("p", "ps", "pst")
 FUSIONS = ("gate", "sgate", "plain")
@@ -37,9 +40,14 @@ class DecoderFrame:
     ``element`` is a word index or an EDU span (start, end).  The three
     index fields point into the encoder representation list used for the
     decoder input; ``parent_state``/``sibling_state`` are decoder states
-    captured when the parent and the immediate sibling were generated.
+    (tuples of component vectors, or None when absent) captured when the
+    parent and the immediate sibling were generated.
     ``fills_sibling_below`` marks a frame whose expansion state must be
     written into the frame directly beneath it (its right sibling).
+
+    Greedy decoding and teacher forcing keep these frames; the batched beam
+    search in ``dep.decode_beam`` keeps the same fields in arrays, with
+    states as row indices into a bank of decoder states.
     """
 
     element: object
@@ -79,7 +87,8 @@ class HierDecoder(Module):
 
     The decoder state is a flat tuple of vectors: (h, c) per layer for LSTM
     cells, (h,) per layer for GRU cells.  Fusion is applied to every
-    component with one shared set of weights.
+    component with one shared set of weights.  In the row form each
+    component is a (k, hidden) matrix holding k states, one per row.
     """
 
     def __init__(self, cell: str, layers: int, input_dim: int, hidden_dim: int,
@@ -121,21 +130,27 @@ class HierDecoder(Module):
         return (self._zero,) * self.components
 
     def _fuse_component(self, prev: Tensor, parent: Tensor, sibling: Tensor) -> Tensor:
-        combined = ad.tanh(ad.add(ad.add(ad.matmul(self.w_d, prev), ad.matmul(self.w_p, parent)),
-                                  ad.matmul(self.w_s, sibling)))
+        combined = ad.tanh(ad.add(ad.add(linear(self.w_d, prev), linear(self.w_p, parent)),
+                                  linear(self.w_s, sibling)))
         if self.fusion == "plain":
             return combined
         if self.fusion == "gate":
-            raw = ad.add(ad.add(ad.matmul(self.w_gd, prev), ad.matmul(self.w_gp, parent)),
-                         ad.matmul(self.w_gs, sibling))
+            raw = ad.add(ad.add(linear(self.w_gd, prev), linear(self.w_gp, parent)),
+                         linear(self.w_gs, sibling))
         else:
-            raw = ad.add(ad.matmul(self.w_gp, ad.mul(prev, parent)),
-                         ad.matmul(self.w_gs, ad.mul(prev, sibling)))
+            raw = ad.add(linear(self.w_gp, ad.mul(prev, parent)),
+                         linear(self.w_gs, ad.mul(prev, sibling)))
         gate = ad.sigmoid(ad.add(raw, self.b_g))
         return ad.mul(gate, combined)
 
     def fuse(self, prev_state, parent_state, sibling_state, training=False, rng=None) -> tuple:
-        """Combine temporal, parent, and sibling states per the active variant."""
+        """Combine temporal, parent, and sibling states per the active variant.
+
+        Each state is a tuple of component vectors; an absent parent or
+        sibling (None) counts as the zero state.  Row form: components are
+        (k, hidden) matrices and row i of the result fuses row i of each
+        input; a zero row stands for an absent state.
+        """
         zeros = self.zero_state()
         prev = prev_state if self.variant == "pst" else zeros
         parent = parent_state if parent_state is not None else zeros
@@ -150,7 +165,12 @@ class HierDecoder(Module):
         return tuple(fused)
 
     def step(self, x: Tensor, fused_state: tuple):
-        """Run the cell stack from a fused state; returns (new_state, top_hidden)."""
+        """Run the cell stack from a fused state; returns (new_state, top_hidden).
+
+        Row form: a (k, input) matrix ``x`` with a row-form fused state
+        steps k states at once; the new state and the top hidden state
+        then hold one row per state.
+        """
         new_state = []
         inp = x
         if self.cell == "lstm":

@@ -277,18 +277,23 @@ class RunResult:
     score_evaluations: int
 
 
-def _candidate_mask(element: int, attached: np.ndarray) -> np.ndarray:
+def _candidate_mask(element, attached: np.ndarray) -> np.ndarray:
     """Legal pointer targets: unattached words, plus the element itself.
 
     The root may self-point only once every word is attached, which forces
-    termination with a fully attached tree.
+    termination with a fully attached tree.  Row form: an array of k
+    elements with a (k, n+1) attachment matrix gives one mask row each.
     """
     mask = ~attached
-    mask[0] = False
-    if element == 0:
-        mask[0] = not mask[1:].any()
-    else:
+    mask[..., 0] = False
+    if mask.ndim == 1:
         mask[element] = True
+        root = element == 0
+    else:
+        mask[np.arange(len(mask)), element] = True
+        root = (element == 0).any()
+    if root:
+        mask[..., 0] &= ~mask[..., 1:].any(axis=-1)
     return mask
 
 
@@ -416,24 +421,26 @@ def decode_greedy(model: DepModel, tokens, want_trace: bool = False):
     return tree
 
 
-@dataclass(frozen=True)
-class BeamHypothesis:
-    """Immutable partial decode: stack, attachment state, and accumulated score."""
-
-    frames: tuple
-    attached: tuple
-    heads: tuple
-    labels: tuple
-    prev_state: tuple
-    log_prob: float
+# Columns of the beam's frame arrays: the frame's element, the words of its
+# parent and of its nearest generated sibling (-1 when absent), and the bank
+# rows of the decoder states captured when those two were generated.
+_ELEMENT, _PARENT, _SIBLING, _PARENT_ROW, _SIBLING_ROW = range(5)
 
 
 def decode_beam(model: DepModel, tokens, beam_size: int = None):
     """Beam search over pointing decisions; returns (DepTree, log-probability).
 
     All hypotheses advance one decision per round, so every complete parse
-    takes exactly 2n+1 rounds and the beam stays in lockstep.  Beam size 1
-    reproduces greedy decoding bit-for-bit.
+    takes exactly 2n+1 rounds and the beam stays in lockstep.  A round runs
+    its k live hypotheses as one k-row pass through the decoder's ``fuse``
+    and ``step``, the pointer and the labeler.  Each hypothesis is one row
+    of a set of arrays: its stack of frames and their depth, attachments,
+    heads, label ids, the bank row of its latest decoder state, and its
+    log-probability.  The decoder states of every round go into one bank
+    whose row 0 is the zero state, which stands for an absent parent or
+    sibling.  One stable sort ranks all candidates, so ties keep
+    hypothesis order, then candidate order.  Beam size 1 reproduces greedy
+    decoding bit-for-bit.
     """
     config = model.config
     if beam_size is None:
@@ -445,55 +452,84 @@ def decode_beam(model: DepModel, tokens, beam_size: int = None):
 
     with no_grad():
         encoded = model.encoder.encode(tokens)
-        prepared = model.pointer.prepare(encoded.matrix())
-        start = BeamHypothesis(frames=tuple(init_dep_stack(n)),
-                               attached=(True,) + (False,) * n,
-                               heads=(None,) * (n + 1), labels=(None,) * (n + 1),
-                               prev_state=model.decoder.zero_state(), log_prob=0.0)
-        beam = [start]
+        reps = encoded.matrix()
+        prepared = model.pointer.prepare(reps)
+        decoder = model.decoder
+        # Room for every round of a beam up to n+1 wide; wider beams grow it.
+        bank = np.zeros((decoder.components, 1 + (2 * n + 1) * min(beam_size, n + 1),
+                         decoder.hidden_dim))
+        used = 1
+        root, = init_dep_stack(n)
+        frames = np.full((1, n + 1, 5), -1, dtype=np.intp)
+        frames[0, 0] = (root.element, -1, -1, 0, 0)
+        depth = np.ones(1, dtype=np.intp)
+        attached = np.zeros((1, n + 1), dtype=bool)
+        attached[:, 0] = True
+        heads = np.zeros((1, n + 1), dtype=np.intp)
+        labels = np.zeros((1, n + 1), dtype=np.intp)
+        prev_row = np.zeros(1, dtype=np.intp)
+        log_prob = np.zeros(1)
+
+        def states(bank_rows):
+            return tuple(Tensor(component[bank_rows]) for component in bank)
+
         for _ in range(2 * n + 1):
-            pool = []
-            for hyp in beam:
-                frame = hyp.frames[-1]
-                x = partial_tree_features(frame, encoded.states)
-                fused = model.decoder.fuse(hyp.prev_state, frame.parent_state,
-                                           frame.sibling_state)
-                state, d = model.decoder.step(x, fused)
-                mask = _candidate_mask(frame.element, np.array(hyp.attached))
-                candidates = np.flatnonzero(mask)
-                if len(candidates) == 1:
-                    pool.append((hyp.log_prob, hyp, state, d, int(candidates[0])))
-                else:
-                    result = model.pointer.attend(d, prepared, mask)
-                    for c in candidates:
-                        lp = float(np.log(result.probs.data[c]))
-                        pool.append((hyp.log_prob + lp, hyp, state, d, int(c)))
-            pool.sort(key=lambda item: -item[0])
-            beam = [_extend(model, encoded, *item) for item in pool[:beam_size]]
+            k = len(depth)
+            top = frames[np.arange(k), depth - 1]
+            element = top[:, _ELEMENT]
+            fused = decoder.fuse(states(prev_row), states(top[:, _PARENT_ROW]),
+                                 states(top[:, _SIBLING_ROW]))
+            state, d = decoder.step(Tensor(_frame_inputs(reps.data, top)), fused)
+            if used + k > bank.shape[1]:
+                wider = np.zeros((bank.shape[0], max(2 * bank.shape[1], used + k), bank.shape[2]))
+                wider[:, :used] = bank[:, :used]
+                bank = wider
+            for component, part in zip(bank, state):
+                component[used : used + k] = part.data
+            state_row = np.arange(used, used + k)
+            used += k
 
-        best = beam[0]
-    tree = DepTree(list(best.heads[1:]), list(best.labels[1:]))
-    return tree, best.log_prob
+            mask = _candidate_mask(element, attached)
+            candidates = np.flatnonzero(mask)
+            totals = log_prob[candidates // (n + 1)]
+            if len(candidates) > k:  # some hypothesis has a real choice to make
+                probs = model.pointer.attend(d, prepared, mask).probs.data
+                totals = totals + np.log(probs.ravel()[candidates])
+            order = np.argsort(-totals, kind="stable")[:beam_size]
+            hyp, choice = np.divmod(candidates[order], n + 1)
+            log_prob = totals[order]
+
+            head = element[hyp]
+            prev_row = state_row[hyp]
+            frames, depth = frames[hyp], depth[hyp] - 1
+            attached, heads, labels = attached[hyp], heads[hyp], labels[hyp]
+            grown = np.flatnonzero(choice != head)
+            if grown.size:
+                child, row, at = choice[grown], prev_row[grown], depth[grown]
+                frames[grown, at, _SIBLING] = child
+                frames[grown, at, _SIBLING_ROW] = row
+                frames[grown, at + 1] = np.stack([child, head[grown], np.full_like(child, -1),
+                                                  row, np.zeros_like(child)], axis=1)
+                depth[grown] += 2
+                attached[grown, child] = True
+                heads[grown, child] = head[grown]
+                dist = model.labeler.distribution(ad.gather(d, hyp[grown]),
+                                                  ad.gather(reps, child))
+                labels[grown, child] = np.argmax(dist.data, axis=1)
+
+    tree = DepTree(heads[0, 1:].tolist(), [model.labels.name(i) for i in labels[0, 1:].tolist()])
+    return tree, float(log_prob[0])
 
 
-def _extend(model, encoded, log_prob, hyp, state, d, choice) -> BeamHypothesis:
-    frame = hyp.frames[-1]
-    rest = hyp.frames[:-1]
-    if choice == frame.element:
-        return replace(hyp, frames=rest, prev_state=state, log_prob=log_prob)
-    dist = model.labeler.distribution(d, encoded.states[choice])
-    label = model.labels.name(int(np.argmax(dist.data)))
-    attached = list(hyp.attached)
-    attached[choice] = True
-    heads = list(hyp.heads)
-    heads[choice] = frame.element
-    labels = list(hyp.labels)
-    labels[choice] = label
-    child = DecoderFrame(element=choice, head_index=choice, parent_index=frame.element,
-                         parent_state=state)
-    frames = rest + (replace(frame, sibling_state=state, sibling_index=choice), child)
-    return BeamHypothesis(frames=frames, attached=tuple(attached), heads=tuple(heads),
-                          labels=tuple(labels), prev_state=state, log_prob=log_prob)
+def _frame_inputs(reps: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """``partial_tree_features`` for the top frame of every hypothesis: the
+    element's encoder row plus its parent's and its sibling's, when present."""
+    x = reps[top[:, _ELEMENT]]
+    for column in (_PARENT, _SIBLING):
+        present = top[:, column] >= 0
+        if present.any():
+            x = np.where(present[:, None], x + reps[top[:, column]], x)
+    return x
 
 
 def build_dep_vocabs(items):

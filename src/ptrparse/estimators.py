@@ -90,6 +90,9 @@ class BaseEstimator:
         params, meta = load_checkpoint(path)
         if meta.get("task") != cls._task:
             raise LoadError(f"{path} holds a {meta.get('task')!r} model, not a {cls._kind}")
+        for key in ("config", "labels", "label_hash") + cls._vocab_names:
+            if key not in meta:
+                raise LoadError(f"{path} metadata is missing {key!r}")
         config = config_from_dict(cls._config_cls, meta["config"]).validate()
         labels = LabelSet(meta["labels"])
         if labels.hash != meta["label_hash"]:

@@ -4,7 +4,9 @@ Everything is built from the autodiff ops and threads randomness through
 explicit ``numpy.random.Generator`` arguments.  Layers work on one
 sentence at a time: a single vector, or one row matrix holding every token
 of the sentence (char CNN words, encoder timesteps, pointer candidates).
-There is no batch dimension across sentences.
+The recurrent cells, MLPs and biaffines also take a matrix with one row
+per beam hypothesis, in place of a single decoder state, and treat each
+row as that vector.  There is no batch dimension across sentences.
 """
 
 from __future__ import annotations
@@ -131,10 +133,14 @@ class CharCnn(Module):
         return ad.max_over_rows(responses)
 
 
+def linear(w: Tensor, x: Tensor) -> Tensor:
+    """``w·x`` for a vector ``x``, or ``x·wᵀ`` for every row of a matrix."""
+    return ad.matmul(w, x) if x.data.ndim == 1 else ad.matmul(x, ad.transpose(w))
+
+
 def _project(w: Tensor, x: Tensor, b: Tensor) -> Tensor:
     """``w·x + b`` for a vector ``x``, or ``x·wᵀ + b`` for every row of a matrix."""
-    wx = ad.matmul(w, x) if x.data.ndim == 1 else ad.matmul(x, ad.transpose(w))
-    return ad.add(wx, b)
+    return ad.add(linear(w, x), b)
 
 
 class LstmCell(Module):
@@ -142,8 +148,8 @@ class LstmCell(Module):
 
     A step is split in two: ``project`` applies the input weights and bias
     (to one vector, or to all timesteps of a sequence at once), and
-    ``recur`` runs the fused ``lstm_step`` op on one projected row.  The
-    state is the pair ``(h, c)``.
+    ``recur`` runs the fused ``lstm_step`` op on one projected row, or on
+    one row per state.  The state is the pair ``(h, c)``.
     """
 
     state_size = 2
@@ -166,7 +172,8 @@ class LstmCell(Module):
         return ad.narrow(hc, 0, n), ad.narrow(hc, n, 2 * n)
 
     def step(self, x: Tensor, h: Tensor, c: Tensor):
-        """One step from input vector ``x``; returns ``(h_new, c_new)``."""
+        """One step from input vector ``x``; returns ``(h_new, c_new)``.  With a
+        row matrix ``x`` and states, each row is one independent step."""
         return self.recur(self.project(x), (h, c))
 
 
@@ -197,7 +204,8 @@ class GruCell(Module):
         return (ad.gru_step(projected[0], projected[1], self.u_rz, self.u_n, state[0], mask),)
 
     def step(self, x: Tensor, h: Tensor) -> Tensor:
-        """One step from input vector ``x``; returns the new hidden state."""
+        """One step from input vector ``x``; returns the new hidden state.  With a
+        row matrix ``x`` and state, each row is one independent step."""
         return self.recur(self.project(x), (h,))[0]
 
 
@@ -290,14 +298,28 @@ class Biaffine(Module):
         return ad.add(ad.add(ad.add(bilinear, ad.matmul(self.u, a)), ad.matmul(self.v, b)), self.b)
 
     def score_rows(self, a: Tensor, rows_matrix: Tensor) -> Tensor:
-        """Score ``a`` against every row of a matrix at once; returns a vector."""
-        bilinear = ad.matmul(rows_matrix, ad.matmul(a, self.w))
-        linear = ad.add(ad.matmul(self.u, a), ad.matmul(rows_matrix, self.v))
-        return ad.add(ad.add(bilinear, linear), self.b)
+        """Score ``a`` against every row of a matrix at once; returns a vector.
+
+        Row form: a matrix ``a`` of k left vectors gives a (k, rows) matrix,
+        one row of scores per left vector.
+        """
+        left = ad.matmul(a, self.w)
+        if a.data.ndim == 1:
+            bilinear = ad.matmul(rows_matrix, left)
+            own = ad.matmul(self.u, a)
+        else:
+            bilinear = ad.matmul(left, ad.transpose(rows_matrix))
+            own = ad.reshape(ad.matmul(a, self.u), (-1, 1))
+        linear_terms = ad.add(own, ad.matmul(rows_matrix, self.v))
+        return ad.add(ad.add(bilinear, linear_terms), self.b)
 
 
 class BiaffineLabeler(Module):
-    """Per-label biaffine scores for a vector pair; returns one score per label."""
+    """Per-label biaffine scores for a vector pair; returns one score per label.
+
+    Row form: row i of ``a`` pairs with row i of ``b``, giving one row of
+    label scores per pair.
+    """
 
     def __init__(self, left_dim: int, right_dim: int, labels: int, rng):
         self.w = Tensor(glorot(rng, left_dim, labels * right_dim, (left_dim, labels * right_dim)),
@@ -309,6 +331,10 @@ class BiaffineLabeler(Module):
         self.right_dim = right_dim
 
     def scores(self, a: Tensor, b: Tensor) -> Tensor:
-        bilinear = ad.matmul(ad.reshape(ad.matmul(a, self.w), (self.labels, self.right_dim)), b)
-        linear = ad.add(ad.matmul(self.u, a), ad.matmul(self.v, b))
-        return ad.add(ad.add(bilinear, linear), self.b)
+        left = ad.matmul(a, self.w)
+        if a.data.ndim == 1:
+            bilinear = ad.matmul(ad.reshape(left, (self.labels, self.right_dim)), b)
+        else:
+            bilinear = ad.matvec_rows(ad.reshape(left, (-1, self.labels, self.right_dim)), b)
+        linear_terms = ad.add(linear(self.u, a), linear(self.v, b))
+        return ad.add(ad.add(bilinear, linear_terms), self.b)

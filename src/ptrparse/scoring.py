@@ -4,6 +4,10 @@ The dependency pointer is a biaffine scorer between the decoder state and
 every encoder state; the discourse pointer is a plain dot product between
 the decoder state and candidate split representations.  Label classifiers
 are per-label biaffines over the same kind of vector pair.
+
+The dependency pointer and the labelers also take a matrix with one row
+per beam hypothesis and answer with one row of scores or probabilities per
+hypothesis, through the same weights and ops.
 """
 
 from __future__ import annotations
@@ -62,7 +66,10 @@ class AttentionResult:
     """Scores and masked probabilities over a contiguous range of positions.
 
     ``offset`` maps local vector indices to caller positions (word index or
-    split point).  Masked positions carry probability exactly zero.
+    split point).  Masked positions carry probability exactly zero.  When
+    the pointer attends from k decoder states at once, ``scores``,
+    ``probs`` and ``mask`` hold one row per state; ``best``, ``prob`` and
+    ``nll`` are for the single-state form.
     """
 
     def __init__(self, scores: Tensor, probs: Tensor, offset: int = 0, mask=None):
@@ -100,9 +107,14 @@ class BiaffinePointer(Module):
         return ad.dropout(self.g2(matrix), self.dropout, training, rng)
 
     def attend(self, d: Tensor, prepared: Tensor, mask, training=False, rng=None) -> AttentionResult:
+        """Attention from decoder state ``d`` over the prepared positions.
+
+        Row form: a (k, state) matrix ``d`` with a (k, positions) ``mask``
+        attends from each row under its own mask row.
+        """
         g1 = ad.dropout(self.g1(d), self.dropout, training, rng)
         scores = self.biaffine.score_rows(g1, prepared)
-        probs = ad.softmax(scores, mask)
+        probs = _probabilities(scores, mask)
         return AttentionResult(scores, probs, offset=0, mask=mask)
 
     def score_pair(self, d: Tensor, h: Tensor) -> Tensor:
@@ -130,6 +142,15 @@ class PairLabeler(Module):
         self.dropout = dropout
 
     def distribution(self, left: Tensor, right: Tensor, training=False, rng=None) -> Tensor:
+        """Label probabilities for one pair, or one row per pair when
+        ``left`` and ``right`` are matrices with a row per pair."""
         a = ad.dropout(self.g1(left), self.dropout, training, rng)
         b = ad.dropout(self.g2(right), self.dropout, training, rng)
-        return ad.softmax(self.labeler.scores(a, b))
+        return _probabilities(self.labeler.scores(a, b))
+
+
+def _probabilities(scores: Tensor, mask=None) -> Tensor:
+    """Softmax of a score vector, or of every row of a score matrix."""
+    if scores.data.ndim == 1:
+        return ad.softmax(scores, mask)
+    return ad.softmax_rows(scores, mask)

@@ -452,3 +452,77 @@ def test_segment_max_tie_routes_gradient_to_first_row():
     ad.backward(ad.tsum(out))
     assert np.array_equal(m.grad, [[0.0, 1.0], [1.0, 0.0], [0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
     assert np.array_equal(ad.max_over_rows(m).data, [7.0, 7.0])
+
+
+# Row forms: k states stepped, scored or normalized at once, one per row.
+
+def test_grad_lstm_step_rows():
+    for k, n in ((1, 2), (3, 2), (2, 3)):
+        xw, w_h = leaf((k, 4 * n)), leaf((4 * n, n))
+        h, c = leaf((k, n)), leaf((k, n))
+        for mask in (None, keep_mask(n)):
+            check_gradients(lambda: weighted(ad.lstm_step(xw, w_h, h, c, mask)), [xw, w_h, h, c])
+            rows_ = ad.lstm_step(xw, w_h, h, c, mask).data
+            for i in range(k):
+                one = ad.lstm_step(Tensor(xw.data[i]), w_h, Tensor(h.data[i]), Tensor(c.data[i]),
+                                   mask).data
+                assert np.allclose(rows_[i], one, rtol=0.0, atol=1e-12)
+    with pytest.raises(ShapeError):
+        ad.lstm_step(leaf((3, 8)), leaf((8, 2)), leaf((2, 2)), leaf((3, 2)))
+
+
+def test_grad_gru_step_rows():
+    for k, n in ((1, 2), (3, 2), (2, 3)):
+        x_rz, x_n = leaf((k, 2 * n)), leaf((k, n))
+        u_rz, u_n, h = leaf((2 * n, n)), leaf((n, n)), leaf((k, n))
+        for mask in (None, keep_mask(n)):
+            check_gradients(lambda: weighted(ad.gru_step(x_rz, x_n, u_rz, u_n, h, mask)),
+                            [x_rz, x_n, u_rz, u_n, h])
+            rows_ = ad.gru_step(x_rz, x_n, u_rz, u_n, h, mask).data
+            for i in range(k):
+                one = ad.gru_step(Tensor(x_rz.data[i]), Tensor(x_n.data[i]), u_rz, u_n,
+                                  Tensor(h.data[i]), mask).data
+                assert np.allclose(rows_[i], one, rtol=0.0, atol=1e-12)
+    with pytest.raises(ShapeError):
+        ad.gru_step(leaf((3, 4)), leaf((2, 2)), leaf((4, 2)), leaf((2, 2)), leaf((3, 2)))
+
+
+def test_grad_softmax_rows():
+    for shape in ((1, 3), (3, 4), (2, 6)):
+        x = leaf(shape)
+        weights = Tensor(RNG.standard_normal(shape))
+        check_gradients(lambda: ad.tsum(ad.mul(ad.softmax_rows(x), weights)), [x])
+        mask = RNG.random(shape) < 0.6
+        mask[:, -1] = True
+        check_gradients(lambda: ad.tsum(ad.mul(ad.softmax_rows(x, mask), weights)), [x])
+        got = ad.softmax_rows(x, mask).data
+        for i in range(shape[0]):
+            assert np.array_equal(got[i], ad.softmax(Tensor(x.data[i]), mask[i]).data)
+        assert np.array_equal(got[~mask], np.zeros(int((~mask).sum())))
+
+
+def test_softmax_rows_errors():
+    with pytest.raises(ShapeError):
+        ad.softmax_rows(Tensor(np.zeros(3)))
+    with pytest.raises(ShapeError):
+        ad.softmax_rows(Tensor(np.zeros((2, 3))), np.ones((3, 2), dtype=bool))
+    with pytest.raises(MaskError):
+        ad.softmax_rows(Tensor(np.zeros((2, 3))), np.array([[True, False, False], [False] * 3]))
+
+
+def test_grad_matvec_rows():
+    for k, m, n in ((1, 3, 2), (3, 2, 4), (2, 5, 1)):
+        a, b = leaf((k, m, n)), leaf((k, n))
+        out = ad.matvec_rows(a, b)
+        for i in range(k):
+            assert np.array_equal(out.data[i], a.data[i] @ b.data[i])
+        check_gradients(lambda: weighted(ad.matvec_rows(a, b)), [a, b])
+    with pytest.raises(ShapeError):
+        ad.matvec_rows(leaf((2, 3, 4)), leaf((3, 4)))
+
+
+def test_grad_narrow_rows():
+    for shape, (lo, hi) in (((2, 4), (1, 3)), ((3, 5), (0, 5)), ((1, 3), (2, 3))):
+        m = leaf(shape)
+        assert np.array_equal(ad.narrow(m, lo, hi).data, m.data[:, lo:hi])
+        check_gradients(lambda: weighted(ad.narrow(m, lo, hi)), [m])

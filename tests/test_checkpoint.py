@@ -96,6 +96,25 @@ def test_load_unsupported_format_version(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("header", [
+    [1, 2],
+    {"format": 1, "meta": {}},
+    {"format": 1, "params": []},
+    {"format": 1, "meta": [], "params": []},
+    {"format": 1, "meta": {}, "params": [{"name": "w"}]},
+    {"format": 1, "meta": {}, "params": [{"shape": [1]}]},
+    {"format": 1, "meta": {}, "params": [{"name": "w", "shape": ["x"]}]},
+])
+def test_load_malformed_header_structure(tmp_path, header):
+    # Valid JSON without the expected tables is a LoadError, not a raw
+    # KeyError or AttributeError.
+    path = tmp_path / "h.ptp"
+    blob = json.dumps(header).encode()
+    path.write_bytes(MAGIC + struct.pack("<Q", len(blob)) + blob)
+    with pytest.raises(LoadError):
+        load_checkpoint(path)
+
+
 def test_load_truncated_param_payload(tmp_path):
     path = tmp_path / "p.ptp"
     save_checkpoint(path, sample_params(), {})

@@ -331,3 +331,25 @@ def test_embeddings_hook(dep_run, tmp_path):
                 "--embeddings", str(vectors)]) == 0
     log = (out / "train.log").read_text()
     assert "2 hits" in log and "misses" in log
+
+
+@pytest.mark.parametrize("task", ["dep", "rst"])
+def test_parse_rejects_checkpoint_without_metadata(task, dep_run, rst_run, tmp_path, capsys):
+    # A well-formed checkpoint whose header lacks a metadata key the model
+    # needs is a LoadError (exit 2) naming the key, never a traceback.
+    from ptrparse.checkpoint import load_checkpoint, save_checkpoint
+
+    fixture = dep_run if task == "dep" else rst_run
+    params, meta = load_checkpoint(fixture["model"])
+    vocabs = ("word_vocab", "pos_vocab", "char_vocab") if task == "dep" else ("word_vocab",)
+    cases = [({"task": task}, "config")]
+    cases += [({k: v for k, v in meta.items() if k != key}, key)
+              for key in ("config", "labels", "label_hash") + vocabs]
+    for stripped, key in cases:
+        path = tmp_path / f"no-{key}.ptp"
+        save_checkpoint(path, params.items(), stripped)
+        capsys.readouterr()
+        assert run(["parse", "--model", str(path), "--input", str(fixture["data"]),
+                    "--output", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"missing {key!r}" in err and "Traceback" not in err

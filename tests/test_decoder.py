@@ -261,3 +261,41 @@ def test_fused_step_gradients():
             return ad.tsum(ad.concat([top, state[1]]))
 
         check_gradients(loss, tensors)
+
+
+def assert_rows_match(got_rows, want_vectors, exact):
+    """Row i of every matrix equals the matching vector, bit for bit or to 1e-12."""
+    for got, want in zip(got_rows, want_vectors, strict=True):
+        if exact:
+            assert np.array_equal(got, want)
+        else:
+            assert np.abs(got - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("cell", ["lstm", "gru"])
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("fusion", FUSIONS)
+def test_fuse_and_step_row_form_match_vector_form(cell, variant, fusion):
+    # k states as rows give, row by row, what k single-state calls give:
+    # bit for bit with one row, to rounding with several.  A zero row is
+    # the row form of an absent (None) parent or sibling.
+    dec = make_decoder(variant, fusion, cell=cell, layers=2, hidden=5, input_dim=6, seed=4)
+    rng = np.random.default_rng(5)
+    for k, absent in ((1, None), (1, 0), (3, 1)):
+        prev, parent, sibling = ([rng.standard_normal((k, 5)) for _ in range(dec.components)]
+                                 for _ in range(3))
+        for component in parent + sibling if absent is not None else ():
+            component[absent] = 0.0
+        x = rng.standard_normal((k, 6))
+        fused = dec.fuse(tuple(map(Tensor, prev)), tuple(map(Tensor, parent)),
+                         tuple(map(Tensor, sibling)))
+        state, top = dec.step(Tensor(x), fused)
+        for i in range(k):
+            def vectors(components):
+                return None if i == absent else tuple(Tensor(c[i]) for c in components)
+            want_fused = dec.fuse(tuple(Tensor(c[i]) for c in prev), vectors(parent),
+                                  vectors(sibling))
+            want_state, want_top = dec.step(Tensor(x[i]), want_fused)
+            assert_rows_match([t.data[i] for t in fused + state + (top,)],
+                              [t.data for t in want_fused + want_state + (want_top,)],
+                              exact=k == 1)

@@ -6,6 +6,7 @@ import pytest
 
 from ptrparse import autodiff as ad
 from ptrparse.corpus import gen_synthetic_dep
+from ptrparse.decoder import FUSIONS, VARIANTS, DecoderFrame, partial_tree_features
 from ptrparse.dep import (DepConfig, DepModel, _candidate_mask, build_dep_vocabs,
                           config_from_dict, config_to_dict, decode_beam,
                           decode_greedy, example_losses, forced_decode,
@@ -384,3 +385,108 @@ def test_max_len_enforced_by_greedy_and_beam():
         decode_beam(model, sentence(5), beam_size=2)
     with pytest.raises(ConfigError):
         decode_beam(model, sentence(5), beam_size=1)
+
+
+def reference_beam(model, tokens, beam_size):
+    """Per-hypothesis beam search: every live hypothesis runs its own fuse,
+    step, pointer and labeler call, and the pool is sorted stably by score."""
+    n = len(tokens)
+    with ad.no_grad():
+        encoded = model.encoder.encode(tokens)
+        prepared = model.pointer.prepare(encoded.matrix())
+        # (log_prob, frames, attached, heads, labels, prev_state)
+        beam = [(0.0, (DecoderFrame(element=0, head_index=0),), (True,) + (False,) * n,
+                 {}, {}, model.decoder.zero_state())]
+        for _ in range(2 * n + 1):
+            pool = []
+            for hyp in beam:
+                log_prob, frames, attached = hyp[:3]
+                frame = frames[-1]
+                fused = model.decoder.fuse(hyp[5], frame.parent_state, frame.sibling_state)
+                state, d = model.decoder.step(partial_tree_features(frame, encoded.states), fused)
+                mask = _candidate_mask(frame.element, np.array(attached))
+                candidates = np.flatnonzero(mask)
+                probs = None
+                if len(candidates) > 1:
+                    probs = model.pointer.attend(d, prepared, mask).probs.data
+                for c in candidates:
+                    score = log_prob if probs is None else log_prob + float(np.log(probs[c]))
+                    pool.append((score, hyp, state, d, int(c)))
+            pool.sort(key=lambda item: -item[0])
+            beam = []
+            for score, (_, frames, attached, heads, labels, _), state, d, c in pool[:beam_size]:
+                frame, frames = frames[-1], frames[:-1]
+                if c != frame.element:
+                    dist = model.labeler.distribution(d, encoded.states[c])
+                    heads = {**heads, c: frame.element}
+                    labels = {**labels, c: model.labels.name(int(np.argmax(dist.data)))}
+                    attached = attached[:c] + (True,) + attached[c + 1:]
+                    frames += (frame.with_sibling(state, c),
+                               DecoderFrame(element=c, head_index=c, parent_index=frame.element,
+                                            parent_state=state))
+                beam.append((score, frames, attached, heads, labels, state))
+    score, _, _, heads, labels, _ = beam[0]
+    return DepTree([heads[i] for i in range(1, n + 1)],
+                   [labels[i] for i in range(1, n + 1)]), score
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("fusion", FUSIONS)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_decode_beam_matches_per_hypothesis_reference(variant, fusion, layers):
+    # The batched beam gives the per-hypothesis search's tree and score on
+    # every fusion path, also when the beam is wider than the sentence (its
+    # state bank then grows); beam 1 is the greedy pass bit for bit.
+    items = gen_synthetic_dep(31, 12, max_len=8, vocab_size=30, label_count=4)
+    model, _ = tiny_model(items, variant=variant, fusion=fusion, decoder_layers=layers)
+    for tokens, _ in items[:6] + [(sentence(1), None)]:
+        for beam_size in (4, 3 * len(tokens)):
+            got_tree, got_lp = decode_beam(model, tokens, beam_size=beam_size)
+            want_tree, want_lp = reference_beam(model, tokens, beam_size)
+            assert got_tree == want_tree
+            assert abs(got_lp - want_lp) <= 1e-12
+        greedy = run_transition(model, tokens)
+        beamed, log_prob = decode_beam(model, tokens, beam_size=1)
+        assert beamed == DepTree(greedy.heads, greedy.labels)
+        assert log_prob == -greedy.structure_loss.item()
+
+
+def test_decode_beam_breaks_ties_like_the_reference():
+    # All-zero parameters make every choice a tie; the stable ranking keeps
+    # hypothesis order, then candidate order, as the per-hypothesis pool did.
+    items = gen_synthetic_dep(31, 12, max_len=8, vocab_size=30, label_count=4)
+    model, _ = tiny_model(items)
+    for _, p in model.parameters():
+        p.data[...] = 0.0
+    for n in (3, 6, 8):
+        assert decode_beam(model, sentence(n), beam_size=5) == reference_beam(model, sentence(n), 5)
+
+
+def count_nograd_ops(monkeypatch, fn):
+    """Tape ops recorded without a graph while ``fn`` runs."""
+    make_const = ad._const
+    count = 0
+
+    def counting(data):
+        nonlocal count
+        count += 1
+        return make_const(data)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ad, "_const", counting)
+        fn()
+    return count
+
+
+def test_beam_ops_per_round_do_not_grow_with_beam(monkeypatch):
+    # One k-row decoder, pointer and labeler pass per round: the op count of
+    # beam 10 stays near beam 1's (about ten times it when every hypothesis
+    # ran its own pass), so a layer that quietly un-batches fails here.
+    items = gen_synthetic_dep(7, 64, max_len=12, vocab_size=200, label_count=8)
+    tokens = next(tokens for tokens, _ in items if len(tokens) == 12)
+    config = DepConfig(variant="pst", fusion="sgate", encoder_hidden=64, decoder_hidden=64,
+                       arc_mlp=64, label_mlp=16, batch_size=8, seed=7).validate()
+    model = DepModel(config, *build_dep_vocabs(items), np.random.default_rng(7))
+    one = count_nograd_ops(monkeypatch, lambda: decode_beam(model, tokens, beam_size=1))
+    ten = count_nograd_ops(monkeypatch, lambda: decode_beam(model, tokens, beam_size=10))
+    assert ten <= 2 * one, f"beam 10 ran {ten} ops, beam 1 {one}"

@@ -115,3 +115,34 @@ def test_pair_labeler_deterministic_without_dropout():
     a = labeler.distribution(left, right).data
     b = labeler.distribution(left, right).data
     assert np.array_equal(a, b)
+
+
+def test_attend_and_distribution_row_form_match_vector_form():
+    # A matrix of k decoder states attends (and labels) row by row exactly
+    # as k single-state calls do: bit for bit with one row, to rounding
+    # with several.  Each row keeps its own mask.
+    pointer = BiaffinePointer(4, 6, 5, np.random.default_rng(4), dropout=0.0)
+    labeler = PairLabeler(4, 6, 3, 5, np.random.default_rng(5), dropout=0.0)
+    for module in (pointer.biaffine, labeler.labeler):
+        for p in (module.u, module.v, module.b):  # zero at init; make every term count
+            p.data[...] = RNG.standard_normal(p.data.shape)
+    matrix = Tensor(RNG.standard_normal((5, 6)))
+    prepared = pointer.prepare(matrix)
+    for k in (1, 3):
+        d = RNG.standard_normal((k, 4))
+        right = RNG.standard_normal((k, 6))
+        mask = RNG.random((k, 5)) < 0.5
+        mask[:, 2] = True
+        res = pointer.attend(Tensor(d), prepared, mask)
+        dist = labeler.distribution(Tensor(d), Tensor(right))
+        assert res.probs.shape == res.scores.shape == (k, 5) and dist.shape == (k, 5)
+        for i in range(k):
+            one = pointer.attend(Tensor(d[i]), prepared, mask[i])
+            one_dist = labeler.distribution(Tensor(d[i]), Tensor(right[i]))
+            pairs = [(res.scores.data[i], one.scores.data), (res.probs.data[i], one.probs.data),
+                     (dist.data[i], one_dist.data)]
+            for got, want in pairs:
+                if k == 1:
+                    assert np.array_equal(got, want)
+                else:
+                    assert np.abs(got - want).max() <= 1e-12
