@@ -16,7 +16,7 @@ import threading
 
 import numpy as np
 
-from .errors import MaskError, ShapeError
+from .errors import ConfigError, MaskError, ShapeError
 
 # Graph recording is per-thread so concurrent no-grad decodes can't race.
 _state = threading.local()
@@ -222,9 +222,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if a.data.ndim == 2 and b.data.ndim == 2:
             ga, gb = g @ b.data.T, a.data.T @ g
         elif a.data.ndim == 2 and b.data.ndim == 1:
-            ga, gb = np.outer(g, b.data), a.data.T @ g
+            ga, gb = _outer(g, b.data), a.data.T @ g
         elif a.data.ndim == 1 and b.data.ndim == 2:
-            ga, gb = b.data @ g, np.outer(a.data, g)
+            ga, gb = b.data @ g, _outer(a.data, g)
         else:
             ga, gb = g * b.data, g * a.data
         if a.requires_grad:
@@ -516,12 +516,75 @@ def _sig(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def _recur_grads(w: Tensor, d: np.ndarray, hm: np.ndarray):
-    """Gradients of the recurrent product ``w·h`` (one state) or ``H·wᵀ``
-    (a row per state) for upstream ``d``: (for w, for hm)."""
-    if d.ndim == 1:
-        return np.outer(d, hm), w.data.T @ d
-    return d.T @ hm, d @ w.data
+# Numpy kernels shared by the fused ops below.  Each takes one vector or a
+# matrix with one row per state; ``_linear`` is ``w·x`` for a vector and
+# ``x·wᵀ`` for rows, as ``nn.linear`` computes it on tensors.
+
+def _linear(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return w @ x if x.ndim == 1 else x @ w.T
+
+
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.outer`` of two vectors, without its argument handling."""
+    return a[:, None] * b
+
+
+def _weight_grad(d: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Gradient of ``w`` in ``_linear(w, x)`` for upstream ``d``."""
+    return _outer(d, x) if d.ndim == 1 else d.T @ x
+
+
+def _input_grad(w: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Gradient of ``x`` in ``_linear(w, x)`` for upstream ``d``."""
+    return w.T @ d if d.ndim == 1 else d @ w
+
+
+def _lstm_cell(xw, w_h, h, c, mask):
+    """LSTM cell on arrays: ``(h_new, c_new, saved)``; ``saved`` holds
+    what ``_lstm_cell_back`` needs, with the masked ``h`` first."""
+    n = h.shape[-1]
+    hm = h if mask is None else h * mask
+    pre = xw + _linear(w_h, hm)
+    i, f, o = _sig(pre[..., :n]), _sig(pre[..., n : 2 * n]), _sig(pre[..., 3 * n :])
+    g = np.tanh(pre[..., 2 * n : 3 * n])
+    c_new = f * c + i * g
+    tc = np.tanh(c_new)
+    return o * tc, c_new, (hm, c, i, f, g, o, tc)
+
+
+def _lstm_cell_back(gh, gc_new, saved):
+    """Backward of ``_lstm_cell`` for the gradients of ``h_new`` and
+    ``c_new``: (for the pre-activation ``xw + w_h·hm``, for ``c``)."""
+    hm, c, i, f, g, o, tc = saved
+    gc = gc_new + gh * o * (1.0 - tc * tc)
+    dpre = np.concatenate([gc * g * i * (1.0 - i), gc * c * f * (1.0 - f),
+                           gc * i * (1.0 - g * g), gh * tc * o * (1.0 - o)], axis=-1)
+    return dpre, gc * f
+
+
+def _gru_cell(x_rz, x_n, u_rz, u_n, h, mask):
+    """GRU cell on arrays: ``(h_new, saved)`` for ``_gru_cell_back``."""
+    n = h.shape[-1]
+    hm = h if mask is None else h * mask
+    rz = _sig(x_rz + _linear(u_rz, hm))
+    z = rz[..., n:]
+    rh = rz[..., :n] * hm
+    cand = np.tanh(x_n + _linear(u_n, rh))
+    return z * h + (1.0 - z) * cand, (h, hm, rz, rh, cand)
+
+
+def _gru_cell_back(grad, u_rz, u_n, saved, mask):
+    """Backward of ``_gru_cell`` for the gradient of ``h_new``: (for
+    ``x_rz``, for ``x_n``, for ``h``).  The recurrent weight gradients are
+    ``drz``ᵀ·``hm`` and ``dn``ᵀ·``rh``, formed by the caller."""
+    h, hm, rz, rh, cand = saved
+    n = h.shape[-1]
+    r, z = rz[..., :n], rz[..., n:]
+    dn = grad * (1.0 - z) * (1.0 - cand * cand)
+    drh = _input_grad(u_n, dn)
+    drz = np.concatenate([drh * hm, grad * (h - cand)], axis=-1) * rz * (1.0 - rz)
+    dhm = drh * r + _input_grad(u_rz, drz)
+    return drz, dn, grad * z + (dhm if mask is None else dhm * mask)
 
 
 def lstm_step(xw: Tensor, w_h: Tensor, h: Tensor, c: Tensor, mask=None) -> Tensor:
@@ -541,30 +604,22 @@ def lstm_step(xw: Tensor, w_h: Tensor, h: Tensor, c: Tensor, mask=None) -> Tenso
             or c.data.shape != h.data.shape):
         raise ShapeError(f"lstm_step shapes disagree: xw {xw.data.shape}, w_h {w_h.data.shape}, "
                          f"h {h.data.shape}, c {c.data.shape}")
-    hm = h.data if mask is None else h.data * mask
-    pre = xw.data + (w_h.data @ hm if hm.ndim == 1 else hm @ w_h.data.T)
-    i, f, o = _sig(pre[..., :n]), _sig(pre[..., n : 2 * n]), _sig(pre[..., 3 * n :])
-    g = np.tanh(pre[..., 2 * n : 3 * n])
-    c_new = f * c.data + i * g
-    tc = np.tanh(c_new)
-    data = np.concatenate([o * tc, c_new], axis=-1)
+    h_new, c_new, saved = _lstm_cell(xw.data, w_h.data, h.data, c.data, mask)
+    data = np.concatenate([h_new, c_new], axis=-1)
     if not _tracked(xw, w_h, h, c):
         return _const(data)
 
     def bwd(grad):
-        gh = grad[..., :n]
-        gc = grad[..., n:] + gh * o * (1.0 - tc * tc)
-        dpre = np.concatenate([gc * g * i * (1.0 - i), gc * c.data * f * (1.0 - f),
-                               gc * i * (1.0 - g * g), gh * tc * o * (1.0 - o)], axis=-1)
-        gw, dh = _recur_grads(w_h, dpre, hm)
+        dpre, dc = _lstm_cell_back(grad[..., :n], grad[..., n:], saved)
         if xw.requires_grad:
             xw._accum(dpre)
         if w_h.requires_grad:
-            w_h._accum(gw)
+            w_h._accum(_weight_grad(dpre, saved[0]))
         if h.requires_grad:
+            dh = _input_grad(w_h.data, dpre)
             h._accum(dh if mask is None else dh * mask)
         if c.requires_grad:
-            c._accum(gc * f)
+            c._accum(dc)
 
     return _node(data, (xw, w_h, h, c), bwd)
 
@@ -585,33 +640,197 @@ def gru_step(x_rz: Tensor, x_n: Tensor, u_rz: Tensor, u_n: Tensor, h: Tensor, ma
             or u_rz.data.shape != (2 * n, n) or u_n.data.shape != (n, n)):
         raise ShapeError(f"gru_step shapes disagree: x_rz {x_rz.data.shape}, x_n {x_n.data.shape}, "
                          f"u_rz {u_rz.data.shape}, u_n {u_n.data.shape}, h {h.data.shape}")
-    hm = h.data if mask is None else h.data * mask
-    rz = _sig(x_rz.data + (u_rz.data @ hm if hm.ndim == 1 else hm @ u_rz.data.T))
-    r, z = rz[..., :n], rz[..., n:]
-    rh = r * hm
-    cand = np.tanh(x_n.data + (u_n.data @ rh if rh.ndim == 1 else rh @ u_n.data.T))
-    data = z * h.data + (1.0 - z) * cand
+    data, saved = _gru_cell(x_rz.data, x_n.data, u_rz.data, u_n.data, h.data, mask)
     if not _tracked(x_rz, x_n, u_rz, u_n, h):
         return _const(data)
 
     def bwd(grad):
-        dn = grad * (1.0 - z) * (1.0 - cand * cand)
-        gu_n, drh = _recur_grads(u_n, dn, rh)
-        drz = np.concatenate([drh * hm, grad * (h.data - cand)], axis=-1) * rz * (1.0 - rz)
-        gu_rz, dh_rz = _recur_grads(u_rz, drz, hm)
+        drz, dn, dh = _gru_cell_back(grad, u_rz.data, u_n.data, saved, mask)
         if x_rz.requires_grad:
             x_rz._accum(drz)
         if x_n.requires_grad:
             x_n._accum(dn)
         if u_rz.requires_grad:
-            u_rz._accum(gu_rz)
+            u_rz._accum(_weight_grad(drz, saved[1]))
         if u_n.requires_grad:
-            u_n._accum(gu_n)
+            u_n._accum(_weight_grad(dn, saved[3]))
         if h.requires_grad:
-            dhm = drh * r + dh_rz
-            h._accum(grad * z + (dhm if mask is None else dhm * mask))
+            h._accum(dh)
 
     return _node(data, (x_rz, x_n, u_rz, u_n, h), bwd)
+
+
+def _check_order(order, steps: int, op: str) -> list:
+    order = list(order)
+    if sorted(order) != list(range(steps)):
+        raise ShapeError(f"{op} order must visit each of the {steps} rows once, got {order}")
+    return order
+
+
+def lstm_seq(xw: Tensor, w_h: Tensor, order, mask=None) -> Tensor:
+    """A whole LSTM direction as one op; returns the (T, n) hidden states.
+
+    ``xw`` holds the input projections plus bias of T timesteps, one row
+    each.  The recurrence starts from a zero state and visits the rows in
+    ``order`` (a permutation of 0..T-1, e.g. reversed for a backward
+    direction); row t of the result is the hidden state after the step on
+    row t.  Each step does the arithmetic of ``lstm_step``, ``mask``
+    included.  The backward pass runs backpropagation through time in one
+    call and forms the ``w_h`` gradient as one product of the stacked gate
+    gradients with the stacked masked states.
+    """
+    n = w_h.data.shape[-1]
+    if xw.data.ndim != 2 or xw.data.shape[1] != 4 * n or w_h.data.shape != (4 * n, n):
+        raise ShapeError(f"lstm_seq shapes disagree: xw {xw.data.shape}, w_h {w_h.data.shape}")
+    steps = xw.data.shape[0]
+    order = _check_order(order, steps, "lstm_seq")
+    tracked = _tracked(xw, w_h)
+    data = np.empty((steps, n))
+    saved = [None] * steps
+    h = c = np.zeros(n)
+    for t in order:
+        h, c, cell = _lstm_cell(xw.data[t], w_h.data, h, c, mask)
+        data[t] = h
+        if tracked:
+            saved[t] = cell
+    if not tracked:
+        return _const(data)
+
+    def bwd(grad):
+        dpre = np.empty((steps, 4 * n))
+        w_t = w_h.data.T
+        dh = dc = np.zeros(n)
+        for t in reversed(order):
+            dpre[t], dc = _lstm_cell_back(grad[t] + dh, dc, saved[t])
+            dh = w_t @ dpre[t]
+            if mask is not None:
+                dh = dh * mask
+        if xw.requires_grad:
+            xw._accum(dpre)
+        if w_h.requires_grad:
+            w_h._accum(dpre.T @ np.stack([cell[0] for cell in saved]))
+
+    return _node(data, (xw, w_h), bwd)
+
+
+def gru_seq(x_rz: Tensor, x_n: Tensor, u_rz: Tensor, u_n: Tensor, order, mask=None) -> Tensor:
+    """A whole GRU direction as one op; returns the (T, n) hidden states.
+
+    ``x_rz`` and ``x_n`` hold the gate and candidate input projections plus
+    biases of T timesteps, one row each.  Runs like ``lstm_seq``: a zero
+    start, rows visited in ``order``, the arithmetic of ``gru_step`` per
+    step, and one product per recurrent weight in the backward pass.
+    """
+    steps, n = len(x_n.data), u_n.data.shape[-1]
+    if (x_rz.data.shape != (steps, 2 * n) or x_n.data.shape != (steps, n)
+            or u_rz.data.shape != (2 * n, n) or u_n.data.shape != (n, n)):
+        raise ShapeError(f"gru_seq shapes disagree: x_rz {x_rz.data.shape}, x_n {x_n.data.shape}, "
+                         f"u_rz {u_rz.data.shape}, u_n {u_n.data.shape}")
+    order = _check_order(order, steps, "gru_seq")
+    tracked = _tracked(x_rz, x_n, u_rz, u_n)
+    data = np.empty((steps, n))
+    saved = [None] * steps
+    h = np.zeros(n)
+    for t in order:
+        h, cell = _gru_cell(x_rz.data[t], x_n.data[t], u_rz.data, u_n.data, h, mask)
+        data[t] = h
+        if tracked:
+            saved[t] = cell
+    if not tracked:
+        return _const(data)
+
+    def bwd(grad):
+        drz, dn = np.empty((steps, 2 * n)), np.empty((steps, n))
+        dh = np.zeros(n)
+        for t in reversed(order):
+            drz[t], dn[t], dh = _gru_cell_back(grad[t] + dh, u_rz.data, u_n.data, saved[t], mask)
+        if x_rz.requires_grad:
+            x_rz._accum(drz)
+        if x_n.requires_grad:
+            x_n._accum(dn)
+        if u_rz.requires_grad:
+            u_rz._accum(drz.T @ np.stack([cell[1] for cell in saved]))
+        if u_n.requires_grad:
+            u_n._accum(dn.T @ np.stack([cell[3] for cell in saved]))
+
+    return _node(data, (x_rz, x_n, u_rz, u_n), bwd)
+
+
+def fuse_state(prev: Tensor, parent: Tensor, sibling: Tensor, w_d: Tensor, w_p: Tensor,
+               w_s: Tensor, w_gd: Tensor, w_gp: Tensor, w_gs: Tensor, b_g: Tensor,
+               fusion: str) -> Tensor:
+    """Hierarchical fusion of one decoder state component as one op.
+
+    The combined state is ``tanh(W_d·prev + W_p·parent + W_s·sibling)``.
+    Fusion "plain" returns it as is; "gate" multiplies it by
+    ``σ(W_gd·prev + W_gp·parent + W_gs·sibling + b_g)`` and "sgate" by
+    ``σ(W_gp·(prev∘parent) + W_gs·(prev∘sibling) + b_g)``.  ``w_gd`` is
+    unused except under "gate", and no gate weight under "plain".
+
+    Each of ``prev``, ``parent`` and ``sibling`` is a vector or a (k, h)
+    matrix with one state per row (products ``w·x`` or ``x·wᵀ``); a vector,
+    such as the zero state, broadcasts against the rows of the others.
+    """
+    h = w_d.data.shape[0]
+    inputs = (prev, parent, sibling)
+    weights = {"plain": (w_d, w_p, w_s), "gate": (w_d, w_p, w_s, w_gd, w_gp, w_gs, b_g),
+               "sgate": (w_d, w_p, w_s, w_gp, w_gs, b_g)}.get(fusion)
+    if weights is None:
+        raise ConfigError(f"unknown fusion mode {fusion!r}")
+    if (any(x.data.ndim not in (1, 2) or x.data.shape[-1] != h for x in inputs)
+            or len({x.data.shape[0] for x in inputs if x.data.ndim == 2}) > 1
+            or any(w.data.shape != (h, h) for w in (w_d, w_p, w_s, w_gd, w_gp, w_gs))
+            or b_g.data.shape != (h,)):
+        raise ShapeError(f"fuse_state shapes disagree: states {[x.data.shape for x in inputs]}, "
+                         f"weights {[w.data.shape for w in weights]}")
+    p, q, s = prev.data, parent.data, sibling.data
+    combined = np.tanh(_linear(w_d.data, p) + _linear(w_p.data, q) + _linear(w_s.data, s))
+    if fusion == "plain":
+        data = combined
+    else:
+        if fusion == "gate":
+            raw = _linear(w_gd.data, p) + _linear(w_gp.data, q) + _linear(w_gs.data, s)
+        else:
+            pq, ps = p * q, p * s
+            raw = _linear(w_gp.data, pq) + _linear(w_gs.data, ps)
+        gate = _sig(raw + b_g.data)
+        data = gate * combined
+    if not _tracked(*inputs, *weights):
+        return _const(data)
+
+    def bwd(grad):
+        if fusion == "plain":
+            d_comb = grad * (1.0 - combined * combined)
+        else:
+            d_comb = grad * gate * (1.0 - combined * combined)
+            d_gate = grad * combined * gate * (1.0 - gate)
+        terms = [(w_d, p, d_comb), (w_p, q, d_comb), (w_s, s, d_comb)]
+        if fusion == "gate":
+            terms += [(w_gd, p, d_gate), (w_gp, q, d_gate), (w_gs, s, d_gate)]
+        elif fusion == "sgate":
+            terms += [(w_gp, pq, d_gate), (w_gs, ps, d_gate)]
+        dx = []
+        for w, x, d in terms:
+            if d.ndim > x.ndim:
+                d = d.sum(axis=0)
+            if w.requires_grad:
+                w._accum(_weight_grad(d, x))
+            dx.append(_input_grad(w.data, d))
+        d_prev, d_parent, d_sibling = dx[:3]
+        if fusion == "gate":
+            d_prev, d_parent, d_sibling = d_prev + dx[3], d_parent + dx[4], d_sibling + dx[5]
+        elif fusion == "sgate":
+            d_prev = (d_prev + _unbroadcast(dx[3] * q, p.shape)
+                      + _unbroadcast(dx[4] * s, p.shape))
+            d_parent = d_parent + _unbroadcast(dx[3] * p, q.shape)
+            d_sibling = d_sibling + _unbroadcast(dx[4] * p, s.shape)
+        if fusion != "plain" and b_g.requires_grad:
+            b_g._accum(_unbroadcast(d_gate, b_g.data.shape))
+        for x, d in zip(inputs, (d_prev, d_parent, d_sibling)):
+            if x.requires_grad:
+                x._accum(d)
+
+    return _node(data, inputs + weights, bwd)
 
 
 def _softmax(a: Tensor, mask) -> Tensor:
@@ -687,8 +906,6 @@ def dropout(a: Tensor, rate: float, training: bool, rng) -> Tensor:
     Identity at inference or rate 0, so no rescaling is ever needed at
     prediction time.
     """
-    from .errors import ConfigError
-
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:

@@ -27,7 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError
-from .nn import GruCell, LstmCell, Module, glorot, linear
+from .nn import GruCell, LstmCell, Module, glorot
 
 VARIANTS = ("p", "ps", "pst")
 FUSIONS = ("gate", "sgate", "plain")
@@ -87,8 +87,9 @@ class HierDecoder(Module):
 
     The decoder state is a flat tuple of vectors: (h, c) per layer for LSTM
     cells, (h,) per layer for GRU cells.  Fusion is applied to every
-    component with one shared set of weights.  In the row form each
-    component is a (k, hidden) matrix holding k states, one per row.
+    component with one shared set of weights, as one ``fuse_state`` tape
+    op per component.  In the row form each component is a (k, hidden)
+    matrix holding k states, one per row.
     """
 
     def __init__(self, cell: str, layers: int, input_dim: int, hidden_dim: int,
@@ -129,27 +130,15 @@ class HierDecoder(Module):
     def zero_state(self) -> tuple:
         return (self._zero,) * self.components
 
-    def _fuse_component(self, prev: Tensor, parent: Tensor, sibling: Tensor) -> Tensor:
-        combined = ad.tanh(ad.add(ad.add(linear(self.w_d, prev), linear(self.w_p, parent)),
-                                  linear(self.w_s, sibling)))
-        if self.fusion == "plain":
-            return combined
-        if self.fusion == "gate":
-            raw = ad.add(ad.add(linear(self.w_gd, prev), linear(self.w_gp, parent)),
-                         linear(self.w_gs, sibling))
-        else:
-            raw = ad.add(linear(self.w_gp, ad.mul(prev, parent)),
-                         linear(self.w_gs, ad.mul(prev, sibling)))
-        gate = ad.sigmoid(ad.add(raw, self.b_g))
-        return ad.mul(gate, combined)
-
     def fuse(self, prev_state, parent_state, sibling_state, training=False, rng=None) -> tuple:
         """Combine temporal, parent, and sibling states per the active variant.
 
         Each state is a tuple of component vectors; an absent parent or
-        sibling (None) counts as the zero state.  Row form: components are
-        (k, hidden) matrices and row i of the result fuses row i of each
-        input; a zero row stands for an absent state.
+        sibling (None) counts as the zero state.  Each component is fused
+        by one ``autodiff.fuse_state`` op and then goes through state
+        dropout.  Row form: components are (k, hidden) matrices and row i
+        of the result fuses row i of each input; a zero row, or the zero
+        vector, stands for an absent state.
         """
         zeros = self.zero_state()
         prev = prev_state if self.variant == "pst" else zeros
@@ -160,7 +149,9 @@ class HierDecoder(Module):
             sibling = sibling_state
         fused = []
         for i in range(self.components):
-            component = self._fuse_component(prev[i], parent[i], sibling[i])
+            component = ad.fuse_state(prev[i], parent[i], sibling[i], self.w_d, self.w_p,
+                                      self.w_s, self.w_gd, self.w_gp, self.w_gs, self.b_g,
+                                      self.fusion)
             fused.append(ad.dropout(component, self.state_dropout, training, rng))
         return tuple(fused)
 

@@ -4,9 +4,11 @@ Everything is built from the autodiff ops and threads randomness through
 explicit ``numpy.random.Generator`` arguments.  Layers work on one
 sentence at a time: a single vector, or one row matrix holding every token
 of the sentence (char CNN words, encoder timesteps, pointer candidates).
-The recurrent cells, MLPs and biaffines also take a matrix with one row
-per beam hypothesis, in place of a single decoder state, and treat each
-row as that vector.  There is no batch dimension across sentences.
+Each direction of an encoder layer is one sequence-level tape op over all
+timesteps of the sentence.  The recurrent cells' single steps, the MLPs
+and the biaffines also take a matrix with one row per beam hypothesis, in
+place of a single decoder state, and treat each row as that vector.  There
+is no batch dimension across sentences.
 """
 
 from __future__ import annotations
@@ -146,13 +148,11 @@ def _project(w: Tensor, x: Tensor, b: Tensor) -> Tensor:
 class LstmCell(Module):
     """Single LSTM cell; gate order i, f, g, o; forget bias initialized to 1.
 
-    A step is split in two: ``project`` applies the input weights and bias
-    (to one vector, or to all timesteps of a sequence at once), and
-    ``recur`` runs the fused ``lstm_step`` op on one projected row, or on
-    one row per state.  The state is the pair ``(h, c)``.
+    ``project`` applies the input weights and bias to one vector, or to all
+    timesteps of a sequence at once.  ``step`` runs one fused ``lstm_step``
+    on a state ``(h, c)`` (or on one state per row); ``run`` runs the whole
+    sequence of projected timesteps as one ``lstm_seq`` op.
     """
-
-    state_size = 2
 
     def __init__(self, input_dim: int, hidden_dim: int, rng):
         h = hidden_dim
@@ -166,26 +166,25 @@ class LstmCell(Module):
     def project(self, x: Tensor) -> tuple:
         return (_project(self.w_x, x, self.bias),)
 
-    def recur(self, projected: tuple, state: tuple, mask=None) -> tuple:
-        n = self.hidden_dim
-        hc = ad.lstm_step(projected[0], self.w_h, state[0], state[1], mask)
-        return ad.narrow(hc, 0, n), ad.narrow(hc, n, 2 * n)
+    def run(self, projected: tuple, order, mask=None) -> Tensor:
+        """Hidden states of a projected (T, 4h) sequence visited in ``order``."""
+        return ad.lstm_seq(projected[0], self.w_h, order, mask)
 
     def step(self, x: Tensor, h: Tensor, c: Tensor):
         """One step from input vector ``x``; returns ``(h_new, c_new)``.  With a
         row matrix ``x`` and states, each row is one independent step."""
-        return self.recur(self.project(x), (h, c))
+        n = self.hidden_dim
+        hc = ad.lstm_step(self.project(x)[0], self.w_h, h, c)
+        return ad.narrow(hc, 0, n), ad.narrow(hc, n, 2 * n)
 
 
 class GruCell(Module):
     """Single GRU cell; update gate z keeps the previous hidden state at z=1.
 
     Split like ``LstmCell``: ``project`` yields the gate and candidate
-    input projections, ``recur`` runs the fused ``gru_step`` op.  The state
-    is the 1-tuple ``(h,)``.
+    input projections, ``step`` runs one fused ``gru_step`` and ``run`` a
+    whole projected sequence as one ``gru_seq`` op.
     """
-
-    state_size = 1
 
     def __init__(self, input_dim: int, hidden_dim: int, rng):
         h = hidden_dim
@@ -200,13 +199,15 @@ class GruCell(Module):
     def project(self, x: Tensor) -> tuple:
         return _project(self.w_rz, x, self.b_rz), _project(self.w_n, x, self.b_n)
 
-    def recur(self, projected: tuple, state: tuple, mask=None) -> tuple:
-        return (ad.gru_step(projected[0], projected[1], self.u_rz, self.u_n, state[0], mask),)
+    def run(self, projected: tuple, order, mask=None) -> Tensor:
+        """Hidden states of a projected sequence visited in ``order``."""
+        return ad.gru_seq(projected[0], projected[1], self.u_rz, self.u_n, order, mask)
 
     def step(self, x: Tensor, h: Tensor) -> Tensor:
         """One step from input vector ``x``; returns the new hidden state.  With a
         row matrix ``x`` and state, each row is one independent step."""
-        return self.recur(self.project(x), (h,))[0]
+        x_rz, x_n = self.project(x)
+        return ad.gru_step(x_rz, x_n, self.u_rz, self.u_n, h)
 
 
 def _keep_mask(dim: int, rate: float, rng) -> np.ndarray:
@@ -218,7 +219,10 @@ class BiRecurrentEncoder(Module):
 
     Dropout is variational: one mask per sequence for each recurrent
     connection, and one mask per sequence between layers.  Each direction
-    projects all its inputs in one matmul before the recurrence starts.
+    of a layer projects all its inputs in one matmul and then runs the
+    whole recurrence as one sequence-level tape op (``lstm_seq`` or
+    ``gru_seq``).  Only the final split into one row per timestep grows
+    the tape with the sentence length.
     """
 
     def __init__(self, cell: str, layers: int, input_dim: int, hidden_dim: int, rng,
@@ -247,13 +251,7 @@ class BiRecurrentEncoder(Module):
         mask = None
         if training and self.recurrent_dropout > 0.0:
             mask = _keep_mask(self.hidden_dim, self.recurrent_dropout, rng)
-        projected = cell.project(inputs)
-        state = (Tensor(np.zeros(self.hidden_dim)),) * cell.state_size
-        outputs = [None] * inputs.data.shape[0]
-        for t in order:
-            state = cell.recur(tuple(ad.row(p, t) for p in projected), state, mask)
-            outputs[t] = state[0]
-        return ad.stack(outputs)
+        return cell.run(cell.project(inputs), order, mask)
 
     def encode(self, inputs, training: bool = False, rng=None):
         """Map a (T, input_dim) matrix, or a list of T input vectors, to a

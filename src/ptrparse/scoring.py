@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import DataError
+from .errors import DataError, ShapeError
 from .nn import Biaffine, BiaffineLabeler, MlpElu, Module
 
 
@@ -68,8 +68,9 @@ class AttentionResult:
     ``offset`` maps local vector indices to caller positions (word index or
     split point).  Masked positions carry probability exactly zero.  When
     the pointer attends from k decoder states at once, ``scores``,
-    ``probs`` and ``mask`` hold one row per state; ``best``, ``prob`` and
-    ``nll`` are for the single-state form.
+    ``probs`` and ``mask`` hold one row per state; ``len``, ``best``,
+    ``prob`` and ``nll`` answer for a single state only and raise
+    ``ShapeError`` on such a row-form result.
     """
 
     def __init__(self, scores: Tensor, probs: Tensor, offset: int = 0, mask=None):
@@ -78,18 +79,25 @@ class AttentionResult:
         self.offset = offset
         self.mask = mask
 
+    def _single(self, what: str) -> np.ndarray:
+        if self.probs.data.ndim != 1:
+            raise ShapeError(f"{what} needs a single-state attention result, got probabilities "
+                             f"of shape {self.probs.data.shape}")
+        return self.probs.data
+
     def __len__(self):
-        return self.probs.data.shape[0]
+        return self._single("len").shape[0]
 
     def best(self) -> int:
         """Highest-probability position; ties break toward the lowest position."""
-        return self.offset + int(np.argmax(self.probs.data))
+        return self.offset + int(np.argmax(self._single("best")))
 
     def prob(self, position: int) -> float:
-        return float(self.probs.data[position - self.offset])
+        return float(self._single("prob")[position - self.offset])
 
     def nll(self, position: int) -> Tensor:
         """Negative log-probability of choosing ``position``."""
+        self._single("nll")
         return ad.cross_entropy(self.probs, position - self.offset)
 
 

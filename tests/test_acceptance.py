@@ -8,6 +8,7 @@ criteria train real models and dominate the suite's wall-clock time.
 import time
 
 import numpy as np
+import pytest
 
 from ptrparse import autodiff as ad
 from ptrparse.autodiff import Tensor, no_grad
@@ -216,6 +217,7 @@ def test_criterion_02_decode_validity_fuzz():
     print(f"criterion 2 decode validity fuzz: PASS (2000 decodes, {elapsed:.1f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_03_dependency_overfit():
     """A 64-sentence synthetic treebank is memorized to UAS >= 99 and
     LAS >= 98 within 200 epochs on one core."""
@@ -235,6 +237,7 @@ def test_criterion_03_dependency_overfit():
           f"UAS {last['uas']:.2f}, LAS {last['las']:.2f}, {elapsed:.0f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_04_discourse_overfit():
     """A 64-tree synthetic discourse corpus is memorized to Span = 100 and
     Relation >= 99 within 300 epochs under the plain fusion."""

@@ -9,6 +9,7 @@ import pytest
 from ptrparse import autodiff as ad
 from ptrparse.autodiff import Tensor, no_grad
 from ptrparse.errors import ConfigError, MaskError, ShapeError
+from ptrparse.nn import linear
 
 from helpers import check_gradients
 
@@ -526,3 +527,146 @@ def test_grad_narrow_rows():
         m = leaf(shape)
         assert np.array_equal(ad.narrow(m, lo, hi).data, m.data[:, lo:hi])
         check_gradients(lambda: weighted(ad.narrow(m, lo, hi)), [m])
+
+
+# Sequence-level recurrences and the fused decoder state fusion.  Each is
+# checked against finite differences and against the per-step or per-op
+# graph it replaces: forward values bit for bit, gradients within 1e-10.
+
+def grads_of(make, tensors):
+    for t in tensors:
+        t.zero_grad()
+    ad.backward(weighted(make()))
+    return [t.grad.copy() for t in tensors]
+
+
+def assert_same_values_and_grads(make, reference, tensors):
+    assert np.array_equal(make().data, reference().data)
+    for got, want in zip(grads_of(make, tensors), grads_of(reference, tensors)):
+        assert np.abs(got - want).max(initial=0.0) <= 1e-10
+
+
+def step_loop(step, steps, n, order):
+    """Hidden states of a per-step loop, one row per timestep."""
+    state = (Tensor(np.zeros(n)), Tensor(np.zeros(n)))
+    out = [None] * steps
+    for t in order:
+        state = step(t, state)
+        out[t] = state[0]
+    return ad.stack(out)
+
+
+def lstm_loop(xw, w_h, order, mask):
+    n = w_h.data.shape[1]
+
+    def step(t, state):
+        hc = ad.lstm_step(ad.row(xw, t), w_h, state[0], state[1], mask)
+        return ad.narrow(hc, 0, n), ad.narrow(hc, n, 2 * n)
+
+    return step_loop(step, xw.data.shape[0], n, order)
+
+
+def gru_loop(x_rz, x_n, u_rz, u_n, order, mask):
+    def step(t, state):
+        return ad.gru_step(ad.row(x_rz, t), ad.row(x_n, t), u_rz, u_n, state[0], mask), None
+
+    return step_loop(step, x_n.data.shape[0], u_n.data.shape[0], order)
+
+
+def orders(steps):
+    return range(steps), range(steps - 1, -1, -1)
+
+
+@pytest.mark.parametrize("steps", [1, 5])
+def test_grad_lstm_seq(steps):
+    n = 3
+    xw, w_h = leaf((steps, 4 * n)), leaf((4 * n, n))
+    for mask in (None, keep_mask(n)):
+        for order in orders(steps):
+            check_gradients(lambda: weighted(ad.lstm_seq(xw, w_h, order, mask)), [xw, w_h])
+            assert_same_values_and_grads(lambda: ad.lstm_seq(xw, w_h, order, mask),
+                                         lambda: lstm_loop(xw, w_h, order, mask), [xw, w_h])
+
+
+@pytest.mark.parametrize("steps", [1, 5])
+def test_grad_gru_seq(steps):
+    n = 3
+    x_rz, x_n = leaf((steps, 2 * n)), leaf((steps, n))
+    u_rz, u_n = leaf((2 * n, n)), leaf((n, n))
+    tensors = [x_rz, x_n, u_rz, u_n]
+    for mask in (None, keep_mask(n)):
+        for order in orders(steps):
+            check_gradients(lambda: weighted(ad.gru_seq(*tensors, order, mask)), tensors)
+            assert_same_values_and_grads(lambda: ad.gru_seq(*tensors, order, mask),
+                                         lambda: gru_loop(*tensors, order, mask), tensors)
+
+
+def test_seq_ops_keep_no_graph_without_grad():
+    xw, w_h = leaf((4, 8)), leaf((8, 2))
+    with no_grad():
+        out = ad.lstm_seq(xw, w_h, [2, 0, 3, 1])
+    assert out._bwd is None and out._parents == ()
+    assert np.array_equal(out.data, lstm_loop(xw, w_h, [2, 0, 3, 1], None).data)
+
+
+def test_seq_op_shape_and_order_checks():
+    with pytest.raises(ShapeError):
+        ad.lstm_seq(leaf((3, 7)), leaf((8, 2)), range(3))
+    with pytest.raises(ShapeError):
+        ad.lstm_seq(leaf((3, 8)), leaf((8, 2)), [0, 1, 1])
+    with pytest.raises(ShapeError):
+        ad.gru_seq(leaf((3, 4)), leaf((2, 2)), leaf((4, 2)), leaf((2, 2)), range(3))
+    with pytest.raises(ShapeError):
+        ad.gru_seq(leaf((3, 4)), leaf((3, 2)), leaf((4, 2)), leaf((2, 2)), range(2))
+
+
+def fusion_weights(h):
+    """w_d, w_p, w_s, w_gd, w_gp, w_gs and b_g."""
+    return [leaf((h, h)) for _ in range(6)] + [leaf((h,))]
+
+
+def fuse_chain(prev, parent, sibling, weights, fusion):
+    """The decoder's former fusion of one state component, one op at a time."""
+    w_d, w_p, w_s, w_gd, w_gp, w_gs, b_g = weights
+    combined = ad.tanh(ad.add(ad.add(linear(w_d, prev), linear(w_p, parent)),
+                              linear(w_s, sibling)))
+    if fusion == "plain":
+        return combined
+    if fusion == "gate":
+        raw = ad.add(ad.add(linear(w_gd, prev), linear(w_gp, parent)), linear(w_gs, sibling))
+    else:
+        raw = ad.add(linear(w_gp, ad.mul(prev, parent)), linear(w_gs, ad.mul(prev, sibling)))
+    return ad.mul(ad.sigmoid(ad.add(raw, b_g)), combined)
+
+
+def fusion_inputs(h):
+    """(prev, parent, sibling) triples in vector and row form, with the zero
+    vector standing in for absent states, also against rows, and one
+    vector broadcast against rows."""
+    zero = Tensor(np.zeros(h))
+    vec = [leaf((h,)) for _ in range(3)]
+    mat = [leaf((2, h)) for _ in range(3)]
+    return [tuple(vec), (vec[0], zero, zero), (zero, vec[1], zero),
+            tuple(mat), (mat[0], zero, zero), (zero, mat[1], mat[2]), (mat[0], mat[1], zero),
+            (vec[0], mat[1], mat[2])]
+
+
+@pytest.mark.parametrize("fusion", ["plain", "gate", "sgate"])
+def test_grad_fuse_state(fusion):
+    h = 3
+    weights = fusion_weights(h)
+    for states in fusion_inputs(h):
+        tensors = [x for x in states if x.requires_grad] + weights
+        make = lambda: ad.fuse_state(*states, *weights, fusion)
+        check_gradients(lambda: weighted(make()), tensors)
+        assert_same_values_and_grads(make, lambda: fuse_chain(*states, weights, fusion), tensors)
+
+
+def test_fuse_state_checks():
+    weights = fusion_weights(3)
+    with pytest.raises(ConfigError):
+        ad.fuse_state(leaf((3,)), leaf((3,)), leaf((3,)), *weights, "max")
+    with pytest.raises(ShapeError):
+        ad.fuse_state(leaf((2, 3)), leaf((4, 3)), leaf((3,)), *weights, "gate")
+    with pytest.raises(ShapeError):
+        ad.fuse_state(leaf((4,)), leaf((4,)), leaf((4,)), *weights, "plain")

@@ -1,6 +1,8 @@
 """Dependency pipeline tests: oracle ordering, candidate masks, losses
 against exact closed forms, decode validity, beam behavior, and training."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -352,10 +354,11 @@ def test_gold_heads_recovered_after_overfitting_one_sentence():
 
 def test_teacher_forced_graph_size_per_token():
     # Tape ops reachable from the teacher-forced loss under the criterion-3
-    # config.  Fused recurrent steps, hoisted input projections and the
-    # sentence-batched char CNN bring this to about 129 per token; the
-    # per-gate graph had about 264.  The count is exact, so a change that
-    # unfuses a layer fails here rather than only in wall time.
+    # config.  One sequence op per encoder direction and one fusion op per
+    # decoder state component bring this to about 65 per token; fused
+    # single steps had about 129 and the per-gate graph about 264.  The
+    # count is exact, so a change that unfuses a layer fails here rather
+    # than only in wall time.
     items = gen_synthetic_dep(7, 64, max_len=12, vocab_size=200, label_count=8)[:16]
     config = DepConfig(variant="pst", fusion="sgate", encoder_hidden=64, decoder_hidden=64,
                        arc_mlp=64, label_mlp=16, batch_size=8, seed=7).validate()
@@ -371,7 +374,7 @@ def test_teacher_forced_graph_size_per_token():
             work.extend(node._parents)
     ops = sum(1 for node in seen.values() if node._bwd is not None)
     tokens = sum(len(tokens) for tokens, _ in items)
-    assert ops / tokens <= 150, f"{ops / tokens:.1f} tape ops per token"
+    assert ops / tokens <= 75, f"{ops / tokens:.1f} tape ops per token"
 
 
 def test_max_len_enforced_by_greedy_and_beam():
@@ -490,3 +493,34 @@ def test_beam_ops_per_round_do_not_grow_with_beam(monkeypatch):
     one = count_nograd_ops(monkeypatch, lambda: decode_beam(model, tokens, beam_size=1))
     ten = count_nograd_ops(monkeypatch, lambda: decode_beam(model, tokens, beam_size=10))
     assert ten <= 2 * one, f"beam 10 ran {ten} ops, beam 1 {one}"
+
+
+def count_graph_ops(monkeypatch, fn):
+    """Tape ops recorded with a graph while ``fn`` runs, by op name."""
+    make_node = ad._node
+    counts = Counter()
+
+    def counting(data, parents, bwd):
+        counts[bwd.__qualname__.split(".")[0]] += 1
+        return make_node(data, parents, bwd)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ad, "_node", counting)
+        fn()
+    return counts
+
+
+def test_encoder_tape_does_not_grow_with_length(monkeypatch):
+    # Each encoder direction is one sequence op, so apart from the one row
+    # per output state that ``encode`` hands out, a 12-word sentence
+    # records exactly the ops of a 3-word one; a per-step loop fails here.
+    items = items_for([[0, 1, 1]])
+    model, _ = tiny_model(items, encoder_layers=2, embed_dropout=0.3, recurrent_dropout=0.3,
+                          layer_dropout=0.3)
+    counts = {}
+    for n in (3, 12):
+        ops = count_graph_ops(monkeypatch, lambda: model.encoder.encode(
+            sentence(n), training=True, rng=np.random.default_rng(8)))
+        assert ops.pop("row") == n + 1
+        counts[n] = ops
+    assert counts[3] == counts[12]

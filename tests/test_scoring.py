@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ptrparse.autodiff import Tensor
-from ptrparse.errors import DataError
+from ptrparse.errors import DataError, ShapeError
 from ptrparse.scoring import (AttentionResult, BiaffinePointer, LabelSet,
                               PairLabeler, dot_attend)
 
@@ -55,6 +55,17 @@ def test_attention_result_tie_breaks_low():
     probs = Tensor(np.array([0.4, 0.4, 0.2]))
     res = AttentionResult(Tensor(np.zeros(3)), probs, offset=0)
     assert res.best() == 0
+
+
+def test_row_form_attention_result_rejects_single_state_accessors():
+    pointer = BiaffinePointer(4, 6, 5, np.random.default_rng(2), dropout=0.0)
+    prepared = pointer.prepare(Tensor(RNG.standard_normal((5, 6))))
+    mask = np.array([[True, False, True, True, False], [False, True, True, False, True]])
+    res = pointer.attend(Tensor(RNG.standard_normal((2, 4))), prepared, mask)
+    assert res.probs.data.shape == (2, 5)
+    for access in (len, AttentionResult.best, lambda r: r.prob(1), lambda r: r.nll(1)):
+        with pytest.raises(ShapeError):
+            access(res)
 
 
 def test_biaffine_pointer_masked_attention():
