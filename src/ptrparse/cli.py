@@ -11,12 +11,12 @@ import os
 import sys
 
 from .checkpoint import load_checkpoint
-from .corpus import (gen_synthetic_dep, gen_synthetic_rst, load_embeddings, read_conllu,
-                     read_rst_brackets, segmented_from_texts, write_conllu,
+from .corpus import (gen_synthetic_dep, gen_synthetic_rst, load_embeddings, open_text,
+                     read_conllu, read_rst_brackets, segmented_from_texts, write_conllu,
                      write_rst_brackets)
 from .dep import (DepConfig, config_from_dict, config_to_dict, decode_beam, decode_greedy,
                   format_trace, train_dep)
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, EncodingError, NumericError
 from .estimators import DependencyParser, DiscourseParser
 from .metrics import (bucket_csv, bucket_scores_dep, bucket_scores_rst, score_dep_corpus,
                       score_parseval_corpus)
@@ -96,8 +96,12 @@ def build_parser() -> _Parser:
 
 
 def _read_kv_file(path) -> dict:
+    try:
+        handle = open_text(path)
+    except EncodingError as err:
+        raise ConfigError(str(err)) from err
     data = {}
-    with open(path, encoding="utf-8") as handle:
+    with handle:
         for line_no, line in enumerate(handle, start=1):
             text = line.strip()
             if not text or text.startswith("#"):

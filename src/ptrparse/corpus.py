@@ -11,11 +11,12 @@ internal nodes are ``(<nuclearity>-<relation> <left> <right>)``.
 
 from __future__ import annotations
 
+import io
 import warnings
 
 import numpy as np
 
-from .errors import LoadError, ParseError, SegmentationError, TreeError
+from .errors import EncodingError, LoadError, ParseError, SegmentationError, TreeError
 from .trees import DepTree, DiscNode, DiscTree, NUCLEARITIES, Token, internal, leaf, split_label
 
 POS_CYCLE = ("NOUN", "VERB", "ADJ", "ADV", "PRON", "DET", "ADP", "PUNCT")
@@ -33,6 +34,18 @@ def token_fields(index: int, token: Token, head: int, label: str) -> tuple:
     out[6] = str(head)
     out[7] = label
     return tuple(out)
+
+
+def open_text(path) -> io.StringIO:
+    """A UTF-8 text file, read whole, as a text-mode ``open`` handle would
+    read it (universal newlines).  A byte that is not UTF-8 raises
+    ``EncodingError`` with its offset in the file."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=None)
+    except UnicodeDecodeError as err:
+        raise EncodingError(path, err.start) from err
 
 
 def read_conllu(path, lenient: bool = False):
@@ -75,7 +88,7 @@ def read_conllu(path, lenient: bool = False):
         rows.clear()
         row_lines.clear()
 
-    with open(path, encoding="utf-8") as handle:
+    with open_text(path) as handle:
         line_no = 0
         for line_no, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
@@ -202,7 +215,7 @@ class _BracketReader:
 
 def read_rst_brackets(path):
     """Parse a bracket file into (edu_texts, tree) pairs."""
-    with open(path, encoding="utf-8") as handle:
+    with open_text(path) as handle:
         source = handle.read()
     reader = _BracketReader(_tokenize_brackets(source, path), path)
     items = []
@@ -322,7 +335,7 @@ def load_embeddings(path, weight: np.ndarray, token_to_index) -> tuple:
     """
     dim = weight.shape[1]
     found = set()
-    with open(path, encoding="utf-8") as handle:
+    with open_text(path) as handle:
         for line_no, line in enumerate(handle, start=1):
             parts = line.rstrip("\n").split(" ")
             if len(parts) < 2:
@@ -333,6 +346,9 @@ def load_embeddings(path, weight: np.ndarray, token_to_index) -> tuple:
             index = token_to_index.get(token)
             if index is None:
                 continue
-            weight[index] = np.array([float(v) for v in values])
+            try:
+                weight[index] = np.array([float(v) for v in values])
+            except ValueError as err:
+                raise LoadError(f"line {line_no}: {err}") from err
             found.add(index)
     return len(found), weight.shape[0] - len(found)

@@ -1,10 +1,21 @@
 """Hierarchical decoder: stack frames, state fusion, and the recurrent step.
 
-Each stack frame tracks where its element's parent and immediate sibling
-were generated in decoder time.  Before every step, those two states and
-the temporal predecessor are fused into the hidden state that drives the
-recurrent cell.  Structural variants drop components by zeroing them, so
-all variants share one code path:
+Every decode or teacher-forced pass walks a stack of frames.  A frame is
+a plain tuple ``(element, parent, sibling, parent_row, sibling_row)``:
+the element to expand (a word index for dependencies, an EDU span for
+discourse), the encoder indices of its parent and of its nearest
+generated sibling (-1 when absent), and the rows of a state bank that
+hold the decoder states produced when that parent and that sibling were
+generated.  The bank is a sentence's list of decoder states in step
+order; row 0 is the zero state, which stands for an absent parent or
+sibling, and each step appends its own state.  ``frame_input`` builds the
+decoder input of a frame; ``dep.decode_beam`` keeps the same five fields
+as integer columns and its bank as arrays, one row per hypothesis.
+
+Before every step, the parent and sibling states and the temporal
+predecessor (the bank's latest row) are fused into the hidden state that
+drives the recurrent cell.  Structural variants drop components by
+zeroing them, so all variants share one code path:
 
   - "p"   keeps the parent state only,
   - "ps"  keeps parent and sibling,
@@ -20,8 +31,6 @@ of the temporal state with the parent and sibling states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 
 from . import autodiff as ad
@@ -33,52 +42,17 @@ VARIANTS = ("p", "ps", "pst")
 FUSIONS = ("gate", "sgate", "plain")
 
 
-@dataclass(frozen=True)
-class DecoderFrame:
-    """One pending element on the decode stack.
+def frame_input(reps, own: int, parent: int, sibling: int) -> Tensor:
+    """Decoder input for a frame: encoder row ``own`` plus the parent's and
+    the nearest generated sibling's rows, when present (index -1 is absent).
 
-    ``element`` is a word index or an EDU span (start, end).  The three
-    index fields point into the encoder representation list used for the
-    decoder input; ``parent_state``/``sibling_state`` are decoder states
-    (tuples of component vectors, or None when absent) captured when the
-    parent and the immediate sibling were generated.
-    ``fills_sibling_below`` marks a frame whose expansion state must be
-    written into the frame directly beneath it (its right sibling).
-
-    Greedy decoding and teacher forcing keep these frames; the batched beam
-    search in ``dep.decode_beam`` keeps the same fields in arrays, with
-    states as row indices into a bank of decoder states.
+    ``reps`` is a list of encoder vectors indexed by word or EDU.
     """
-
-    element: object
-    head_index: int
-    parent_index: int = None
-    sibling_index: int = None
-    parent_state: tuple = None
-    sibling_state: tuple = None
-    fills_sibling_below: bool = False
-
-    def with_sibling(self, state, index=None):
-        if index is None:
-            return replace(self, sibling_state=state)
-        return replace(self, sibling_state=state, sibling_index=index)
-
-
-def init_dep_stack(n: int):
-    """Initial decode stack for a dependency sentence: the root frame alone."""
-    if n < 1:
-        raise ConfigError(f"sentence must have at least one word, got {n}")
-    return [DecoderFrame(element=0, head_index=0)]
-
-
-def partial_tree_features(frame: DecoderFrame, reps) -> Tensor:
-    """Decoder input for a frame: its own encoder vector plus the parent's
-    and the nearest generated sibling's, when those exist."""
-    x = reps[frame.head_index]
-    if frame.parent_index is not None:
-        x = ad.add(x, reps[frame.parent_index])
-    if frame.sibling_index is not None:
-        x = ad.add(x, reps[frame.sibling_index])
+    x = reps[own]
+    if parent >= 0:
+        x = ad.add(x, reps[parent])
+    if sibling >= 0:
+        x = ad.add(x, reps[sibling])
     return x
 
 

@@ -15,14 +15,13 @@ invocations at 2n or fewer per sentence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, no_grad
-from .decoder import (DecoderFrame, FUSIONS, HierDecoder, VARIANTS, init_dep_stack,
-                      partial_tree_features)
+from .decoder import FUSIONS, HierDecoder, VARIANTS, frame_input
 from .encoder import DepEncoder, PAD, ROOT, UNK, Vocab
 from .errors import ConfigError, TrainingError, TreeError
 from .metrics import score_dep_corpus
@@ -310,6 +309,10 @@ def run_transition(model: DepModel, tokens, gold: DepTree = None, training: bool
     tensors are populated; without one, decisions follow the pointer and
     label argmax.  The same candidate masking applies in both modes, so a
     forced pass scores exactly the probabilities the decoder would see.
+    Frames and the state bank are those of ``decoder``'s module docstring:
+    step t appends its state as bank row t, and attaching a word pushes
+    the popped frame back with that word as its sibling, then the word's
+    own frame with step t's state as its parent.
     """
     n = len(tokens)
     config = model.config
@@ -319,10 +322,10 @@ def run_transition(model: DepModel, tokens, gold: DepTree = None, training: bool
     encoded = model.encoder.encode(tokens, training=training, rng=rng)
     prepared = model.pointer.prepare(encoded.matrix(), training=training, rng=rng)
 
-    stack = init_dep_stack(n)
+    stack = [(0, -1, -1, 0, 0)]
+    bank = [model.decoder.zero_state()]
     attached = np.zeros(n + 1, dtype=bool)
     attached[0] = True
-    prev_state = model.decoder.zero_state()
     heads = [None] * n
     labels = [None] * n
     structure_terms = []
@@ -330,17 +333,15 @@ def run_transition(model: DepModel, tokens, gold: DepTree = None, training: bool
     trace = []
     pointer_calls = 0
     score_evaluations = 0
-    step = 0
 
     while stack:
-        frame = stack.pop()
-        element = frame.element
-        x = partial_tree_features(frame, encoded.states)
-        fused = model.decoder.fuse(prev_state, frame.parent_state, frame.sibling_state,
+        element, parent, sibling, parent_row, sibling_row = stack.pop()
+        x = frame_input(encoded.states, element, parent, sibling)
+        fused = model.decoder.fuse(bank[-1], bank[parent_row], bank[sibling_row],
                                    training=training, rng=rng)
         state, d = model.decoder.step(x, fused)
-        prev_state = state
-        step += 1
+        bank.append(state)
+        step = len(bank) - 1
 
         mask = _candidate_mask(element, attached)
         n_candidates = int(mask.sum())
@@ -380,10 +381,8 @@ def run_transition(model: DepModel, tokens, gold: DepTree = None, training: bool
             else:
                 label_name = model.labels.name(int(np.argmax(dist.data)))
             labels[choice - 1] = label_name
-            child = DecoderFrame(element=choice, head_index=choice, parent_index=element,
-                                 parent_state=state)
-            stack.append(replace(frame, sibling_state=state, sibling_index=choice))
-            stack.append(child)
+            stack.append((element, parent, choice, parent_row, step))
+            stack.append((choice, element, -1, step, 0))
 
         if want_trace:
             trace.append(TraceStep(step=step, head=element, target=choice, log_prob=log_prob,
@@ -421,9 +420,10 @@ def decode_greedy(model: DepModel, tokens, want_trace: bool = False):
     return tree
 
 
-# Columns of the beam's frame arrays: the frame's element, the words of its
-# parent and of its nearest generated sibling (-1 when absent), and the bank
-# rows of the decoder states captured when those two were generated.
+# Columns of the beam's frame arrays, the fields of a frame tuple (see the
+# ``decoder`` module): the frame's element, the words of its parent and of
+# its nearest generated sibling (-1 when absent), and the bank rows of the
+# decoder states captured when those two were generated.
 _ELEMENT, _PARENT, _SIBLING, _PARENT_ROW, _SIBLING_ROW = range(5)
 
 
@@ -459,9 +459,8 @@ def decode_beam(model: DepModel, tokens, beam_size: int = None):
         bank = np.zeros((decoder.components, 1 + (2 * n + 1) * min(beam_size, n + 1),
                          decoder.hidden_dim))
         used = 1
-        root, = init_dep_stack(n)
         frames = np.full((1, n + 1, 5), -1, dtype=np.intp)
-        frames[0, 0] = (root.element, -1, -1, 0, 0)
+        frames[0, 0] = (0, -1, -1, 0, 0)
         depth = np.ones(1, dtype=np.intp)
         attached = np.zeros((1, n + 1), dtype=bool)
         attached[:, 0] = True
@@ -522,7 +521,7 @@ def decode_beam(model: DepModel, tokens, beam_size: int = None):
 
 
 def _frame_inputs(reps: np.ndarray, top: np.ndarray) -> np.ndarray:
-    """``partial_tree_features`` for the top frame of every hypothesis: the
+    """``decoder.frame_input`` for the top frame of every hypothesis: the
     element's encoder row plus its parent's and its sibling's, when present."""
     x = reps[top[:, _ELEMENT]]
     for column in (_PARENT, _SIBLING):

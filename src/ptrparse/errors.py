@@ -42,6 +42,15 @@ class LoadError(DataError):
     """Checkpoint or resource that cannot be loaded."""
 
 
+class EncodingError(DataError):
+    """Text file that is not valid UTF-8; names the file and the byte offset."""
+
+    def __init__(self, path, offset):
+        super().__init__(f"{path}: byte {offset} is not valid UTF-8")
+        self.path = path
+        self.offset = offset
+
+
 class NumericError(PtrParseError, RuntimeError):
     """Non-finite values where finite numbers are required."""
 

@@ -93,7 +93,10 @@ class BaseEstimator:
         for key in ("config", "labels", "label_hash") + cls._vocab_names:
             if key not in meta:
                 raise LoadError(f"{path} metadata is missing {key!r}")
-        config = config_from_dict(cls._config_cls, meta["config"]).validate()
+        try:
+            config = config_from_dict(cls._config_cls, meta["config"]).validate()
+        except ConfigError as err:
+            raise LoadError(f"{path} holds an invalid config: {err}") from err
         labels = LabelSet(meta["labels"])
         if labels.hash != meta["label_hash"]:
             raise LoadError(f"{path} label inventory does not match its recorded hash")

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, no_grad
-from .decoder import DecoderFrame, FUSIONS, HierDecoder, VARIANTS, partial_tree_features
+from .decoder import FUSIONS, HierDecoder, VARIANTS, frame_input
 from .dep import _check_common, fit_loop
 from .encoder import RstEncoder, UNK, Vocab
 from .errors import ConfigError, TreeError
@@ -144,10 +144,14 @@ def run_splits(model: RstModel, words, ends, gold: DiscTree = None, training: bo
                rng=None) -> RstRunResult:
     """Shared stepper for teacher forcing (gold given) and greedy decoding.
 
-    Two-EDU frames are carried on the same stack to keep preorder, but they
-    never touch the decoder: no step, no temporal-state advance, and no
-    sibling-state handoff, matching the push rule that only spans larger
-    than two are processed by the pointer.
+    Frames and the state bank are those of ``decoder``'s module docstring,
+    with a span (i, j) as the element and the last EDU of a span as its
+    encoder index.  Two-EDU frames are carried on the same stack to keep
+    preorder, but they never touch the decoder: no step and no bank row,
+    matching the push rule that only spans larger than two are processed
+    by the pointer.  Every split, forced or pointed, is then labeled the
+    same way.  When both children of a split will step, the left one is
+    popped next, so the right one's sibling state is the next bank row.
     """
     config = model.config
     if len(words) > config.max_len:
@@ -165,63 +169,51 @@ def run_splits(model: RstModel, words, ends, gold: DiscTree = None, training: bo
     label_terms = []
     pointer_calls = 0
     score_evaluations = 0
-    prev_state = model.decoder.zero_state()
-
-    stack = []
-    if m >= 2:
-        stack.append(DecoderFrame(element=(1, m), head_index=m - 1))
+    bank = [model.decoder.zero_state()]
+    stack = [((1, m), -1, -1, 0, 0)] if m >= 2 else []
 
     while stack:
-        frame = stack.pop()
-        i, j = frame.element
-
-        if j - i == 1:
-            k = i
-            dist = model.labeler.distribution(reps[k - 1], reps[j - 1],
-                                              training=training, rng=rng)
-            nuc, rel = _pick_label(model, dist, events, (i, j), k, expect_pointed=False,
-                                   label_terms=label_terms)
-            splits[(i, j)] = (k, nuc, rel)
-            continue
-
-        x = partial_tree_features(frame, reps)
-        fused = model.decoder.fuse(prev_state, frame.parent_state, frame.sibling_state,
-                                   training=training, rng=rng)
-        state, d = model.decoder.step(x, fused)
-        prev_state = state
-        if frame.fills_sibling_below and stack:
-            stack[-1] = stack[-1].with_sibling(state)
-
-        result = dot_attend(matrix, d, i - 1, j - 1, position_offset=i)
-        pointer_calls += 1
-        score_evaluations += j - i
+        (i, j), parent, sibling, parent_row, sibling_row = stack.pop()
+        pointed = j - i >= 2
         if events is not None:
-            span, k, label, pointed = _next_event(events, (i, j), expect_pointed=True)
-            structure_terms.append(result.nll(k))
+            _, k, label, _ = _next_event(events, (i, j), expect_pointed=pointed)
+
+        if pointed:
+            x = frame_input(reps, j - 1, parent, sibling)
+            fused = model.decoder.fuse(bank[-1], bank[parent_row], bank[sibling_row],
+                                       training=training, rng=rng)
+            state, d = model.decoder.step(x, fused)
+            bank.append(state)
+            result = dot_attend(matrix, d, i - 1, j - 1, position_offset=i)
+            pointer_calls += 1
+            score_evaluations += j - i
+            if events is None:
+                k = result.best()
+            else:
+                structure_terms.append(result.nll(k))
+        elif events is not None and k != i:
+            raise TreeError(f"forced split at {(i, j)} disagrees with gold position {k}")
         else:
-            k = result.best()
+            k = i
 
         dist = model.labeler.distribution(reps[k - 1], reps[j - 1],
                                           training=training, rng=rng)
         if events is not None:
             label_terms.append(ad.cross_entropy(dist, model.labels[label]))
-            nuc, rel = split_label(label)
         else:
-            nuc, rel = split_label(model.labels.name(int(np.argmax(dist.data))))
-        splits[(i, j)] = (k, nuc, rel)
+            label = model.labels.name(int(np.argmax(dist.data)))
+        splits[(i, j)] = (k, *split_label(label))
 
+        state_row = len(bank) - 1
         left_len = k - i + 1
         right_len = j - k
-        both_pushed = left_len >= 3 and right_len >= 3
         if right_len >= 2:
-            sibling_index = k - 1 if both_pushed else None
-            stack.append(DecoderFrame(element=(k + 1, j), head_index=j - 1,
-                                      parent_index=j - 1, parent_state=state,
-                                      sibling_index=sibling_index))
+            if left_len >= 3 and right_len >= 3:
+                stack.append(((k + 1, j), j - 1, k - 1, state_row, state_row + 1))
+            else:
+                stack.append(((k + 1, j), j - 1, -1, state_row, 0))
         if left_len >= 2:
-            stack.append(DecoderFrame(element=(i, k), head_index=k - 1,
-                                      parent_index=j - 1, parent_state=state,
-                                      fills_sibling_below=both_pushed))
+            stack.append(((i, k), j - 1, -1, state_row, 0))
 
     if events is not None and next(events, None) is not None:
         raise TreeError("gold events remain after decoding finished")
@@ -237,16 +229,6 @@ def _next_event(events, span, expect_pointed):
     if event is None or event[0] != span or event[3] != expect_pointed:
         raise TreeError(f"gold events out of step at span {span}")
     return event
-
-
-def _pick_label(model, dist, events, span, k, expect_pointed, label_terms):
-    if events is not None:
-        _, gold_k, label, _ = _next_event(events, span, expect_pointed)
-        if gold_k != k:
-            raise TreeError(f"forced split at {span} disagrees with gold position {gold_k}")
-        label_terms.append(ad.cross_entropy(dist, model.labels[label]))
-        return split_label(label)
-    return split_label(model.labels.name(int(np.argmax(dist.data))))
 
 
 def example_losses(model: RstModel, words, ends, gold: DiscTree, training: bool = False,

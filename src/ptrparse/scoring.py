@@ -18,6 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .corpus import open_text
 from .errors import DataError, ShapeError
 from .nn import Biaffine, BiaffineLabeler, MlpElu, Module
 
@@ -40,7 +41,7 @@ class LabelSet:
 
     @classmethod
     def from_file(cls, path):
-        with open(path, encoding="utf-8") as handle:
+        with open_text(path) as handle:
             names = [line.strip() for line in handle if line.strip()]
         return cls(names)
 

@@ -353,3 +353,60 @@ def test_parse_rejects_checkpoint_without_metadata(task, dep_run, rst_run, tmp_p
                     "--output", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert f"missing {key!r}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("task", ["dep", "rst"])
+def test_non_utf8_corpus_exits_two(task, dep_run, rst_run, tmp_path, capsys):
+    # One byte that is not UTF-8 in a CoNLL-U form or an EDU text is a data
+    # error (exit 2) naming the file and the byte offset, never a traceback,
+    # whether the file is read for training, as dev data, or for parsing.
+    fixture = dep_run if task == "dep" else rst_run
+    blob = fixture["data"].read_bytes()
+    bad_byte, anchor = (b"\xff", b"\t") if task == "dep" else (b"\xfe", b'"')
+    offset = blob.index(anchor) + 1
+    bad = tmp_path / ("bad-" + fixture["data"].name)
+    bad.write_bytes(blob[:offset] + bad_byte + blob[offset:])
+    train = ["train", "--task", task, "--out", str(tmp_path / "o"),
+             "--config", str(fixture["cfg"])]
+    for argv in (train + ["--train", str(bad)],
+                 train + ["--train", str(fixture["data"]), "--dev", str(bad)],
+                 ["parse", "--model", str(fixture["model"]), "--input", str(bad),
+                  "--output", str(tmp_path / "p")]):
+        capsys.readouterr()
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: byte {offset} is not valid UTF-8" in err and "Traceback" not in err
+
+
+def test_non_utf8_side_files(dep_run, rst_run, tmp_path, capsys):
+    # A label inventory or an embeddings file with a bad byte is a data error
+    # (exit 2); a configuration file with one is a configuration error (exit 1).
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"NS-r0\nx\xff 1.0\n")
+    for task, flag, code in (("rst", "--labels", 2), ("dep", "--embeddings", 2),
+                             ("dep", "--config", 1)):
+        fixture = dep_run if task == "dep" else rst_run
+        argv = ["train", "--task", task, "--train", str(fixture["data"]),
+                "--out", str(tmp_path / "o"), "--config", str(fixture["cfg"]), flag, str(bad)]
+        capsys.readouterr()
+        assert run(argv) == code, flag
+        err = capsys.readouterr().err
+        assert f"{bad}: byte 7 is not valid UTF-8" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("task", ["dep", "rst"])
+def test_parse_rejects_checkpoint_with_invalid_config(task, dep_run, rst_run, tmp_path, capsys):
+    # A stored config that no longer validates (an unknown key, a bad value)
+    # is a damaged checkpoint: LoadError, exit 2, not a usage error.
+    from ptrparse.checkpoint import load_checkpoint, save_checkpoint
+
+    fixture = dep_run if task == "dep" else rst_run
+    params, meta = load_checkpoint(fixture["model"])
+    for change in ({"seeed": 1}, {"variant": "qs"}):
+        path = tmp_path / "bad-config.ptp"
+        save_checkpoint(path, params.items(), {**meta, "config": {**meta["config"], **change}})
+        capsys.readouterr()
+        assert run(["parse", "--model", str(path), "--input", str(fixture["data"]),
+                    "--output", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "invalid config" in err and "Traceback" not in err

@@ -1,5 +1,6 @@
 """Corpus I/O tests: CoNLL-U reading and writing against literal files,
-bracket round-trips, synthetic generators, and embedding loading."""
+bracket round-trips, synthetic generators, embedding loading, and text
+that is not UTF-8."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from ptrparse.corpus import (POS_CYCLE, gen_synthetic_dep, gen_synthetic_rst,
                              load_embeddings, read_conllu, read_rst_brackets,
                              segmented_from_texts, synthetic_rst_labels,
                              write_conllu, write_rst_brackets)
-from ptrparse.errors import LoadError, ParseError, SegmentationError
+from ptrparse.errors import EncodingError, LoadError, ParseError, SegmentationError
+from ptrparse.scoring import LabelSet
 from ptrparse.trees import DepTree, DiscTree, Token, internal, leaf
 
 CONLLU = """\
@@ -225,3 +227,42 @@ def test_load_embeddings_dim_mismatch(tmp_path):
     with pytest.raises(LoadError) as info:
         load_embeddings(path, np.zeros((1, 2)), {"cat": 0})
     assert "line" in str(info.value)
+
+
+def test_load_embeddings_rejects_non_numbers(tmp_path):
+    path = tmp_path / "vec.txt"
+    path.write_text("cat 1.0 2.0\ndog 3.0 four\n")
+    with pytest.raises(LoadError, match="line 2"):
+        load_embeddings(path, np.zeros((2, 2)), {"cat": 0, "dog": 1})
+
+
+def test_readers_name_the_first_byte_that_is_not_utf8(tmp_path):
+    # Each reader raises EncodingError (a DataError) with the file and the
+    # offset of the bad byte, also past the first block a reader buffers.
+    pad = "# " + "x" * 9000 + "\n"
+    cases = [
+        (lambda p: read_conllu(p), pad + CONLLU.replace("sleeps", "sl\udcffeeps")),
+        (lambda p: read_rst_brackets(p), '(NS-elab (EDU 1 "a\udcfe b") (EDU 2 "c"))\n'),
+        (lambda p: load_embeddings(p, np.zeros((1, 2)), {"cat": 0}), "cat 1.0 2.0\nd\udcffg 1 2\n"),
+        (LabelSet.from_file, "NS-elab\nSN-\udcffattr\n"),
+    ]
+    for read, text in cases:
+        path = tmp_path / "bad.txt"
+        blob = text.encode("utf-8", "surrogateescape")
+        path.write_bytes(blob)
+        with pytest.raises(EncodingError) as info:
+            read(path)
+        offset = blob.index(b"\xff") if b"\xff" in blob else blob.index(b"\xfe")
+        assert (info.value.path, info.value.offset) == (path, offset)
+        assert f"{path}: byte {offset} is not valid UTF-8" in str(info.value)
+
+
+def test_readers_accept_crlf_and_cr_newlines(tmp_path):
+    path = tmp_path / "a.conllu"
+    path.write_text(CONLLU)
+    want = read_conllu(path)
+    for newline in ("\r\n", "\r"):
+        path.write_bytes(CONLLU.replace("\n", newline).encode("utf-8"))
+        got = read_conllu(path)
+        assert [[t.fields for t in tokens] for tokens, _ in got] == \
+            [[t.fields for t in tokens] for tokens, _ in want]

@@ -1,13 +1,12 @@
-"""Hierarchical decoder tests: frame bookkeeping, feature assembly, fusion
-math against scalar oracles, variant nesting, and the recurrent step."""
+"""Hierarchical decoder tests: frame input assembly, fusion math against
+scalar oracles, variant nesting, and the recurrent step."""
 
 import numpy as np
 import pytest
 
 from ptrparse import autodiff as ad
 from ptrparse.autodiff import Tensor
-from ptrparse.decoder import (FUSIONS, VARIANTS, DecoderFrame, HierDecoder,
-                              init_dep_stack, partial_tree_features)
+from ptrparse.decoder import FUSIONS, VARIANTS, HierDecoder, frame_input
 from ptrparse.errors import ConfigError
 
 from helpers import check_gradients
@@ -45,33 +44,12 @@ def test_constructor_validation():
         HierDecoder("lstm", 0, 4, 4, "p", "plain", np.random.default_rng(0))
 
 
-def test_init_dep_stack():
-    stack = init_dep_stack(3)
-    assert len(stack) == 1
-    assert stack[0].element == 0 and stack[0].head_index == 0
-    assert stack[0].parent_index is None and stack[0].sibling_state is None
-    with pytest.raises(ConfigError):
-        init_dep_stack(0)
-
-
-def test_frame_with_sibling():
-    frame = DecoderFrame(element=2, head_index=2)
-    state = ("s",)
-    updated = frame.with_sibling(state, index=5)
-    assert updated.sibling_state == ("s",) and updated.sibling_index == 5
-    assert frame.sibling_state is None  # frozen original untouched
-    only_state = frame.with_sibling(state)
-    assert only_state.sibling_index is None
-
-
-def test_partial_tree_features_sums_available_vectors():
+def test_frame_input_sums_available_vectors():
     reps = [Tensor(np.array([float(i), 0.0])) for i in range(4)]
-    lone = DecoderFrame(element=1, head_index=1)
-    assert np.array_equal(partial_tree_features(lone, reps).data, [1.0, 0.0])
-    with_parent = DecoderFrame(element=2, head_index=2, parent_index=0)
-    assert np.array_equal(partial_tree_features(with_parent, reps).data, [2.0, 0.0])
-    full = DecoderFrame(element=3, head_index=3, parent_index=1, sibling_index=2)
-    assert np.array_equal(partial_tree_features(full, reps).data, [6.0, 0.0])
+    assert np.array_equal(frame_input(reps, 1, -1, -1).data, [1.0, 0.0])
+    assert np.array_equal(frame_input(reps, 2, 0, -1).data, [2.0, 0.0])
+    assert np.array_equal(frame_input(reps, 3, 1, 2).data, [6.0, 0.0])
+    assert frame_input(reps, 1, -1, -1) is reps[1]
 
 
 def test_zero_state_shape():

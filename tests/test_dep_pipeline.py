@@ -8,14 +8,17 @@ import pytest
 
 from ptrparse import autodiff as ad
 from ptrparse.corpus import gen_synthetic_dep
-from ptrparse.decoder import FUSIONS, VARIANTS, DecoderFrame, partial_tree_features
+from ptrparse.decoder import FUSIONS, VARIANTS
 from ptrparse.dep import (DepConfig, DepModel, _candidate_mask, build_dep_vocabs,
                           config_from_dict, config_to_dict, decode_beam,
                           decode_greedy, example_losses, forced_decode,
                           format_trace, oracle_order, replay_events,
                           run_transition, train_dep)
-from ptrparse.errors import ConfigError, TrainingError, TreeError
+from ptrparse.encoder import Vocab
+from ptrparse.errors import ConfigError, DataError, TrainingError, TreeError
 from ptrparse.metrics import score_dep_corpus
+from ptrparse.rst import RstConfig, RstModel, decode_rst
+from ptrparse.scoring import LabelSet
 from ptrparse.trees import DepTree, Token
 
 
@@ -114,9 +117,10 @@ def test_run_transition_teacher_forcing_matches_oracle():
     assert result.heads == list(gold.heads)
     assert result.labels == list(gold.labels)
     got_events = [(s.head, s.target) for s in result.trace]
-    want_events = oracle_order(gold)
-    # The trace records pointer decisions only; forced steps are skipped.
-    assert got_events == [e for e in want_events if e in got_events]
+    # The trace records every decoder step in oracle order, forced steps
+    # (a single legal candidate, no pointer call) included.
+    assert got_events == oracle_order(gold)
+    assert len(result.trace) == 2 * gold.n + 1
     assert result.pointer_calls <= 2 * gold.n
 
 
@@ -390,24 +394,47 @@ def test_max_len_enforced_by_greedy_and_beam():
         decode_beam(model, sentence(5), beam_size=1)
 
 
+def test_empty_sentence_is_a_data_error():
+    # No entry point builds a decoder frame for an empty sentence: the
+    # encoder rejects it when decoding, the oracle an empty gold tree.
+    model, _ = tiny_model(items_for([[0, 1]]))
+    rst = RstModel(RstConfig(word_dim=4, encoder_hidden=2, encoder_layers=1, decoder_layers=1,
+                             rel_mlp=4), Vocab.build(["a"]), LabelSet(["NS-elab"]),
+                   np.random.default_rng(0))
+    for decode in (lambda: decode_greedy(model, []),
+                   lambda: decode_beam(model, [], beam_size=3),
+                   lambda: run_transition(model, [], gold=DepTree([], []), training=True,
+                                          rng=np.random.default_rng(0)),
+                   lambda: decode_rst(rst, [], [])):
+        with pytest.raises(DataError):
+            decode()
+
+
 def reference_beam(model, tokens, beam_size):
     """Per-hypothesis beam search: every live hypothesis runs its own fuse,
-    step, pointer and labeler call, and the pool is sorted stably by score."""
+    step, pointer and labeler call, and the pool is sorted stably by score.
+    A frame is (element, parent word, sibling word, parent state, sibling
+    state), with None for an absent word or state."""
     n = len(tokens)
     with ad.no_grad():
         encoded = model.encoder.encode(tokens)
+        reps = encoded.states
         prepared = model.pointer.prepare(encoded.matrix())
         # (log_prob, frames, attached, heads, labels, prev_state)
-        beam = [(0.0, (DecoderFrame(element=0, head_index=0),), (True,) + (False,) * n,
+        beam = [(0.0, ((0, None, None, None, None),), (True,) + (False,) * n,
                  {}, {}, model.decoder.zero_state())]
         for _ in range(2 * n + 1):
             pool = []
             for hyp in beam:
                 log_prob, frames, attached = hyp[:3]
-                frame = frames[-1]
-                fused = model.decoder.fuse(hyp[5], frame.parent_state, frame.sibling_state)
-                state, d = model.decoder.step(partial_tree_features(frame, encoded.states), fused)
-                mask = _candidate_mask(frame.element, np.array(attached))
+                element, parent, sibling, parent_state, sibling_state = frames[-1]
+                x = reps[element]
+                for word in (parent, sibling):
+                    if word is not None:
+                        x = ad.add(x, reps[word])
+                fused = model.decoder.fuse(hyp[5], parent_state, sibling_state)
+                state, d = model.decoder.step(x, fused)
+                mask = _candidate_mask(element, np.array(attached))
                 candidates = np.flatnonzero(mask)
                 probs = None
                 if len(candidates) > 1:
@@ -418,15 +445,14 @@ def reference_beam(model, tokens, beam_size):
             pool.sort(key=lambda item: -item[0])
             beam = []
             for score, (_, frames, attached, heads, labels, _), state, d, c in pool[:beam_size]:
-                frame, frames = frames[-1], frames[:-1]
-                if c != frame.element:
-                    dist = model.labeler.distribution(d, encoded.states[c])
-                    heads = {**heads, c: frame.element}
+                (element, parent, _, parent_state, _), frames = frames[-1], frames[:-1]
+                if c != element:
+                    dist = model.labeler.distribution(d, reps[c])
+                    heads = {**heads, c: element}
                     labels = {**labels, c: model.labels.name(int(np.argmax(dist.data)))}
                     attached = attached[:c] + (True,) + attached[c + 1:]
-                    frames += (frame.with_sibling(state, c),
-                               DecoderFrame(element=c, head_index=c, parent_index=frame.element,
-                                            parent_state=state))
+                    frames += ((element, parent, c, parent_state, state),
+                               (c, element, None, state, None))
                 beam.append((score, frames, attached, heads, labels, state))
     score, _, _, heads, labels, _ = beam[0]
     return DepTree([heads[i] for i in range(1, n + 1)],
