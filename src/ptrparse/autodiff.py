@@ -7,6 +7,23 @@ accumulates gradients into every reachable tensor that requires them.
 Gradients accumulate across repeated ``backward`` calls until cleared.
 
 Graph recording can be suspended with ``no_grad()`` for inference paths.
+
+The op set is what the parsers call, and no more:
+
+- arithmetic: ``add``, ``mul`` (both broadcasting), ``matmul``,
+  ``matvec_rows`` and ``elu``;
+- structure: ``hconcat``, ``stack``, ``row``, ``rows``, ``narrow``,
+  ``reshape``, ``transpose``, ``gather``, ``segment_max`` and
+  ``max_over_rows``;
+- fused layers: ``lstm_step``, ``gru_step``, ``lstm_seq``, ``gru_seq``
+  and ``fuse_state``;
+- heads and losses: ``softmax`` (masked, over the last axis of a vector
+  or of every row of a matrix), ``dropout``, ``cross_entropy`` and
+  ``sum_terms``.
+
+Each loss term is one node: ``cross_entropy`` picks ``-log p[target]``
+in a single op, and ``sum_terms`` adds a sentence's terms in one n-ary
+op.
 """
 
 from __future__ import annotations
@@ -81,34 +98,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # Arithmetic sugar; accepts plain numbers on either side.
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _node(data: np.ndarray, parents: tuple, bwd) -> Tensor:
@@ -167,21 +156,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _node(data, (a, b), bwd)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b)
-    data = a.data - b.data
-    if not _tracked(a, b):
-        return _const(data)
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accum(-_unbroadcast(g, b.data.shape))
-
-    return _node(data, (a, b), bwd)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a, b)
     data = a.data * b.data
@@ -195,17 +169,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
             b._accum(_unbroadcast(g * a.data, b.data.shape))
 
     return _node(data, (a, b), bwd)
-
-
-def neg(a: Tensor) -> Tensor:
-    data = -a.data
-    if not _tracked(a):
-        return _const(data)
-
-    def bwd(g):
-        a._accum(-g)
-
-    return _node(data, (a,), bwd)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -235,28 +198,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(data, (a, b), bwd)
 
 
-def tanh(a: Tensor) -> Tensor:
-    data = np.tanh(a.data)
-    if not _tracked(a):
-        return _const(data)
-
-    def bwd(g):
-        a._accum(g * (1.0 - data * data))
-
-    return _node(data, (a,), bwd)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    data = 1.0 / (1.0 + np.exp(-a.data))
-    if not _tracked(a):
-        return _const(data)
-
-    def bwd(g):
-        a._accum(g * data * (1.0 - data))
-
-    return _node(data, (a,), bwd)
-
-
 def elu(a: Tensor, alpha: float = 1.0) -> Tensor:
     positive = a.data > 0
     expm1 = alpha * np.expm1(np.minimum(a.data, 0.0))
@@ -270,56 +211,31 @@ def elu(a: Tensor, alpha: float = 1.0) -> Tensor:
     return _node(data, (a,), bwd)
 
 
-def exp(a: Tensor) -> Tensor:
-    data = np.exp(a.data)
-    if not _tracked(a):
-        return _const(data)
-
-    def bwd(g):
-        a._accum(g * data)
-
-    return _node(data, (a,), bwd)
-
-
-def log(a: Tensor) -> Tensor:
-    data = np.log(a.data)
-    if not _tracked(a):
-        return _const(data)
-
-    def bwd(g):
-        a._accum(g / a.data)
-
-    return _node(data, (a,), bwd)
-
-
-def tsum(a: Tensor) -> Tensor:
-    """Sum of all elements, as a scalar tensor."""
-    data = np.asarray(a.data.sum())
-    if not _tracked(a):
-        return _const(data)
-
-    def bwd(g):
-        a._accum(np.broadcast_to(g, a.data.shape))
-
-    return _node(data, (a,), bwd)
-
-
 def sum_terms(terms) -> Tensor:
-    """Left-to-right sum of a list of tensors; a constant zero when empty."""
+    """Sum of equally shaped tensors as one op, added left to right.
+
+    A constant zero when ``terms`` is empty and the term itself when there
+    is one.  Every term receives the upstream gradient unchanged.
+    """
     if not terms:
         return Tensor(0.0)
-    acc = terms[0]
+    if len(terms) == 1:
+        return terms[0]
+    terms = tuple(terms)
+    data = terms[0].data
     for t in terms[1:]:
-        acc = add(acc, t)
-    return acc
+        if t.data.shape != data.shape:
+            raise ShapeError(f"sum_terms needs equal shapes, got {[u.data.shape for u in terms]}")
+        data = data + t.data
+    if not _tracked(*terms):
+        return _const(data)
 
+    def bwd(g):
+        for t in terms:
+            if t.requires_grad:
+                t._accum(g)
 
-def concat(parts: list) -> Tensor:
-    """Concatenate 1-D tensors into one vector."""
-    for p in parts:
-        if p.data.ndim != 1:
-            raise ShapeError(f"concat expects 1-D tensors, got shape {p.data.shape}")
-    return hconcat(parts)
+    return _node(data, terms, bwd)
 
 
 def hconcat(parts: list) -> Tensor:
@@ -391,24 +307,6 @@ def rows(a: Tensor, start: int, stop: int) -> Tensor:
         if a._grad is None:
             a._grad = np.zeros_like(a.data)
         a._grad[start:stop] += g
-
-    return _node(data, (a,), bwd)
-
-
-def pick(a: Tensor, index: int) -> Tensor:
-    """Select one element of a 1-D tensor as a scalar."""
-    if a.data.ndim != 1:
-        raise ShapeError(f"pick expects a 1-D tensor, got shape {a.data.shape}")
-    if not 0 <= index < a.data.shape[0]:
-        raise IndexError(f"index {index} out of range for length {a.data.shape[0]}")
-    data = np.asarray(a.data[index])
-    if not _tracked(a):
-        return _const(data)
-
-    def bwd(g):
-        if a._grad is None:
-            a._grad = np.zeros_like(a.data)
-        a._grad[index] += g
 
     return _node(data, (a,), bwd)
 
@@ -833,9 +731,14 @@ def fuse_state(prev: Tensor, parent: Tensor, sibling: Tensor, w_d: Tensor, w_p: 
     return _node(data, inputs + weights, bwd)
 
 
-def _softmax(a: Tensor, mask) -> Tensor:
-    """Masked, max-stabilized softmax over the last axis; masked scores
-    count as -inf, so they come out exactly zero."""
+def softmax(a: Tensor, mask=None) -> Tensor:
+    """Masked, max-stabilized softmax over the last axis of a 1-D or 2-D
+    tensor; a matrix is normalized row by row, each row under its own mask
+    row.  Masked scores count as -inf, so they come out exactly zero; the
+    remaining entries of each row sum to 1.
+    """
+    if a.data.ndim not in (1, 2):
+        raise ShapeError(f"softmax expects a 1-D or 2-D tensor, got shape {a.data.shape}")
     scores = a.data
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
@@ -859,23 +762,6 @@ def _softmax(a: Tensor, mask) -> Tensor:
     return _node(data, (a,), bwd)
 
 
-def softmax(a: Tensor, mask=None) -> Tensor:
-    """Masked, max-stabilized softmax over a 1-D tensor.
-
-    Masked positions come out exactly zero; the remaining entries sum to 1.
-    """
-    if a.data.ndim != 1:
-        raise ShapeError(f"softmax expects a 1-D tensor, got shape {a.data.shape}")
-    return _softmax(a, mask)
-
-
-def softmax_rows(a: Tensor, mask=None) -> Tensor:
-    """``softmax`` of every row of a 2-D tensor, each row under its own mask row."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"softmax_rows expects a 2-D tensor, got shape {a.data.shape}")
-    return _softmax(a, mask)
-
-
 def matvec_rows(a: Tensor, b: Tensor) -> Tensor:
     """Row-wise matrix-vector products: ``out[i] = a[i] @ b[i]`` for a
     (k, m, n) stack of matrices and a (k, n) matrix of vectors."""
@@ -896,8 +782,23 @@ def matvec_rows(a: Tensor, b: Tensor) -> Tensor:
 
 
 def cross_entropy(probabilities: Tensor, target: int) -> Tensor:
-    """Negative log-probability of ``target`` under a distribution vector."""
-    return neg(log(pick(probabilities, target)))
+    """Negative log-probability ``-log p[target]`` of a distribution
+    vector, as one op; the gradient reaches the target entry only."""
+    p = probabilities.data
+    if p.ndim != 1:
+        raise ShapeError(f"cross_entropy expects a 1-D tensor, got shape {p.shape}")
+    if not 0 <= target < p.shape[0]:
+        raise IndexError(f"target {target} out of range for length {p.shape[0]}")
+    data = np.asarray(-np.log(p[target]))
+    if not _tracked(probabilities):
+        return _const(data)
+
+    def bwd(g):
+        if probabilities._grad is None:
+            probabilities._grad = np.zeros_like(p)
+        probabilities._grad[target] += -g / p[target]
+
+    return _node(data, (probabilities,), bwd)
 
 
 def dropout(a: Tensor, rate: float, training: bool, rng) -> Tensor:

@@ -72,6 +72,8 @@ def load_checkpoint(path):
             name, shape = entry["name"], tuple(int(size) for size in entry["shape"])
         except (KeyError, TypeError, ValueError) as err:
             raise LoadError(f"{path} has a malformed parameter entry {entry!r}") from err
+        if any(size < 0 for size in shape):
+            raise LoadError(f"{path} parameter {name!r} has a negative dimension in shape {shape}")
         count = int(np.prod(shape)) if shape else 1
         nbytes = count * 8
         if offset + nbytes > len(blob):

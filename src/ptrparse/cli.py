@@ -14,8 +14,8 @@ from .checkpoint import load_checkpoint
 from .corpus import (gen_synthetic_dep, gen_synthetic_rst, load_embeddings, open_text,
                      read_conllu, read_rst_brackets, segmented_from_texts, write_conllu,
                      write_rst_brackets)
-from .dep import (DepConfig, config_from_dict, config_to_dict, decode_beam, decode_greedy,
-                  format_trace, train_dep)
+from .dep import (DepConfig, check_beam_size, config_from_dict, config_to_dict, decode_beam,
+                  decode_greedy, format_trace, train_dep)
 from .errors import ConfigError, DataError, EncodingError, NumericError
 from .estimators import DependencyParser, DiscourseParser
 from .metrics import (bucket_csv, bucket_scores_dep, bucket_scores_rst, score_dep_corpus,
@@ -189,8 +189,7 @@ def run_train(args):
 
 
 def run_parse(args):
-    if args.beam < 1:
-        raise ConfigError(f"beam size must be at least 1, got {args.beam}")
+    check_beam_size(args.beam)
     _, meta = load_checkpoint(args.model)
     task = meta.get("task")
 

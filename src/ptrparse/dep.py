@@ -15,6 +15,8 @@ invocations at 2n or fewer per sentence.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -92,19 +94,28 @@ def _check_common(config, variants, fusions):
         value = getattr(config, name)
         if not isinstance(value, int) or isinstance(value, bool) or value < 1:
             raise ConfigError(f"{name} must be a positive integer, got {value!r}")
-    for name in config._DROPOUT_FIELDS:
+    for name in config._DROPOUT_FIELDS + ("beta1", "beta2"):
         value = getattr(config, name)
-        if not 0.0 <= value < 1.0:
+        if not (_finite(value) and 0.0 <= value < 1.0):
             raise ConfigError(f"{name} must be in [0, 1), got {value!r}")
+    seed = config.seed
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
     for name in ("lr", "eps", "clip"):
-        if not getattr(config, name) > 0:
-            raise ConfigError(f"{name} must be positive, got {getattr(config, name)!r}")
-    for name in ("beta1", "beta2"):
         value = getattr(config, name)
-        if not 0.0 <= value < 1.0:
-            raise ConfigError(f"{name} must be in [0, 1), got {value!r}")
-    if not 0.0 < config.decay <= 1.0:
+        if not (_finite(value) and value > 0):
+            raise ConfigError(f"{name} must be positive and finite, got {value!r}")
+    if not (_finite(config.decay) and 0.0 < config.decay <= 1.0):
         raise ConfigError(f"decay must be in (0, 1], got {config.decay!r}")
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.name.startswith("target_") and not (value is None or _finite(value)):
+            raise ConfigError(f"{f.name} must be None or a finite number, got {value!r}")
+
+
+def _finite(value) -> bool:
+    """A real number, not a bool, that is neither infinite nor NaN."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def fit_loop(model, items, config, example_losses, evaluate, selections, targets,
@@ -427,6 +438,12 @@ def decode_greedy(model: DepModel, tokens, want_trace: bool = False):
 _ELEMENT, _PARENT, _SIBLING, _PARENT_ROW, _SIBLING_ROW = range(5)
 
 
+def check_beam_size(beam_size):
+    """Reject a beam size that is not an integer of at least 1."""
+    if not isinstance(beam_size, int) or isinstance(beam_size, bool) or beam_size < 1:
+        raise ConfigError(f"beam size must be an integer of at least 1, got {beam_size!r}")
+
+
 def decode_beam(model: DepModel, tokens, beam_size: int = None):
     """Beam search over pointing decisions; returns (DepTree, log-probability).
 
@@ -445,8 +462,7 @@ def decode_beam(model: DepModel, tokens, beam_size: int = None):
     config = model.config
     if beam_size is None:
         beam_size = config.beam_size
-    if beam_size < 1:
-        raise ConfigError(f"beam size must be at least 1, got {beam_size}")
+    check_beam_size(beam_size)
     n = len(tokens)
     _check_length(config, n)
 
@@ -455,9 +471,8 @@ def decode_beam(model: DepModel, tokens, beam_size: int = None):
         reps = encoded.matrix()
         prepared = model.pointer.prepare(reps)
         decoder = model.decoder
-        # Room for every round of a beam up to n+1 wide; wider beams grow it.
-        bank = np.zeros((decoder.components, 1 + (2 * n + 1) * min(beam_size, n + 1),
-                         decoder.hidden_dim))
+        # A round keeps at most beam_size hypotheses, so this is room for all.
+        bank = np.zeros((decoder.components, 1 + (2 * n + 1) * beam_size, decoder.hidden_dim))
         used = 1
         frames = np.full((1, n + 1, 5), -1, dtype=np.intp)
         frames[0, 0] = (0, -1, -1, 0, 0)
@@ -479,10 +494,6 @@ def decode_beam(model: DepModel, tokens, beam_size: int = None):
             fused = decoder.fuse(states(prev_row), states(top[:, _PARENT_ROW]),
                                  states(top[:, _SIBLING_ROW]))
             state, d = decoder.step(Tensor(_frame_inputs(reps.data, top)), fused)
-            if used + k > bank.shape[1]:
-                wider = np.zeros((bank.shape[0], max(2 * bank.shape[1], used + k), bank.shape[2]))
-                wider[:, :used] = bank[:, :used]
-                bank = wider
             for component, part in zip(bank, state):
                 component[used : used + k] = part.data
             state_row = np.arange(used, used + k)

@@ -15,8 +15,8 @@ from dataclasses import fields
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .dep import (DepConfig, DepModel, config_from_dict, config_to_dict, decode_beam,
-                  decode_greedy, train_dep)
+from .dep import (DepConfig, DepModel, check_beam_size, config_from_dict, config_to_dict,
+                  decode_beam, decode_greedy, train_dep)
 from .encoder import Vocab, check_segmentation
 from .errors import ConfigError, DataError, LoadError
 from .metrics import score_dep_corpus, score_parseval_corpus
@@ -200,6 +200,7 @@ class DependencyParser(BaseEstimator):
         model = self._require_fitted()
         if beam_size is None:
             beam_size = self.beam_size
+        check_beam_size(beam_size)
         trees = []
         for sentence in X:
             tokens = _as_tokens(sentence)

@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, no_grad
 from .decoder import FUSIONS, HierDecoder, VARIANTS, frame_input
-from .dep import _check_common, fit_loop
+from .dep import _check_common, _finite, fit_loop
 from .encoder import RstEncoder, UNK, Vocab
 from .errors import ConfigError, TreeError
 from .metrics import score_parseval_corpus
@@ -77,8 +77,8 @@ class RstConfig:
 
     def validate(self):
         _check_common(self, VARIANTS, FUSIONS)
-        if self.l2 < 0:
-            raise ConfigError(f"l2 must be non-negative, got {self.l2!r}")
+        if not (_finite(self.l2) and self.l2 >= 0):
+            raise ConfigError(f"l2 must be non-negative and finite, got {self.l2!r}")
         return self
 
 

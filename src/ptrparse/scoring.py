@@ -123,7 +123,7 @@ class BiaffinePointer(Module):
         """
         g1 = ad.dropout(self.g1(d), self.dropout, training, rng)
         scores = self.biaffine.score_rows(g1, prepared)
-        probs = _probabilities(scores, mask)
+        probs = ad.softmax(scores, mask)
         return AttentionResult(scores, probs, offset=0, mask=mask)
 
     def score_pair(self, d: Tensor, h: Tensor) -> Tensor:
@@ -155,11 +155,4 @@ class PairLabeler(Module):
         ``left`` and ``right`` are matrices with a row per pair."""
         a = ad.dropout(self.g1(left), self.dropout, training, rng)
         b = ad.dropout(self.g2(right), self.dropout, training, rng)
-        return _probabilities(self.labeler.scores(a, b))
-
-
-def _probabilities(scores: Tensor, mask=None) -> Tensor:
-    """Softmax of a score vector, or of every row of a score matrix."""
-    if scores.data.ndim == 1:
-        return ad.softmax(scores, mask)
-    return ad.softmax_rows(scores, mask)
+        return ad.softmax(self.labeler.scores(a, b))

@@ -1,8 +1,10 @@
-"""Shared test utilities: finite-difference gradient checking."""
+"""Shared test utilities: finite-difference gradient checking and a scalar
+reduction of any tensor for it."""
 
 import numpy as np
 
 from ptrparse import autodiff as ad
+from ptrparse.autodiff import Tensor
 
 
 def numeric_gradient(fn, tensor, h=1e-5):
@@ -42,3 +44,17 @@ def check_gradients(fn, tensors, h=1e-5, tol=1e-4):
         worst = max(worst, relative_error(t.grad, numeric_gradient(fn, t, h=h)))
     assert worst < tol, f"worst relative gradient error {worst:.3e} >= {tol}"
     return worst
+
+
+def weighted(out, weights=None):
+    """Scalar ``Σ out·weights`` over every entry, built from ``reshape`` and
+    ``matmul``.  The weights default to fixed random constants seeded by
+    the size, so every output entry gets a distinct gradient."""
+    if weights is None:
+        weights = np.random.default_rng(out.data.size).standard_normal(out.data.size)
+    return ad.matmul(ad.reshape(out, (-1,)), Tensor(np.ravel(weights)))
+
+
+def total(out):
+    """Sum of every entry of ``out``: ``weighted`` with unit weights."""
+    return weighted(out, np.ones(out.data.size))

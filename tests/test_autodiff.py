@@ -11,7 +11,7 @@ from ptrparse.autodiff import Tensor, no_grad
 from ptrparse.errors import ConfigError, MaskError, ShapeError
 from ptrparse.nn import linear
 
-from helpers import check_gradients
+from helpers import check_gradients, total, weighted
 
 RNG = np.random.default_rng(20240811)
 
@@ -29,30 +29,13 @@ def test_tensor_basics():
     assert s.item() == 3.5
 
 
-def test_operator_sugar_matches_functions():
-    a = Tensor([1.0, -2.0])
-    b = Tensor([0.5, 4.0])
-    assert np.array_equal((a + b).data, [1.5, 2.0])
-    assert np.array_equal((a - b).data, [0.5, -6.0])
-    assert np.array_equal((a * b).data, [0.5, -8.0])
-    assert np.array_equal((-a).data, [-1.0, 2.0])
-    assert np.array_equal((a + 1.0).data, [2.0, -1.0])
-    assert np.array_equal((2.0 * a).data, [2.0, -4.0])
-    assert np.array_equal((1.0 - a).data, [0.0, 3.0])
-
-
 def test_forward_values_match_numpy():
     x = np.array([[1.0, -2.0], [0.5, 3.0]])
     y = np.array([[2.0, 0.0], [1.0, -1.0]])
     assert np.array_equal(ad.add(Tensor(x), Tensor(y)).data, x + y)
     assert np.array_equal(ad.mul(Tensor(x), Tensor(y)).data, x * y)
     assert np.array_equal(ad.matmul(Tensor(x), Tensor(y)).data, x @ y)
-    assert np.array_equal(ad.tanh(Tensor(x)).data, np.tanh(x))
-    assert np.array_equal(ad.sigmoid(Tensor(x)).data, 1.0 / (1.0 + np.exp(-x)))
-    assert np.array_equal(ad.exp(Tensor(x)).data, np.exp(x))
-    assert np.array_equal(ad.tsum(Tensor(x)).data, x.sum())
-    positive = np.abs(x) + 0.5
-    assert np.array_equal(ad.log(Tensor(positive)).data, np.log(positive))
+    assert np.array_equal(ad.sum_terms([Tensor(x), Tensor(y), Tensor(x)]).data, (x + y) + x)
 
 
 def test_elu_forward():
@@ -108,7 +91,7 @@ def test_softmax_mask_errors():
     with pytest.raises(ShapeError):
         ad.softmax(scores, np.array([True, False, True]))
     with pytest.raises(ShapeError):
-        ad.softmax(Tensor(np.zeros((2, 2))))
+        ad.softmax(Tensor(np.zeros((2, 2, 2))))
 
 
 def test_softmax_mask_survives_extreme_scores():
@@ -125,30 +108,33 @@ def test_cross_entropy_value():
     assert loss.item() == pytest.approx(-np.log(0.7), abs=1e-15)
 
 
-def test_pick_row_narrow_bounds():
+def test_cross_entropy_checks():
+    probs = Tensor(np.array([0.25, 0.0, 0.75]))
+    assert ad.cross_entropy(probs, 2).item() == -np.log(0.75)
+    for target in (3, -1):
+        with pytest.raises(IndexError):
+            ad.cross_entropy(probs, target)
+    with pytest.raises(ShapeError):
+        ad.cross_entropy(Tensor(np.full((2, 2), 0.5)), 0)
+    with no_grad():
+        assert not ad.cross_entropy(Tensor(probs.data, requires_grad=True), 0).requires_grad
+
+
+def test_row_narrow_bounds():
     m = Tensor(np.arange(6.0).reshape(2, 3))
     v = Tensor(np.arange(4.0))
     assert np.array_equal(ad.row(m, 1).data, [3.0, 4.0, 5.0])
     assert np.array_equal(ad.rows(m, 0, 1).data, [[0.0, 1.0, 2.0]])
     assert np.array_equal(ad.narrow(v, 1, 3).data, [1.0, 2.0])
-    assert ad.pick(v, 2).item() == 2.0
-    with pytest.raises(IndexError):
-        ad.pick(v, 4)
     with pytest.raises(IndexError):
         ad.row(m, -1)
     with pytest.raises(ShapeError):
         ad.row(v, 0)
-    with pytest.raises(ShapeError):
-        ad.pick(m, 0)
 
 
-def test_concat_stack_shapes():
-    a, b = Tensor(np.ones(2)), Tensor(np.zeros(3))
-    assert np.array_equal(ad.concat([a, b]).data, [1.0, 1.0, 0.0, 0.0, 0.0])
+def test_stack_shapes():
     rows = [Tensor(np.full(3, float(i))) for i in range(2)]
     assert np.array_equal(ad.stack(rows).data, [[0.0] * 3, [1.0] * 3])
-    with pytest.raises(ShapeError):
-        ad.concat([Tensor(np.zeros((2, 2)))])
     with pytest.raises(ShapeError):
         ad.stack([Tensor(np.zeros((2, 2)))])
 
@@ -157,7 +143,7 @@ def test_max_over_rows_forward_and_grad_target():
     m = Tensor(np.array([[1.0, 5.0], [3.0, 2.0]]), requires_grad=True)
     out = ad.max_over_rows(m)
     assert np.array_equal(out.data, [3.0, 5.0])
-    ad.backward(ad.tsum(out))
+    ad.backward(total(out))
     assert np.array_equal(m.grad, [[0.0, 1.0], [1.0, 0.0]])
 
 
@@ -183,26 +169,26 @@ def test_backward_requires_scalar():
 
 def test_leaf_gradients_accumulate_across_backward_calls():
     x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-    ad.backward(ad.tsum(ad.mul(x, x)))
+    ad.backward(total(ad.mul(x, x)))
     first = x.grad.copy()
-    ad.backward(ad.tsum(ad.mul(x, x)))
+    ad.backward(total(ad.mul(x, x)))
     assert np.array_equal(x.grad, 2.0 * first)
     x.zero_grad()
-    ad.backward(ad.tsum(ad.mul(x, x)))
+    ad.backward(total(ad.mul(x, x)))
     assert np.array_equal(x.grad, first)
 
 
 def test_shared_subexpression_gradient():
     # y = s + s with s = sum(x): dy/dx = 2 exactly.
     x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
-    s = ad.tsum(x)
+    s = total(x)
     ad.backward(ad.add(s, s))
     assert np.array_equal(x.grad, np.full(3, 2.0))
 
 
 def test_repeated_backward_through_shared_graph_is_consistent():
     x = Tensor(np.array([2.0]), requires_grad=True)
-    s = ad.tsum(x)
+    s = total(x)
     y = ad.add(s, s)
     ad.backward(y)
     ad.backward(y)
@@ -245,80 +231,65 @@ def test_untracked_graph_costs_nothing():
     a = Tensor(np.ones(3))
     out = ad.add(a, a)
     assert not out.requires_grad
-    ad.backward(ad.tsum(ad.mul(a, a)))  # no-op, nothing requires grad
+    ad.backward(total(ad.mul(a, a)))  # no-op, nothing requires grad
 
 
-# Gradient checks: each op over several shapes, reduced to a scalar via tsum.
+# Gradient checks: each op over several shapes, reduced to a scalar by
+# ``weighted``, a fixed random-weight dot product of every output entry.
 
-def test_grad_add_sub_mul_broadcast():
+def test_grad_add_mul_broadcast():
     for shape_a, shape_b in (((3,), (3,)), ((2, 3), (2, 3)), ((2, 3), (3,)),
                              ((2, 3), ()), ((4, 1), (1, 5))):
         a, b = leaf(shape_a), leaf(shape_b)
-        check_gradients(lambda: ad.tsum(ad.add(a, b)), [a, b])
-        check_gradients(lambda: ad.tsum(ad.sub(a, b)), [a, b])
-        check_gradients(lambda: ad.tsum(ad.mul(a, b)), [a, b])
+        check_gradients(lambda: weighted(ad.add(a, b)), [a, b])
+        check_gradients(lambda: weighted(ad.mul(a, b)), [a, b])
 
 
 def test_grad_matmul():
     for shape_a, shape_b in (((3, 4), (4, 2)), ((3, 4), (4,)), ((3,), (3, 2)),
                              ((5,), (5,))):
         a, b = leaf(shape_a), leaf(shape_b)
-        check_gradients(lambda: ad.tsum(ad.matmul(a, b)), [a, b])
+        check_gradients(lambda: weighted(ad.matmul(a, b)), [a, b])
 
 
 def test_grad_elementwise_unary():
     for shape in ((4,), (3, 2), ()):
         x = leaf(shape)
-        check_gradients(lambda: ad.tsum(ad.tanh(x)), [x])
-        check_gradients(lambda: ad.tsum(ad.sigmoid(x)), [x])
-        check_gradients(lambda: ad.tsum(ad.exp(x)), [x])
-        check_gradients(lambda: ad.tsum(ad.neg(x)), [x])
-        shifted = Tensor(np.abs(x.data) + 0.5, requires_grad=True)
-        check_gradients(lambda: ad.tsum(ad.log(shifted)), [shifted])
         away = Tensor(x.data + np.where(x.data >= 0, 0.3, -0.3), requires_grad=True)
-        check_gradients(lambda: ad.tsum(ad.elu(away)), [away])
+        check_gradients(lambda: weighted(ad.elu(away)), [away])
 
 
 def test_grad_structure_ops():
-    for shapes in (((2,), (3,)), ((1,), (4,)), ((5,), (2,))):
-        parts = [leaf(s) for s in shapes]
-        check_gradients(lambda: ad.tsum(ad.concat(parts)), parts)
     for n, d in ((2, 3), (1, 4), (3, 2)):
         rows_ = [leaf((d,)) for _ in range(n)]
-        check_gradients(lambda: ad.tsum(ad.stack(rows_)), rows_)
+        check_gradients(lambda: weighted(ad.stack(rows_)), rows_)
     for shape, index in (((3, 4), 0), ((2, 2), 1), ((5, 1), 4)):
         m = leaf(shape)
-        check_gradients(lambda: ad.tsum(ad.row(m, index)), [m])
+        check_gradients(lambda: weighted(ad.row(m, index)), [m])
     for shape, (lo, hi) in (((4, 3), (1, 3)), ((5, 2), (0, 5)), ((3, 3), (2, 3))):
         m = leaf(shape)
-        check_gradients(lambda: ad.tsum(ad.rows(m, lo, hi)), [m])
-    for size, index in ((3, 0), (5, 4), (2, 1)):
-        v = leaf((size,))
-        check_gradients(lambda: ad.pick(v, index), [v])
+        check_gradients(lambda: weighted(ad.rows(m, lo, hi)), [m])
     for size, (lo, hi) in ((4, (1, 3)), (6, (0, 6)), (3, (2, 3))):
         v = leaf((size,))
-        check_gradients(lambda: ad.tsum(ad.narrow(v, lo, hi)), [v])
+        check_gradients(lambda: weighted(ad.narrow(v, lo, hi)), [v])
     for shape, new in (((2, 3), (6,)), ((4,), (2, 2)), ((2, 2), (4,))):
         x = leaf(shape)
-        check_gradients(lambda: ad.tsum(ad.reshape(x, new)), [x])
+        check_gradients(lambda: weighted(ad.reshape(x, new)), [x])
 
 
 def test_grad_reductions_and_softmax():
-    for shape in ((3,), (2, 4), (5, 1)):
-        x = leaf(shape)
-        check_gradients(lambda: ad.tsum(x), [x])
     for shape in ((2, 3), (4, 2), (3, 3)):
         # Spread the entries so the argmax is stable under nudging.
         m = Tensor(RNG.permutation(np.linspace(-2.0, 2.0, int(np.prod(shape)))).reshape(shape),
                    requires_grad=True)
-        check_gradients(lambda: ad.tsum(ad.max_over_rows(m)), [m])
+        check_gradients(lambda: weighted(ad.max_over_rows(m)), [m])
     for size in (2, 4, 7):
         x = leaf((size,))
-        weights = Tensor(RNG.standard_normal(size))
-        check_gradients(lambda: ad.tsum(ad.mul(ad.softmax(x), weights)), [x])
+        weights = RNG.standard_normal(size)
+        check_gradients(lambda: weighted(ad.softmax(x), weights), [x])
         mask = np.ones(size, dtype=bool)
         mask[0] = False
-        check_gradients(lambda: ad.tsum(ad.mul(ad.softmax(x, mask), weights)), [x])
+        check_gradients(lambda: weighted(ad.softmax(x, mask), weights), [x])
 
 
 def test_grad_cross_entropy_and_dropout():
@@ -328,15 +299,48 @@ def test_grad_cross_entropy_and_dropout():
     for shape in ((8,), (3, 5), (20,)):
         x = leaf(shape)
         check_gradients(
-            lambda: ad.tsum(ad.dropout(x, 0.4, True, np.random.default_rng(11))), [x])
+            lambda: weighted(ad.dropout(x, 0.4, True, np.random.default_rng(11))), [x])
 
 
-# Fused recurrent steps and batching helpers.  Losses weight the outputs with
-# fixed random constants so every output entry gets a distinct gradient.
+def test_grad_cross_entropy_on_probabilities():
+    # Directly on a probability vector, masked (zero) entries included: the
+    # gradient is -1/p at the target and exactly zero everywhere else.
+    for probs, target in (([0.2, 0.0, 0.5, 0.0, 0.3], 2), ([1.0], 0), ([0.0, 0.6, 0.4], 1)):
+        p = Tensor(np.array(probs), requires_grad=True)
+        check_gradients(lambda: ad.cross_entropy(p, target), [p])
+        want = np.zeros(len(probs))
+        want[target] = -1.0 / probs[target]
+        assert np.array_equal(p.grad, want)
+    for size, target in ((4, 3), (6, 1)):
+        x = leaf((size,))
+        mask = np.arange(size) % 2 == target % 2
+        check_gradients(lambda: ad.cross_entropy(ad.softmax(x, mask), target), [x])
+        assert np.array_equal(x.grad[~mask], np.zeros(int((~mask).sum())))
 
-def weighted(out):
-    weights = Tensor(np.random.default_rng(out.data.size).standard_normal(out.data.shape))
-    return ad.tsum(ad.mul(out, weights))
+
+def test_sum_terms_one_op():
+    assert ad.sum_terms([]).item() == 0.0 and not ad.sum_terms([]).requires_grad
+    one = leaf(())
+    assert ad.sum_terms([one]) is one
+    check_gradients(lambda: ad.sum_terms([ad.mul(one, one)]), [one])
+    terms = [leaf(()) for _ in range(6)]
+    out = ad.sum_terms(terms)
+    want = terms[0].data
+    for t in terms[1:]:
+        want = want + t.data
+    assert out.data == want and out._parents == tuple(terms)
+    check_gradients(lambda: ad.sum_terms(terms), terms)
+    vectors = [leaf((3,)), Tensor(np.ones(3)), leaf((3,))]
+    check_gradients(lambda: weighted(ad.sum_terms(vectors)), [vectors[0], vectors[2]])
+    with pytest.raises(ShapeError):
+        ad.sum_terms([leaf((3,)), leaf((2,))])
+
+
+# Fused recurrent steps and batching helpers, checked against finite
+# differences and against a numpy reference of their gates.
+
+def sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
 
 
 def keep_mask(size):
@@ -364,26 +368,26 @@ def test_lstm_step_matches_per_gate_ops():
     n = 3
     xw, w_h, h, c = leaf((4 * n,)), leaf((4 * n, n)), leaf((n,)), leaf((n,))
     mask = keep_mask(n)
-    pre = ad.add(xw, ad.matmul(w_h, ad.mul(h, Tensor(mask))))
-    i, f = ad.sigmoid(ad.narrow(pre, 0, n)), ad.sigmoid(ad.narrow(pre, n, 2 * n))
-    g, o = ad.tanh(ad.narrow(pre, 2 * n, 3 * n)), ad.sigmoid(ad.narrow(pre, 3 * n, 4 * n))
-    c_new = ad.add(ad.mul(f, c), ad.mul(i, g))
-    h_new = ad.mul(o, ad.tanh(c_new))
+    pre = xw.data + w_h.data @ (h.data * mask)
+    i, f = sigmoid(pre[:n]), sigmoid(pre[n:2 * n])
+    g, o = np.tanh(pre[2 * n:3 * n]), sigmoid(pre[3 * n:])
+    c_new = f * c.data + i * g
+    h_new = o * np.tanh(c_new)
     fused = ad.lstm_step(xw, w_h, h, c, mask)
-    assert np.allclose(fused.data, np.concatenate([h_new.data, c_new.data]), rtol=0.0, atol=1e-15)
+    assert np.allclose(fused.data, np.concatenate([h_new, c_new]), rtol=0.0, atol=1e-15)
 
 
 def test_gru_step_matches_per_gate_ops():
     n = 3
     x_rz, x_n, u_rz, u_n, h = leaf((2 * n,)), leaf((n,)), leaf((2 * n, n)), leaf((n, n)), leaf((n,))
     mask = keep_mask(n)
-    hm = ad.mul(h, Tensor(mask))
-    rz = ad.sigmoid(ad.add(x_rz, ad.matmul(u_rz, hm)))
-    r, z = ad.narrow(rz, 0, n), ad.narrow(rz, n, 2 * n)
-    cand = ad.tanh(ad.add(x_n, ad.matmul(u_n, ad.mul(r, hm))))
-    want = ad.add(ad.mul(z, h), ad.mul(ad.sub(Tensor(np.ones(n)), z), cand))
+    hm = h.data * mask
+    rz = sigmoid(x_rz.data + u_rz.data @ hm)
+    r, z = rz[:n], rz[n:]
+    cand = np.tanh(x_n.data + u_n.data @ (r * hm))
+    want = z * h.data + (1.0 - z) * cand
     got = ad.gru_step(x_rz, x_n, u_rz, u_n, h, mask)
-    assert np.allclose(got.data, want.data, rtol=0.0, atol=1e-15)
+    assert np.allclose(got.data, want, rtol=0.0, atol=1e-15)
 
 
 def test_fused_step_shape_checks():
@@ -400,7 +404,7 @@ def test_grad_gather_repeated_indices():
     assert np.array_equal(out.data, m.data[idx])
     check_gradients(lambda: weighted(ad.gather(m, idx)), [m])
     m.zero_grad()
-    ad.backward(ad.tsum(ad.gather(m, idx)))
+    ad.backward(total(ad.gather(m, idx)))
     assert np.array_equal(m.grad[:, 0], [1.0, 0.0, 3.0, 1.0])
     with pytest.raises(IndexError):
         ad.gather(m, [4])
@@ -450,7 +454,7 @@ def test_segment_max_tie_routes_gradient_to_first_row():
                requires_grad=True)
     out = ad.segment_max(m, [0, 3])
     assert np.array_equal(out.data, [[4.0, 2.0], [7.0, 7.0]])
-    ad.backward(ad.tsum(out))
+    ad.backward(total(out))
     assert np.array_equal(m.grad, [[0.0, 1.0], [1.0, 0.0], [0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
     assert np.array_equal(ad.max_over_rows(m).data, [7.0, 7.0])
 
@@ -491,12 +495,12 @@ def test_grad_gru_step_rows():
 def test_grad_softmax_rows():
     for shape in ((1, 3), (3, 4), (2, 6)):
         x = leaf(shape)
-        weights = Tensor(RNG.standard_normal(shape))
-        check_gradients(lambda: ad.tsum(ad.mul(ad.softmax_rows(x), weights)), [x])
+        weights = RNG.standard_normal(shape)
+        check_gradients(lambda: weighted(ad.softmax(x), weights), [x])
         mask = RNG.random(shape) < 0.6
         mask[:, -1] = True
-        check_gradients(lambda: ad.tsum(ad.mul(ad.softmax_rows(x, mask), weights)), [x])
-        got = ad.softmax_rows(x, mask).data
+        check_gradients(lambda: weighted(ad.softmax(x, mask), weights), [x])
+        got = ad.softmax(x, mask).data
         for i in range(shape[0]):
             assert np.array_equal(got[i], ad.softmax(Tensor(x.data[i]), mask[i]).data)
         assert np.array_equal(got[~mask], np.zeros(int((~mask).sum())))
@@ -504,11 +508,11 @@ def test_grad_softmax_rows():
 
 def test_softmax_rows_errors():
     with pytest.raises(ShapeError):
-        ad.softmax_rows(Tensor(np.zeros(3)))
+        ad.softmax(Tensor(np.zeros((2, 3))), np.ones(3, dtype=bool))
     with pytest.raises(ShapeError):
-        ad.softmax_rows(Tensor(np.zeros((2, 3))), np.ones((3, 2), dtype=bool))
+        ad.softmax(Tensor(np.zeros((2, 3))), np.ones((3, 2), dtype=bool))
     with pytest.raises(MaskError):
-        ad.softmax_rows(Tensor(np.zeros((2, 3))), np.array([[True, False, False], [False] * 3]))
+        ad.softmax(Tensor(np.zeros((2, 3))), np.array([[True, False, False], [False] * 3]))
 
 
 def test_grad_matvec_rows():
@@ -625,18 +629,30 @@ def fusion_weights(h):
     return [leaf((h, h)) for _ in range(6)] + [leaf((h,))]
 
 
+def tanh_op(x):
+    """Reference tanh node, for the per-op fusion graph below."""
+    data = np.tanh(x.data)
+    return ad._node(data, (x,), lambda g: x._accum(g * (1.0 - data * data)))
+
+
+def sigmoid_op(x):
+    """Reference logistic node, for the per-op fusion graph below."""
+    data = sigmoid(x.data)
+    return ad._node(data, (x,), lambda g: x._accum(g * data * (1.0 - data)))
+
+
 def fuse_chain(prev, parent, sibling, weights, fusion):
     """The decoder's former fusion of one state component, one op at a time."""
     w_d, w_p, w_s, w_gd, w_gp, w_gs, b_g = weights
-    combined = ad.tanh(ad.add(ad.add(linear(w_d, prev), linear(w_p, parent)),
-                              linear(w_s, sibling)))
+    combined = tanh_op(ad.add(ad.add(linear(w_d, prev), linear(w_p, parent)),
+                           linear(w_s, sibling)))
     if fusion == "plain":
         return combined
     if fusion == "gate":
         raw = ad.add(ad.add(linear(w_gd, prev), linear(w_gp, parent)), linear(w_gs, sibling))
     else:
         raw = ad.add(linear(w_gp, ad.mul(prev, parent)), linear(w_gs, ad.mul(prev, sibling)))
-    return ad.mul(ad.sigmoid(ad.add(raw, b_g)), combined)
+    return ad.mul(sigmoid_op(ad.add(raw, b_g)), combined)
 
 
 def fusion_inputs(h):

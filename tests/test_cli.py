@@ -318,6 +318,15 @@ def test_usage_errors_exit_one(tmp_path):
     assert run(["unknown-command"]) == 1
 
 
+def test_negative_seed_exits_one(dep_run, tmp_path, capsys):
+    capsys.readouterr()
+    assert run(["train", "--task", "dep", "--train", str(dep_run["data"]),
+                "--out", str(tmp_path / "o"), "--config", str(dep_run["cfg"]),
+                "--set", "seed=-1"]) == 1
+    err = capsys.readouterr().err
+    assert "seed" in err and "Traceback" not in err
+
+
 def test_embeddings_hook(dep_run, tmp_path):
     vectors = tmp_path / "vecs.txt"
     words = {form for tokens, _ in read_conllu(dep_run["data"]) for form in
@@ -402,7 +411,7 @@ def test_parse_rejects_checkpoint_with_invalid_config(task, dep_run, rst_run, tm
 
     fixture = dep_run if task == "dep" else rst_run
     params, meta = load_checkpoint(fixture["model"])
-    for change in ({"seeed": 1}, {"variant": "qs"}):
+    for change in ({"seeed": 1}, {"variant": "qs"}, {"seed": -1}):
         path = tmp_path / "bad-config.ptp"
         save_checkpoint(path, params.items(), {**meta, "config": {**meta["config"], **change}})
         capsys.readouterr()

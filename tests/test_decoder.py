@@ -9,7 +9,7 @@ from ptrparse.autodiff import Tensor
 from ptrparse.decoder import FUSIONS, VARIANTS, HierDecoder, frame_input
 from ptrparse.errors import ConfigError
 
-from helpers import check_gradients
+from helpers import check_gradients, weighted
 
 RNG = np.random.default_rng(20240813)
 
@@ -236,7 +236,7 @@ def test_fused_step_gradients():
         def loss():
             fused = dec.fuse(prev, par, sib)
             state, top = dec.step(x, fused)
-            return ad.tsum(ad.concat([top, state[1]]))
+            return weighted(ad.hconcat([top, state[1]]))
 
         check_gradients(loss, tensors)
 

@@ -277,6 +277,25 @@ def test_config_validation():
             tiny_config(**bad).validate()
 
 
+@pytest.mark.parametrize("task, name, value", [
+    ("dep", "seed", -1), ("dep", "seed", 1.5), ("dep", "seed", True), ("rst", "seed", -1),
+    ("dep", "lr", float("inf")), ("dep", "lr", float("nan")), ("rst", "lr", float("inf")),
+    ("dep", "eps", float("inf")), ("dep", "clip", float("inf")), ("rst", "clip", float("nan")),
+    ("dep", "target_uas", "x"), ("dep", "target_las", float("inf")),
+    ("rst", "target_span", "x"), ("rst", "target_relation", float("nan")),
+    ("rst", "l2", float("inf")), ("rst", "l2", float("nan")), ("dep", "embed_dropout", "x"),
+    ("rst", "decoder_dropout", "x"), ("dep", "beta2", "x"), ("dep", "decay", "x"),
+])
+def test_config_rejects_values_that_fail_later(task, name, value):
+    # Each of these once passed validation and then failed later with a raw
+    # numpy or type error or in NaN training, or broke the validator itself
+    # with a raw type error.
+    config = tiny_config() if task == "dep" else RstConfig()
+    setattr(config, name, value)
+    with pytest.raises(ConfigError, match=name):
+        config.validate()
+
+
 def test_config_dict_roundtrip_and_coercion():
     config = tiny_config(variant="pst", fusion="plain", beam_size=7)
     data = config_to_dict(config)
@@ -358,11 +377,12 @@ def test_gold_heads_recovered_after_overfitting_one_sentence():
 
 def test_teacher_forced_graph_size_per_token():
     # Tape ops reachable from the teacher-forced loss under the criterion-3
-    # config.  One sequence op per encoder direction and one fusion op per
-    # decoder state component bring this to about 65 per token; fused
-    # single steps had about 129 and the per-gate graph about 264.  The
-    # count is exact, so a change that unfuses a layer fails here rather
-    # than only in wall time.
+    # config.  One node per loss term (a fused cross-entropy) and one n-ary
+    # sum per loss bring this to about 58.5 per token; a pick, log and neg
+    # per term and a chain of adds had 65.3, fused single steps about 129
+    # and the per-gate graph about 264.  The count is exact, so a change
+    # that unfuses a layer or splits a loss term fails here rather than
+    # only in wall time.
     items = gen_synthetic_dep(7, 64, max_len=12, vocab_size=200, label_count=8)[:16]
     config = DepConfig(variant="pst", fusion="sgate", encoder_hidden=64, decoder_hidden=64,
                        arc_mlp=64, label_mlp=16, batch_size=8, seed=7).validate()
@@ -378,7 +398,7 @@ def test_teacher_forced_graph_size_per_token():
             work.extend(node._parents)
     ops = sum(1 for node in seen.values() if node._bwd is not None)
     tokens = sum(len(tokens) for tokens, _ in items)
-    assert ops / tokens <= 75, f"{ops / tokens:.1f} tape ops per token"
+    assert ops / tokens <= 60, f"{ops / tokens:.1f} tape ops per token"
 
 
 def test_max_len_enforced_by_greedy_and_beam():
@@ -392,6 +412,14 @@ def test_max_len_enforced_by_greedy_and_beam():
         decode_beam(model, sentence(5), beam_size=2)
     with pytest.raises(ConfigError):
         decode_beam(model, sentence(5), beam_size=1)
+
+
+@pytest.mark.parametrize("beam_size", [0, -3, 2.5, "3", True])
+def test_decode_beam_rejects_bad_beam_sizes(beam_size):
+    items = items_for([[0, 1]])
+    model, _ = tiny_model(items)
+    with pytest.raises(ConfigError, match="beam size"):
+        decode_beam(model, sentence(2), beam_size=beam_size)
 
 
 def test_empty_sentence_is_a_data_error():

@@ -129,6 +129,21 @@ def test_dep_predict_beam_override():
         assert g.n == b.n
 
 
+def test_dep_predict_rejects_bad_beam_sizes():
+    # Sizes below 1 used to fall through to greedy decoding silently.
+    X, y = dep_data()
+    parser = DependencyParser(**FAST_DEP).fit(X, y)
+    for beam_size in (0, -3, 2.5, "3", True):
+        with pytest.raises(ConfigError, match="beam size"):
+            parser.predict(X, beam_size=beam_size)
+
+
+def test_fit_rejects_non_numeric_target():
+    X, y = dep_data()
+    with pytest.raises(ConfigError, match="target_uas"):
+        DependencyParser(**{**FAST_DEP, "target_uas": "x"}).fit(X, y)
+
+
 def test_dep_save_load_roundtrip(tmp_path):
     X, y = dep_data()
     parser = DependencyParser(**FAST_DEP).fit(X, y)

@@ -7,18 +7,20 @@ exception, and the CLI command that reads it exits 0 or 2 to match, with
 no traceback.  The format-specific breaks must always raise.
 """
 
+import json
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from ptrparse.checkpoint import load_checkpoint
+from ptrparse.checkpoint import MAGIC, load_checkpoint
 from ptrparse.cli import main
 from ptrparse.corpus import (gen_synthetic_dep, gen_synthetic_rst, load_embeddings, read_conllu,
                              read_rst_brackets, segmented_from_texts, write_conllu,
                              write_rst_brackets)
 from ptrparse.dep import DepConfig, DepModel, build_dep_vocabs, config_to_dict
-from ptrparse.errors import DataError
+from ptrparse.errors import DataError, LoadError
 from ptrparse.estimators import DependencyParser, DiscourseParser
 from ptrparse.rst import RstConfig, RstModel, build_rst_vocab, corpus_label_set
 
@@ -155,6 +157,30 @@ def test_fuzz_checkpoint(clean, capsys):
     parse = ["parse", "--input", str(clean / "clean.conllu"), "--output", str(clean / "out")]
     assert run_fuzz(capsys, clean / "clean.ptp", 14, read,
                     lambda p: parse + ["--model", p], bad_layout) >= CASES // 2
+
+
+@pytest.mark.parametrize("shape", [[-2, -3], [-1]])
+def test_checkpoint_negative_dims(clean, capsys, shape):
+    # A negative dimension would make the reader reshape into a raw
+    # ValueError, or step its read offset backwards.
+    blob = (clean / "clean.ptp").read_bytes()
+    start = len(MAGIC) + 8
+    size = int.from_bytes(blob[len(MAGIC):start], "little")
+    header = json.loads(blob[start:start + size])
+    name = header["params"][0]["name"]
+    header["params"][0]["shape"] = shape
+    encoded = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    path = clean / "negative.ptp"
+    path.write_bytes(MAGIC + len(encoded).to_bytes(8, "little") + encoded + blob[start + size:])
+    with pytest.raises(LoadError, match=re.escape(f"parameter {name!r} has a negative dimension")):
+        load_checkpoint(path)
+    with pytest.raises(LoadError, match=re.escape(f"parameter {name!r}")):
+        DependencyParser.load(path)
+    capsys.readouterr()
+    code = main(["parse", "--input", str(clean / "clean.conllu"), "--output", str(clean / "out"),
+                 "--model", str(path)])
+    stderr = capsys.readouterr().err
+    assert code == 2 and name in stderr and "Traceback" not in stderr
 
 
 def test_fuzz_embeddings(clean, capsys):

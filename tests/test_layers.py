@@ -10,7 +10,7 @@ from ptrparse.errors import ConfigError
 from ptrparse.nn import (Biaffine, BiaffineLabeler, BiRecurrentEncoder, CharCnn,
                          Embedding, GruCell, LstmCell, MlpElu, glorot)
 
-from helpers import check_gradients
+from helpers import check_gradients, weighted
 
 RNG = np.random.default_rng(20240812)
 
@@ -89,7 +89,7 @@ def test_charcnn_gradients():
     for chars in ([1, 2], [3], [1, 2, 3, 4]):
         cnn = CharCnn(5, 3, 4, 3, pad_index=0, rng=np.random.default_rng(7))
         tensors = [p for _, p in cnn.parameters()]
-        check_gradients(lambda: ad.tsum(cnn(chars)), tensors)
+        check_gradients(lambda: weighted(cnn(chars)), tensors)
 
 
 def test_lstm_cell_matches_numpy():
@@ -137,7 +137,7 @@ def test_cell_gradients():
 
         def loss():
             h1, c1 = cell.step(x, h, c)
-            return ad.tsum(ad.add(h1, c1))
+            return weighted(ad.hconcat([h1, c1]))
 
         check_gradients(loss, tensors)
 
@@ -145,7 +145,7 @@ def test_cell_gradients():
         gx = Tensor(RNG.standard_normal(in_dim), requires_grad=True)
         gh = Tensor(RNG.standard_normal(hid), requires_grad=True)
         gtensors = [p for _, p in gru.parameters()] + [gx, gh]
-        check_gradients(lambda: ad.tsum(gru.step(gx, gh)), gtensors)
+        check_gradients(lambda: weighted(gru.step(gx, gh)), gtensors)
 
 
 def numpy_bilstm_layer(fw, bw, xs):
@@ -225,8 +225,8 @@ def test_birecurrent_encoder_gradients():
                                  recurrent_dropout=rate, layer_dropout=rate)
         xs = [Tensor(RNG.standard_normal(2), requires_grad=True) for _ in range(length)]
         tensors = [p for _, p in enc.parameters()] + xs
-        check_gradients(lambda: ad.tsum(ad.concat(enc.encode(xs, training=True,
-                                                             rng=np.random.default_rng(5)))),
+        check_gradients(lambda: weighted(ad.stack(enc.encode(xs, training=True,
+                                                            rng=np.random.default_rng(5)))),
                         tensors, tol=2e-4)
 
 
@@ -248,7 +248,7 @@ def test_mlp_elu_gradients():
         mlp = MlpElu(in_dim, out_dim, np.random.default_rng(12))
         x = Tensor(RNG.standard_normal(in_dim) + 0.3, requires_grad=True)
         tensors = [p for _, p in mlp.parameters()] + [x]
-        check_gradients(lambda: ad.tsum(mlp(x)), tensors)
+        check_gradients(lambda: weighted(mlp(x)), tensors)
 
 
 def test_biaffine_score_matches_loops():
@@ -284,7 +284,7 @@ def test_biaffine_gradients():
         a = Tensor(RNG.standard_normal(left), requires_grad=True)
         rows = Tensor(RNG.standard_normal((count, right)), requires_grad=True)
         tensors = [p for _, p in bi.parameters()] + [a, rows]
-        check_gradients(lambda: ad.tsum(bi.score_rows(a, rows)), tensors)
+        check_gradients(lambda: weighted(bi.score_rows(a, rows)), tensors)
 
 
 def test_biaffine_labeler_matches_loops():
@@ -308,7 +308,7 @@ def test_biaffine_labeler_gradients():
         a = Tensor(RNG.standard_normal(left), requires_grad=True)
         b = Tensor(RNG.standard_normal(right), requires_grad=True)
         tensors = [p for _, p in lab.parameters()] + [a, b]
-        check_gradients(lambda: ad.tsum(lab.scores(a, b)), tensors)
+        check_gradients(lambda: weighted(lab.scores(a, b)), tensors)
 
 
 def test_charcnn_batch_rows_equal_single_words():
@@ -327,9 +327,9 @@ def test_charcnn_batch_rows_equal_single_words():
 
 def test_charcnn_batch_gradients():
     cnn = CharCnn(5, 3, 4, 3, pad_index=0, rng=np.random.default_rng(13))
-    weights = Tensor(RNG.standard_normal((3, 4)))
+    weights = RNG.standard_normal((3, 4))
     tensors = [p for _, p in cnn.parameters()]
-    check_gradients(lambda: ad.tsum(ad.mul(cnn([[1, 2], [3], [1, 2, 3, 4]]), weights)), tensors)
+    check_gradients(lambda: weighted(cnn([[1, 2], [3], [1, 2, 3, 4]]), weights), tensors)
 
 
 def test_birecurrent_encoder_matrix_equals_list():
