@@ -13,8 +13,8 @@ The op set is what the parsers call, and no more:
 - arithmetic: ``add``, ``mul`` (both broadcasting), ``matmul``,
   ``matvec_rows`` and ``elu``;
 - structure: ``hconcat``, ``stack``, ``row``, ``rows``, ``narrow``,
-  ``reshape``, ``transpose``, ``gather``, ``segment_max`` and
-  ``max_over_rows``;
+  ``reshape``, ``transpose``, ``gather``, ``gather_sum``, ``segment_max``
+  and ``max_over_rows``;
 - fused layers: ``lstm_step``, ``gru_step``, ``lstm_seq``, ``gru_seq``
   and ``fuse_state``;
 - heads and losses: ``softmax`` (masked, over the last axis of a vector
@@ -369,6 +369,60 @@ def gather(a: Tensor, indices) -> Tensor:
         if a._grad is None:
             a._grad = np.zeros_like(a.data)
         np.add.at(a._grad, indices, g)
+
+    return _node(data, (a,), bwd)
+
+
+def gather_sum(a: Tensor, index) -> Tensor:
+    """Sums of picked rows of a 2-D tensor; a negative index is absent.
+
+    A tuple of row indices gives one vector, the sum of ``a[i]`` over its
+    entries ``i >= 0`` added left to right (zeros when none is present).  A
+    (k, c) index array gives k such sums, one row per index row.  Backward
+    adds the upstream gradient into every picked row.
+    """
+    if a.data.ndim != 2:
+        raise ShapeError(f"gather_sum expects a 2-D tensor, got shape {a.data.shape}")
+    size = a.data.shape[0]
+    if isinstance(index, tuple):
+        picked = [i for i in index if i >= 0]
+        if any(i >= size for i in picked):
+            raise IndexError(f"gather_sum index out of range for {size} rows: {index}")
+        if not picked:
+            return _const(np.zeros(a.data.shape[1]))
+        data = a.data[picked[0]]
+        for i in picked[1:]:
+            data = data + a.data[i]
+        if not _tracked(a):
+            return _const(data)
+
+        def bwd(g):
+            if a._grad is None:
+                a._grad = np.zeros_like(a.data)
+            for i in picked:
+                a._grad[i] += g
+
+        return _node(data, (a,), bwd)
+
+    index = np.asarray(index, dtype=np.intp)
+    if index.ndim != 2 or index.shape[1] == 0:
+        raise ShapeError(f"gather_sum expects a tuple or a (k, c) index array, got shape "
+                         f"{index.shape}")
+    if index.size and index.max() >= size:
+        raise IndexError(f"gather_sum index out of range for {size} rows")
+    present = index >= 0
+    picked = a.data[np.maximum(index, 0)]
+    data = np.where(present[:, :1], picked[:, 0], 0.0)
+    for column in range(1, index.shape[1]):
+        data = np.where(present[:, column, None], data + picked[:, column], data)
+    if not _tracked(a):
+        return _const(data)
+    pick_rows = np.nonzero(present)[0]
+
+    def bwd(g):
+        if a._grad is None:
+            a._grad = np.zeros_like(a.data)
+        np.add.at(a._grad, index[present], g[pick_rows])
 
     return _node(data, (a,), bwd)
 

@@ -8,9 +8,10 @@ generated sibling (-1 when absent), and the rows of a state bank that
 hold the decoder states produced when that parent and that sibling were
 generated.  The bank is a sentence's list of decoder states in step
 order; row 0 is the zero state, which stands for an absent parent or
-sibling, and each step appends its own state.  ``frame_input`` builds the
-decoder input of a frame; ``dep.decode_beam`` keeps the same five fields
-as integer columns and its bank as arrays, one row per hypothesis.
+sibling, and each step appends its own state.  A frame's decoder input is
+``autodiff.gather_sum`` of the encoder matrix at (element, parent,
+sibling).  ``dep.decode_beam`` keeps the five fields as integer columns,
+one row per hypothesis, so one ``gather_sum`` serves all its rows.
 
 Before every step, the parent and sibling states and the temporal
 predecessor (the bank's latest row) are fused into the hidden state that
@@ -40,20 +41,6 @@ from .nn import GruCell, LstmCell, Module, glorot
 
 VARIANTS = ("p", "ps", "pst")
 FUSIONS = ("gate", "sgate", "plain")
-
-
-def frame_input(reps, own: int, parent: int, sibling: int) -> Tensor:
-    """Decoder input for a frame: encoder row ``own`` plus the parent's and
-    the nearest generated sibling's rows, when present (index -1 is absent).
-
-    ``reps`` is a list of encoder vectors indexed by word or EDU.
-    """
-    x = reps[own]
-    if parent >= 0:
-        x = ad.add(x, reps[parent])
-    if sibling >= 0:
-        x = ad.add(x, reps[sibling])
-    return x
 
 
 class HierDecoder(Module):

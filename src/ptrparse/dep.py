@@ -23,7 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, no_grad
-from .decoder import FUSIONS, HierDecoder, VARIANTS, frame_input
+from .decoder import FUSIONS, HierDecoder, VARIANTS
 from .encoder import DepEncoder, PAD, ROOT, UNK, Vocab
 from .errors import ConfigError, TrainingError, TreeError
 from .metrics import score_dep_corpus
@@ -71,30 +71,26 @@ class DepConfig:
     target_uas: float = None
     target_las: float = None
 
-    _INT_FIELDS = ("word_dim", "pos_dim", "char_dim", "char_filters", "char_window",
-                   "encoder_layers", "encoder_hidden", "decoder_layers", "decoder_hidden",
-                   "arc_mlp", "label_mlp", "batch_size", "epochs", "beam_size", "max_len")
-    _DROPOUT_FIELDS = ("embed_dropout", "recurrent_dropout", "layer_dropout",
-                       "state_dropout", "mlp_dropout")
-
     def validate(self):
         _check_common(self, VARIANTS, FUSIONS)
         return self
 
 
 def _check_common(config, variants, fusions):
-    """Reject out-of-range hyperparameters before any compute starts."""
+    """Reject out-of-range hyperparameters before any compute starts; every
+    ``int`` field but ``seed`` must be positive, every ``*_dropout`` in [0, 1)."""
     if config.variant not in variants:
         raise ConfigError(f"unknown variant {config.variant!r}; expected one of "
                           + ", ".join(variants))
     if config.fusion not in fusions:
         raise ConfigError(f"unknown fusion {config.fusion!r}; expected one of "
                           + ", ".join(fusions))
-    for name in config._INT_FIELDS:
+    names = [f.name for f in fields(config)]
+    for name in [f.name for f in fields(config) if f.type == "int" and f.name != "seed"]:
         value = getattr(config, name)
         if not isinstance(value, int) or isinstance(value, bool) or value < 1:
             raise ConfigError(f"{name} must be a positive integer, got {value!r}")
-    for name in config._DROPOUT_FIELDS + ("beta1", "beta2"):
+    for name in [n for n in names if n.endswith("_dropout")] + ["beta1", "beta2"]:
         value = getattr(config, name)
         if not (_finite(value) and 0.0 <= value < 1.0):
             raise ConfigError(f"{name} must be in [0, 1), got {value!r}")
@@ -107,10 +103,10 @@ def _check_common(config, variants, fusions):
             raise ConfigError(f"{name} must be positive and finite, got {value!r}")
     if not (_finite(config.decay) and 0.0 < config.decay <= 1.0):
         raise ConfigError(f"decay must be in (0, 1], got {config.decay!r}")
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if f.name.startswith("target_") and not (value is None or _finite(value)):
-            raise ConfigError(f"{f.name} must be None or a finite number, got {value!r}")
+    for name in [n for n in names if n.startswith("target_")]:
+        value = getattr(config, name)
+        if not (value is None or _finite(value)):
+            raise ConfigError(f"{name} must be None or a finite number, got {value!r}")
 
 
 def _finite(value) -> bool:
@@ -331,7 +327,7 @@ def run_transition(model: DepModel, tokens, gold: DepTree = None, training: bool
     events = iter(oracle_order(gold)) if gold is not None else None
 
     encoded = model.encoder.encode(tokens, training=training, rng=rng)
-    prepared = model.pointer.prepare(encoded.matrix(), training=training, rng=rng)
+    prepared = model.pointer.prepare(encoded, training=training, rng=rng)
 
     stack = [(0, -1, -1, 0, 0)]
     bank = [model.decoder.zero_state()]
@@ -347,7 +343,7 @@ def run_transition(model: DepModel, tokens, gold: DepTree = None, training: bool
 
     while stack:
         element, parent, sibling, parent_row, sibling_row = stack.pop()
-        x = frame_input(encoded.states, element, parent, sibling)
+        x = ad.gather_sum(encoded, (element, parent, sibling))
         fused = model.decoder.fuse(bank[-1], bank[parent_row], bank[sibling_row],
                                    training=training, rng=rng)
         state, d = model.decoder.step(x, fused)
@@ -384,7 +380,7 @@ def run_transition(model: DepModel, tokens, gold: DepTree = None, training: bool
         else:
             attached[choice] = True
             heads[choice - 1] = element
-            dist = model.labeler.distribution(d, encoded.states[choice],
+            dist = model.labeler.distribution(d, ad.row(encoded, choice),
                                               training=training, rng=rng)
             if gold is not None:
                 label_name = gold.labels[choice - 1]
@@ -467,8 +463,7 @@ def decode_beam(model: DepModel, tokens, beam_size: int = None):
     _check_length(config, n)
 
     with no_grad():
-        encoded = model.encoder.encode(tokens)
-        reps = encoded.matrix()
+        reps = model.encoder.encode(tokens)
         prepared = model.pointer.prepare(reps)
         decoder = model.decoder
         # A round keeps at most beam_size hypotheses, so this is room for all.
@@ -493,7 +488,7 @@ def decode_beam(model: DepModel, tokens, beam_size: int = None):
             element = top[:, _ELEMENT]
             fused = decoder.fuse(states(prev_row), states(top[:, _PARENT_ROW]),
                                  states(top[:, _SIBLING_ROW]))
-            state, d = decoder.step(Tensor(_frame_inputs(reps.data, top)), fused)
+            state, d = decoder.step(ad.gather_sum(reps, top[:, _ELEMENT : _SIBLING + 1]), fused)
             for component, part in zip(bank, state):
                 component[used : used + k] = part.data
             state_row = np.arange(used, used + k)
@@ -529,17 +524,6 @@ def decode_beam(model: DepModel, tokens, beam_size: int = None):
 
     tree = DepTree(heads[0, 1:].tolist(), [model.labels.name(i) for i in labels[0, 1:].tolist()])
     return tree, float(log_prob[0])
-
-
-def _frame_inputs(reps: np.ndarray, top: np.ndarray) -> np.ndarray:
-    """``decoder.frame_input`` for the top frame of every hypothesis: the
-    element's encoder row plus its parent's and its sibling's, when present."""
-    x = reps[top[:, _ELEMENT]]
-    for column in (_PARENT, _SIBLING):
-        present = top[:, column] >= 0
-        if present.any():
-            x = np.where(present[:, None], x + reps[top[:, column]], x)
-    return x
 
 
 def build_dep_vocabs(items):

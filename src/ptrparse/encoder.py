@@ -1,9 +1,9 @@
 """Vocabularies and sentence encoders for both parsing tasks.
 
-The dependency encoder prepends an artificial root symbol, so its output
-states are indexed 0..n with 0 the root.  The discourse encoder runs over
-tokens and exposes each EDU through the encoder state at the EDU's last
-token; the EDU vector is that state object itself, not a copy.
+Both encoders return one state matrix.  The dependency encoder prepends an
+artificial root symbol, so its (n+1, 2h) output has rows 0..n with row 0
+the root.  The discourse encoder runs over tokens and returns one row per
+EDU: the encoder state at the EDU's last token, picked by one ``gather``.
 """
 
 from __future__ import annotations
@@ -47,36 +47,6 @@ class Vocab:
         return self.unk_index
 
 
-class EncodedSentence:
-    """Encoder output for a dependency sentence; index 0 is the root state."""
-
-    def __init__(self, states, n):
-        self.states = states
-        self.n = n
-        self._matrix = None
-
-    def matrix(self):
-        if self._matrix is None:
-            self._matrix = ad.stack(self.states)
-        return self._matrix
-
-
-class EncodedEdus:
-    """Encoder output for a segmented sentence; EDU k is token_states[ends[k]-1]."""
-
-    def __init__(self, token_states, edu_states, ends):
-        self.token_states = token_states
-        self.edu_states = edu_states
-        self.ends = ends
-        self.m = len(edu_states)
-        self._matrix = None
-
-    def matrix(self):
-        if self._matrix is None:
-            self._matrix = ad.stack(self.edu_states)
-        return self._matrix
-
-
 class DepEncoder(Module):
     """Char-CNN + word + POS embeddings feeding a bidirectional LSTM stack."""
 
@@ -102,10 +72,13 @@ class DepEncoder(Module):
     def out_dim(self):
         return self.encoder.out_dim
 
-    def encode(self, tokens, training=False, rng=None) -> EncodedSentence:
+    def encode(self, tokens, training=False, rng=None) -> ad.Tensor:
+        """The (n+1, out_dim) state matrix of a sentence of n tokens; row 0 is the root."""
         if not tokens:
             raise DataError("cannot encode an empty sentence")
         forms = [ROOT] + [token.form for token in tokens]
+        if "" in forms:
+            raise DataError(f"token {forms.index('')} has an empty FORM")
         tags = [ROOT] + [token.upos for token in tokens]
         chars = [(ROOT,)] + [token.chars for token in tokens]
         inputs = ad.hconcat([
@@ -113,8 +86,7 @@ class DepEncoder(Module):
             self.word_emb.rows([self.word_vocab[f] for f in forms]),
             self.pos_emb.rows([self.pos_vocab[t] for t in tags])])
         inputs = ad.dropout(inputs, self.embed_dropout, training, rng)
-        states = self.encoder.encode(inputs, training=training, rng=rng)
-        return EncodedSentence(states, len(tokens))
+        return self.encoder.encode(inputs, training=training, rng=rng)
 
 
 def check_segmentation(n_tokens: int, ends) -> list:
@@ -133,7 +105,8 @@ def check_segmentation(n_tokens: int, ends) -> list:
 
 
 class RstEncoder(Module):
-    """Word embeddings feeding a bidirectional GRU stack; EDUs alias token states."""
+    """Word embeddings feeding a bidirectional GRU stack; an EDU is the state
+    at its last token."""
 
     def __init__(self, word_vocab: Vocab, rng, word_dim=1024, hidden_dim=64, layers=5,
                  embed_dropout=0.5, encoder_dropout=0.4):
@@ -148,12 +121,12 @@ class RstEncoder(Module):
     def out_dim(self):
         return self.encoder.out_dim
 
-    def encode(self, words, ends, training=False, rng=None) -> EncodedEdus:
+    def encode(self, words, ends, training=False, rng=None) -> ad.Tensor:
+        """The (m, out_dim) matrix of m EDUs: row e is token state ``ends[e]-1``."""
         if not words:
             raise DataError("cannot encode an empty sentence")
         ends = check_segmentation(len(words), ends)
         inputs = ad.dropout(self.word_emb.rows([self.word_vocab[w] for w in words]),
                             self.embed_dropout, training, rng)
         states = self.encoder.encode(inputs, training=training, rng=rng)
-        edu_states = [states[e - 1] for e in ends]
-        return EncodedEdus(states, edu_states, ends)
+        return ad.gather(states, [e - 1 for e in ends])

@@ -5,10 +5,11 @@ explicit ``numpy.random.Generator`` arguments.  Layers work on one
 sentence at a time: a single vector, or one row matrix holding every token
 of the sentence (char CNN words, encoder timesteps, pointer candidates).
 Each direction of an encoder layer is one sequence-level tape op over all
-timesteps of the sentence.  The recurrent cells' single steps, the MLPs
-and the biaffines also take a matrix with one row per beam hypothesis, in
-place of a single decoder state, and treat each row as that vector.  There
-is no batch dimension across sentences.
+timesteps of the sentence, and the encoder hands on its output as one
+state matrix.  The recurrent cells' single steps, the MLPs and the
+biaffines also take a matrix with one row per beam hypothesis, in place of
+a single decoder state, and treat each row as that vector.  There is no
+batch dimension across sentences.
 """
 
 from __future__ import annotations
@@ -92,9 +93,10 @@ class CharCnn(Module):
     """Character convolution with max-over-time pooling.
 
     One pad symbol is added on each side, so with a window of at most three
-    a word of any length yields at least one window.  No activation follows the convolution; pooling is
-    applied directly to the affine filter responses.  All words of a
-    sentence share one gather, one matmul and one segmented max.
+    every non-empty word yields a window (a shorter one is a ``ConfigError``).
+    No activation follows the convolution; pooling is applied directly to
+    the affine filter responses.  All words of a sentence share one gather,
+    one matmul and one segmented max.
     """
 
     def __init__(self, char_vocab_size: int, char_dim: int, filters: int, window: int,
@@ -221,8 +223,8 @@ class BiRecurrentEncoder(Module):
     connection, and one mask per sequence between layers.  Each direction
     of a layer projects all its inputs in one matmul and then runs the
     whole recurrence as one sequence-level tape op (``lstm_seq`` or
-    ``gru_seq``).  Only the final split into one row per timestep grows
-    the tape with the sentence length.
+    ``gru_seq``), so the tape does not grow with the sentence length.  The
+    output is the last layer's (T, 2*hidden_dim) state matrix.
     """
 
     def __init__(self, cell: str, layers: int, input_dim: int, hidden_dim: int, rng,
@@ -255,7 +257,7 @@ class BiRecurrentEncoder(Module):
 
     def encode(self, inputs, training: bool = False, rng=None):
         """Map a (T, input_dim) matrix, or a list of T input vectors, to a
-        list of T state vectors of size 2*hidden_dim."""
+        (T, 2*hidden_dim) matrix with one state row per timestep."""
         seq = inputs if isinstance(inputs, Tensor) else ad.stack(list(inputs))
         steps = seq.data.shape[0]
         for layer, (fw, bw) in enumerate(zip(self.forward_cells, self.backward_cells)):
@@ -264,7 +266,7 @@ class BiRecurrentEncoder(Module):
             left = self._run_direction(fw, seq, range(steps), training, rng)
             right = self._run_direction(bw, seq, range(steps - 1, -1, -1), training, rng)
             seq = ad.hconcat([left, right])
-        return [ad.row(seq, t) for t in range(steps)]
+        return seq
 
 
 class MlpElu(Module):

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, no_grad
-from .decoder import FUSIONS, HierDecoder, VARIANTS, frame_input
+from .decoder import FUSIONS, HierDecoder, VARIANTS
 from .dep import _check_common, _finite, fit_loop
 from .encoder import RstEncoder, UNK, Vocab
 from .errors import ConfigError, TreeError
@@ -65,11 +65,6 @@ class RstConfig:
     max_len: int = 512
     target_span: float = None
     target_relation: float = None
-
-    _INT_FIELDS = ("word_dim", "encoder_hidden", "encoder_layers", "decoder_layers",
-                   "rel_mlp", "batch_size", "epochs", "max_len")
-    _DROPOUT_FIELDS = ("embed_dropout", "encoder_dropout", "decoder_dropout",
-                       "classifier_dropout")
 
     @property
     def decoder_hidden(self) -> int:
@@ -156,13 +151,11 @@ def run_splits(model: RstModel, words, ends, gold: DiscTree = None, training: bo
     config = model.config
     if len(words) > config.max_len:
         raise ConfigError(f"sentence length {len(words)} exceeds max_len {config.max_len}")
-    encoded = model.encoder.encode(words, ends, training=training, rng=rng)
-    m = encoded.m
+    edus = model.encoder.encode(words, ends, training=training, rng=rng)
+    m = edus.data.shape[0]
     if gold is not None and gold.m != m:
         raise TreeError(f"gold tree spans {gold.m} EDUs but segmentation has {m}")
     events = iter(oracle_splits(gold)) if gold is not None else None
-    matrix = encoded.matrix()
-    reps = encoded.edu_states
 
     splits = {}
     structure_terms = []
@@ -179,12 +172,12 @@ def run_splits(model: RstModel, words, ends, gold: DiscTree = None, training: bo
             _, k, label, _ = _next_event(events, (i, j), expect_pointed=pointed)
 
         if pointed:
-            x = frame_input(reps, j - 1, parent, sibling)
+            x = ad.gather_sum(edus, (j - 1, parent, sibling))
             fused = model.decoder.fuse(bank[-1], bank[parent_row], bank[sibling_row],
                                        training=training, rng=rng)
             state, d = model.decoder.step(x, fused)
             bank.append(state)
-            result = dot_attend(matrix, d, i - 1, j - 1, position_offset=i)
+            result = dot_attend(edus, d, i - 1, j - 1, position_offset=i)
             pointer_calls += 1
             score_evaluations += j - i
             if events is None:
@@ -196,7 +189,7 @@ def run_splits(model: RstModel, words, ends, gold: DiscTree = None, training: bo
         else:
             k = i
 
-        dist = model.labeler.distribution(reps[k - 1], reps[j - 1],
+        dist = model.labeler.distribution(ad.row(edus, k - 1), ad.row(edus, j - 1),
                                           training=training, rng=rng)
         if events is not None:
             label_terms.append(ad.cross_entropy(dist, model.labels[label]))

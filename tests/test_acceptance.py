@@ -96,7 +96,8 @@ def test_criterion_01_gradient_correctness():
         outc = [const(rng, 2 * (2 + s)) for _ in range(3)]
 
         def encoder_loss():
-            outs = enc.encode(seq)
+            states = enc.encode(seq)
+            outs = [ad.row(states, t) for t in range(len(seq))]
             acc = dot(outc[0], outs[0])
             for cvec, out in zip(outc[1:], outs[1:]):
                 acc = ad.add(acc, dot(cvec, out))
@@ -324,8 +325,8 @@ def exhaustive_best(model, tokens):
     n = len(tokens)
     with no_grad():
         encoded = model.encoder.encode(tokens)
-        prepared = model.pointer.prepare(encoded.matrix())
-    S = np.stack([s.data for s in encoded.states])
+        prepared = model.pointer.prepare(encoded)
+    S = encoded.data
     R = prepared.data
     S_ext = np.vstack([S, np.zeros_like(S[0])])
 

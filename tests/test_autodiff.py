@@ -412,6 +412,61 @@ def test_grad_gather_repeated_indices():
         ad.gather(m, [-1])
 
 
+def frame_input_sum(reps, own, parent, sibling):
+    """The decoder input as the parsers summed it before ``gather_sum``:
+    the element's row, plus the parent's, plus the sibling's, when present."""
+    x = reps[own]
+    if parent >= 0:
+        x = x + reps[parent]
+    if sibling >= 0:
+        x = x + reps[sibling]
+    return x
+
+
+def test_gather_sum_matches_frame_input_order():
+    # Rows 0-2 cancel: 1 + 1e-16 - 1 is 0 left to right but 1e-16 in
+    # other orders, so any reordering of the adds changes the result.
+    m = Tensor(np.vstack([[1.0, 1e-16, -1.0, 3.0], [1e-16, -1.0, 1.0, 1e-16],
+                          [-1.0, 1.0, 1e-16, -3.0], RNG.standard_normal((2, 4))]),
+               requires_grad=True)
+    frames = [(1, -1, -1), (2, 0, -1), (0, 1, 2), (2, 1, 0), (1, 2, 0), (0, -1, 2),
+              (3, 1, 2), (4, 0, 1)]
+    for frame in frames:
+        assert np.array_equal(ad.gather_sum(m, frame).data, frame_input_sum(m.data, *frame))
+    want = np.stack([frame_input_sum(m.data, *frame) for frame in frames])
+    assert np.array_equal(ad.gather_sum(m, np.array(frames)).data, want)
+    with no_grad():
+        assert np.array_equal(ad.gather_sum(m, np.array(frames)).data, want)
+
+
+def test_grad_gather_sum_vector_and_rows():
+    m = leaf((5, 3))
+    for frame in [(1, -1, -1), (3, 1, 2), (0, -1, 4), (2, 2, -1)]:
+        check_gradients(lambda: weighted(ad.gather_sum(m, frame)), [m])
+    # Rows 1 and 3 are picked in several index rows; -1 entries are absent.
+    index = np.array([[1, -1, -1], [3, 1, 2], [3, 1, -1], [0, -1, 4]])
+    check_gradients(lambda: weighted(ad.gather_sum(m, index)), [m])
+    m.zero_grad()
+    ad.backward(total(ad.gather_sum(m, index)))
+    assert np.array_equal(m.grad[:, 0], [1.0, 3.0, 1.0, 2.0, 1.0])
+
+
+def test_gather_sum_checks():
+    m = leaf((3, 2))
+    assert np.array_equal(ad.gather_sum(m, (-1, -1)).data, [0.0, 0.0])
+    assert np.array_equal(ad.gather_sum(m, np.array([[-1, 1]])).data, m.data[[1]])
+    with pytest.raises(ShapeError):
+        ad.gather_sum(leaf((3,)), (0,))
+    with pytest.raises(ShapeError):
+        ad.gather_sum(m, np.array([0, 1]))
+    with pytest.raises(ShapeError):
+        ad.gather_sum(m, np.zeros((2, 0), dtype=int))
+    with pytest.raises(IndexError):
+        ad.gather_sum(m, (0, 3))
+    with pytest.raises(IndexError):
+        ad.gather_sum(m, np.array([[0, -1], [3, 1]]))
+
+
 def test_grad_hconcat():
     for shapes in (((2, 3), (2, 1), (2, 4)), ((1, 2), (1, 2)), ((3,), (2,))):
         parts = [leaf(s) for s in shapes]

@@ -297,6 +297,23 @@ def test_exit_codes_for_bad_inputs(dep_run, tmp_path):
                 "--out", str(tmp_path / "o2"), "--config", str(dep_run["cfg"])]) == 2
 
 
+@pytest.mark.parametrize("command", ["parse", "train"])
+def test_empty_form_exits_two(command, dep_run, tmp_path, capsys):
+    bad = tmp_path / "empty_form.conllu"
+    bad.write_text("1\tthe\t_\tDET\t_\t_\t2\tdet\t_\t_\n"
+                   "2\t\t_\tNOUN\t_\t_\t0\troot\t_\t_\n\n")
+    if command == "parse":
+        argv = ["parse", "--model", str(dep_run["model"]), "--input", str(bad),
+                "--output", str(tmp_path / "pred.conllu")]
+    else:
+        argv = ["train", "--task", "dep", "--train", str(bad), "--out", str(tmp_path / "o"),
+                "--config", str(dep_run["cfg"])]
+    capsys.readouterr()
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "token 2 has an empty FORM" in err and "Traceback" not in err
+
+
 def test_exit_code_numeric_failure(dep_run, tmp_path):
     assert run(["train", "--task", "dep", "--train", str(dep_run["data"]),
                 "--out", str(tmp_path / "boom"), "--config", str(dep_run["cfg"]),

@@ -1,12 +1,12 @@
-"""Hierarchical decoder tests: frame input assembly, fusion math against
-scalar oracles, variant nesting, and the recurrent step."""
+"""Hierarchical decoder tests: fusion math against scalar oracles, variant
+nesting, and the recurrent step."""
 
 import numpy as np
 import pytest
 
 from ptrparse import autodiff as ad
 from ptrparse.autodiff import Tensor
-from ptrparse.decoder import FUSIONS, VARIANTS, HierDecoder, frame_input
+from ptrparse.decoder import FUSIONS, VARIANTS, HierDecoder
 from ptrparse.errors import ConfigError
 
 from helpers import check_gradients, weighted
@@ -42,14 +42,6 @@ def test_constructor_validation():
         HierDecoder("rnn", 1, 4, 4, "p", "plain", np.random.default_rng(0))
     with pytest.raises(ConfigError):
         HierDecoder("lstm", 0, 4, 4, "p", "plain", np.random.default_rng(0))
-
-
-def test_frame_input_sums_available_vectors():
-    reps = [Tensor(np.array([float(i), 0.0])) for i in range(4)]
-    assert np.array_equal(frame_input(reps, 1, -1, -1).data, [1.0, 0.0])
-    assert np.array_equal(frame_input(reps, 2, 0, -1).data, [2.0, 0.0])
-    assert np.array_equal(frame_input(reps, 3, 1, 2).data, [6.0, 0.0])
-    assert frame_input(reps, 1, -1, -1) is reps[1]
 
 
 def test_zero_state_shape():

@@ -1,5 +1,5 @@
 """Sentence and EDU encoder tests: vocabulary behavior, the prepended root
-pseudo-token, segmentation checks, and EDU state aliasing."""
+pseudo-token, segmentation checks, and EDU rows picked from token states."""
 
 import numpy as np
 import pytest
@@ -50,30 +50,27 @@ def test_dep_encoder_prepends_root():
     enc = small_dep_encoder()
     tokens = [Token("the", "DET"), Token("cat", "NOUN")]
     sent = enc.encode(tokens)
-    assert sent.n == 2
-    assert len(sent.states) == 3  # root + 2 words
-    assert sent.matrix().shape == (3, 12)
-    assert np.array_equal(sent.matrix().data[0], sent.states[0].data)
+    assert sent.shape == (3, 12)  # root + 2 words
 
 
 def test_dep_encoder_root_state_differs_from_words():
     enc = small_dep_encoder()
     sent = enc.encode([Token("cat", "NOUN")])
-    assert not np.allclose(sent.states[0].data, sent.states[1].data)
+    assert not np.allclose(sent.data[0], sent.data[1])
 
 
 def test_dep_encoder_deterministic_at_inference():
     enc = small_dep_encoder()
     tokens = [Token("the", "DET"), Token("sat", "VERB")]
-    a = enc.encode(tokens).matrix().data
-    b = enc.encode(tokens).matrix().data
+    a = enc.encode(tokens).data
+    b = enc.encode(tokens).data
     assert np.array_equal(a, b)
 
 
 def test_dep_encoder_unknown_word_uses_unk_embedding():
     enc = small_dep_encoder()
-    known = enc.encode([Token("zzz", "NOUN")]).matrix().data
-    again = enc.encode([Token("qqq", "NOUN")]).matrix().data
+    known = enc.encode([Token("zzz", "NOUN")]).data
+    again = enc.encode([Token("qqq", "NOUN")]).data
     # Both map to <unk> for word and chars, so states agree except via chars.
     assert known.shape == again.shape
 
@@ -82,6 +79,12 @@ def test_dep_encoder_rejects_empty():
     enc = small_dep_encoder()
     with pytest.raises(DataError):
         enc.encode([])
+
+
+def test_dep_encoder_rejects_empty_form():
+    enc = small_dep_encoder()
+    with pytest.raises(DataError, match="token 2 has an empty FORM"):
+        enc.encode([Token("the", "DET"), Token("", "NOUN"), Token("sat", "VERB")])
 
 
 def test_check_segmentation_valid():
@@ -104,17 +107,18 @@ def test_check_segmentation_errors():
         check_segmentation(5, [2, 6])
 
 
-def test_rst_encoder_edu_states_alias_token_states():
+def test_rst_encoder_edu_rows_are_last_token_rows():
     vocab = Vocab.build(["a", "b", "c", "d"])
     enc = RstEncoder(vocab, np.random.default_rng(1), word_dim=5, hidden_dim=4,
                      layers=2, embed_dropout=0.0, encoder_dropout=0.0)
-    encoded = enc.encode(["a", "b", "c", "d"], [2, 4])
-    assert encoded.m == 2
-    assert len(encoded.token_states) == 4
-    # The EDU representation IS the state at the EDU's final token.
-    assert encoded.edu_states[0] is encoded.token_states[1]
-    assert encoded.edu_states[1] is encoded.token_states[3]
-    assert encoded.matrix().shape == (2, 8)
+    words = ["a", "b", "c", "d"]
+    edus = enc.encode(words, [2, 4])
+    tokens = enc.encoder.encode(enc.word_emb.rows([vocab[w] for w in words]))
+    assert tokens.shape == (4, 8)
+    # EDU row e is the token state at the EDU's final token, ends[e] - 1.
+    assert edus.shape == (2, 8)
+    assert np.array_equal(edus.data[0], tokens.data[1])
+    assert np.array_equal(edus.data[1], tokens.data[3])
 
 
 def test_rst_encoder_rejects_bad_segmentation():
@@ -131,6 +135,4 @@ def test_rst_encoder_single_edu():
     vocab = Vocab.build(["a", "b"])
     enc = RstEncoder(vocab, np.random.default_rng(2), word_dim=5, hidden_dim=4,
                      layers=1, embed_dropout=0.0, encoder_dropout=0.0)
-    encoded = enc.encode(["a", "b"], [2])
-    assert encoded.m == 1
-    assert encoded.matrix().shape == (1, 8)
+    assert enc.encode(["a", "b"], [2]).shape == (1, 8)

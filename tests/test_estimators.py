@@ -106,6 +106,18 @@ def test_dep_input_coercions():
         parser.predict([[3.14]])
 
 
+def test_dep_predict_rejects_empty_form():
+    # An empty word is a data error of that token, for greedy and beam
+    # decoding alike, not a char-CNN window error.
+    X, y = dep_data()
+    parser = DependencyParser(**FAST_DEP).fit(X, y)
+    for beam_size in (1, 3):
+        with pytest.raises(DataError, match="token 1 has an empty FORM"):
+            parser.predict([[""]], beam_size=beam_size)
+        with pytest.raises(DataError, match="token 2 has an empty FORM"):
+            parser.predict([["the", "", "sat"]], beam_size=beam_size)
+
+
 def test_fit_requires_matching_targets():
     X, y = dep_data()
     with pytest.raises(DataError):

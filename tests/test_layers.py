@@ -175,17 +175,16 @@ def test_birecurrent_encoder_single_layer_matches_reference():
     xs = [RNG.standard_normal(3) for _ in range(4)]
     got = enc.encode([Tensor(x) for x in xs])
     want = numpy_bilstm_layer(enc.forward_cells[0], enc.backward_cells[0], xs)
-    assert len(got) == 4
-    for g, w in zip(got, want):
-        assert g.shape == (4,)
-        assert np.allclose(g.data, w, atol=1e-14)
+    assert got.shape == (4, 4)
+    for g, w in zip(got.data, want):
+        assert np.allclose(g, w, atol=1e-14)
 
 
 def test_birecurrent_encoder_stacking_and_gru():
     for cell in ("lstm", "gru"):
         enc = BiRecurrentEncoder(cell, 3, 5, 2, np.random.default_rng(6))
         out = enc.encode([Tensor(RNG.standard_normal(5)) for _ in range(3)])
-        assert len(out) == 3 and all(o.shape == (4,) for o in out)
+        assert out.shape == (3, 4)
     with pytest.raises(ConfigError):
         BiRecurrentEncoder("rnn", 1, 3, 2, np.random.default_rng(0))
     with pytest.raises(ConfigError):
@@ -201,8 +200,8 @@ def test_birecurrent_encoder_backward_direction_actually_reversed():
     bumped = list(xs)
     bumped[2] = bumped[2] + 1.0
     moved = enc.encode([Tensor(x) for x in bumped])
-    assert np.array_equal(base[0].data[:3], moved[0].data[:3])
-    assert not np.allclose(base[0].data[3:], moved[0].data[3:])
+    assert np.array_equal(base.data[0, :3], moved.data[0, :3])
+    assert not np.allclose(base.data[0, 3:], moved.data[0, 3:])
 
 
 def test_birecurrent_encoder_dropout_only_in_training():
@@ -211,11 +210,10 @@ def test_birecurrent_encoder_dropout_only_in_training():
     xs = [Tensor(RNG.standard_normal(3)) for _ in range(3)]
     a = enc.encode(xs)
     b = enc.encode(xs)
-    for s, t in zip(a, b):
-        assert np.array_equal(s.data, t.data)
+    assert np.array_equal(a.data, b.data)
     c = enc.encode(xs, training=True, rng=np.random.default_rng(1))
     d = enc.encode(xs, training=True, rng=np.random.default_rng(2))
-    assert any(not np.array_equal(s.data, t.data) for s, t in zip(c, d))
+    assert not np.array_equal(c.data, d.data)
 
 
 def test_birecurrent_encoder_gradients():
@@ -225,8 +223,8 @@ def test_birecurrent_encoder_gradients():
                                  recurrent_dropout=rate, layer_dropout=rate)
         xs = [Tensor(RNG.standard_normal(2), requires_grad=True) for _ in range(length)]
         tensors = [p for _, p in enc.parameters()] + xs
-        check_gradients(lambda: weighted(ad.stack(enc.encode(xs, training=True,
-                                                            rng=np.random.default_rng(5)))),
+        check_gradients(lambda: weighted(enc.encode(xs, training=True,
+                                                    rng=np.random.default_rng(5))),
                         tensors, tol=2e-4)
 
 
@@ -341,9 +339,8 @@ def test_birecurrent_encoder_matrix_equals_list():
             from_list = enc.encode([Tensor(x) for x in xs], training=training,
                                    rng=np.random.default_rng(3))
             from_matrix = enc.encode(Tensor(xs), training=training, rng=np.random.default_rng(3))
-            assert len(from_matrix) == 5
-            for a, b in zip(from_list, from_matrix):
-                assert np.array_equal(a.data, b.data)
+            assert from_matrix.shape == (5, 4)
+            assert np.array_equal(from_list.data, from_matrix.data)
 
 
 def test_birecurrent_encoder_gru_matches_reference():
@@ -363,6 +360,7 @@ def test_birecurrent_encoder_gru_matches_reference():
     left = run(enc.forward_cells[0], xs)
     right = run(enc.backward_cells[0], xs[::-1])[::-1]
     got = enc.encode([Tensor(x) for x in xs])
-    for g, l, r in zip(got, left, right):
-        assert np.allclose(g.data, np.concatenate([l, r]), rtol=0.0, atol=1e-14)
+    assert got.shape == (4, 4)
+    for g, l, r in zip(got.data, left, right):
+        assert np.allclose(g, np.concatenate([l, r]), rtol=0.0, atol=1e-14)
 
