@@ -15,21 +15,30 @@ The op set is what the parsers call, and no more:
 - structure: ``hconcat``, ``stack``, ``row``, ``rows``, ``narrow``,
   ``reshape``, ``transpose``, ``gather``, ``gather_sum``, ``segment_max``
   and ``max_over_rows``;
-- fused layers: ``lstm_step``, ``gru_step``, ``lstm_seq``, ``gru_seq``
-  and ``fuse_state``;
+- fused layers: ``lstm_step``, ``gru_step``, ``lstm_seq``, ``gru_seq``,
+  ``fuse_state`` and ``hier_lstm_seq``;
 - heads and losses: ``softmax`` (masked, over the last axis of a vector
   or of every row of a matrix), ``dropout``, ``cross_entropy`` and
   ``sum_terms``.
 
+The hierarchical decoder has two forms.  Decoding advances it one step at
+a time, one ``fuse_state`` per state component and one ``lstm_step`` or
+``gru_step`` per layer, because each step's input depends on the last
+decision.  Teacher forcing knows every step in advance, so the whole
+decoder pass is one ``hier_lstm_seq`` op over a schedule of bank rows.
+Both forms call the same numpy kernels (``_fuse``, ``_lstm_cell`` and
+their backward halves), so the gate math exists once.
+
 Each loss term is one node: ``cross_entropy`` picks ``-log p[target]``
-in a single op, and ``sum_terms`` adds a sentence's terms in one n-ary
-op.
+in a single op, or sums the picks of every row of a matrix, and
+``sum_terms`` adds terms in one n-ary op.
 """
 
 from __future__ import annotations
 
 import contextlib
 import threading
+from operator import itemgetter
 
 import numpy as np
 
@@ -385,22 +394,23 @@ def gather_sum(a: Tensor, index) -> Tensor:
         raise ShapeError(f"gather_sum expects a 2-D tensor, got shape {a.data.shape}")
     size = a.data.shape[0]
     if isinstance(index, tuple):
-        picked = [i for i in index if i >= 0]
-        if any(i >= size for i in picked):
-            raise IndexError(f"gather_sum index out of range for {size} rows: {index}")
-        if not picked:
+        data = None
+        for i in index:
+            if i >= 0:
+                if i >= size:
+                    raise IndexError(f"gather_sum index out of range for {size} rows: {index}")
+                data = a.data[i] if data is None else data + a.data[i]
+        if data is None:
             return _const(np.zeros(a.data.shape[1]))
-        data = a.data[picked[0]]
-        for i in picked[1:]:
-            data = data + a.data[i]
         if not _tracked(a):
             return _const(data)
 
         def bwd(g):
             if a._grad is None:
                 a._grad = np.zeros_like(a.data)
-            for i in picked:
-                a._grad[i] += g
+            for i in index:
+                if i >= 0:
+                    a._grad[i] += g
 
         return _node(data, (a,), bwd)
 
@@ -708,6 +718,84 @@ def gru_seq(x_rz: Tensor, x_n: Tensor, u_rz: Tensor, u_n: Tensor, order, mask=No
     return _node(data, (x_rz, x_n, u_rz, u_n), bwd)
 
 
+def _fuse(p, q, s, w, fusion: str):
+    """Hierarchical fusion on arrays: ``(fused, saved)`` for ``_fuse_back``.
+
+    ``w`` holds the arrays ``(w_d, w_p, w_s, w_gd, w_gp, w_gs, b_g)``; ``p``,
+    ``q`` and ``s`` are the temporal, parent and sibling states, each a
+    vector or one state per row.  ``fuse_state`` documents the arithmetic.
+    """
+    w_d, w_p, w_s, w_gd, w_gp, w_gs, b_g = w
+    combined = np.tanh(_linear(w_d, p) + _linear(w_p, q) + _linear(w_s, s))
+    if fusion == "plain":
+        return combined, (combined, None, None, None)
+    pq = ps = None
+    if fusion == "gate":
+        raw = _linear(w_gd, p) + _linear(w_gp, q) + _linear(w_gs, s)
+    else:
+        pq, ps = p * q, p * s
+        raw = _linear(w_gp, pq) + _linear(w_gs, ps)
+    gate = _sig(raw + b_g)
+    return gate * combined, (combined, gate, pq, ps)
+
+
+def _fuse_back(grad, p, q, s, w, fusion: str, saved):
+    """Backward of ``_fuse`` for the gradient of its output.
+
+    Returns ``(d_prev, d_parent, d_sibling, pairs, d_gate)``: the input
+    gradients, the ``(weight index, input, upstream)`` triples whose
+    ``_weight_grad`` is each weight's gradient (a weight in two triples sums
+    both), and the gate bias's upstream gradient (None under "plain").  A
+    vector input among row inputs has its upstream summed over the rows.
+    """
+    combined, gate, pq, ps = saved
+    if fusion == "plain":
+        d_comb, d_gate = grad * (1.0 - combined * combined), None
+    else:
+        d_comb = grad * gate * (1.0 - combined * combined)
+        d_gate = grad * combined * gate * (1.0 - gate)
+    pairs = [(0, p, d_comb), (1, q, d_comb), (2, s, d_comb)]
+    if fusion == "gate":
+        pairs += [(3, p, d_gate), (4, q, d_gate), (5, s, d_gate)]
+    elif fusion == "sgate":
+        pairs += [(4, pq, d_gate), (5, ps, d_gate)]
+    pairs = [(i, x, d.sum(axis=0) if d.ndim > x.ndim else d) for i, x, d in pairs]
+    dx = [_input_grad(w[i], d) for i, _, d in pairs]
+    d_prev, d_parent, d_sibling = dx[:3]
+    if fusion == "gate":
+        d_prev, d_parent, d_sibling = d_prev + dx[3], d_parent + dx[4], d_sibling + dx[5]
+    elif fusion == "sgate":
+        d_prev = (d_prev + _unbroadcast(dx[3] * q, p.shape)
+                  + _unbroadcast(dx[4] * s, p.shape))
+        d_parent = d_parent + _unbroadcast(dx[3] * p, q.shape)
+        d_sibling = d_sibling + _unbroadcast(dx[4] * p, s.shape)
+    return d_prev, d_parent, d_sibling, pairs, d_gate
+
+
+# The weights each fusion mode reads, picked from
+# ``(w_d, w_p, w_s, w_gd, w_gp, w_gs, b_g)``.
+_FUSION_WEIGHTS = {"plain": itemgetter(0, 1, 2), "gate": itemgetter(0, 1, 2, 3, 4, 5, 6),
+                   "sgate": itemgetter(0, 1, 2, 4, 5, 6)}
+
+
+def _fusion_weights(fusion: str, weights: tuple) -> tuple:
+    """The weight tensors ``fusion`` reads; checks the mode and the shapes.
+
+    Every decoding step calls this through ``fuse_state``, so the checks
+    are spelled out rather than looped.
+    """
+    used = _FUSION_WEIGHTS.get(fusion)
+    if used is None:
+        raise ConfigError(f"unknown fusion mode {fusion!r}")
+    w_d, w_p, w_s, w_gd, w_gp, w_gs, b_g = weights
+    square = (w_d.data.shape[0],) * 2
+    if (w_d.data.shape != square or w_p.data.shape != square or w_s.data.shape != square
+            or w_gd.data.shape != square or w_gp.data.shape != square
+            or w_gs.data.shape != square or b_g.data.shape != square[:1]):
+        raise ShapeError(f"fusion weights disagree: {[w.data.shape for w in weights]}")
+    return used(weights)
+
+
 def fuse_state(prev: Tensor, parent: Tensor, sibling: Tensor, w_d: Tensor, w_p: Tensor,
                w_s: Tensor, w_gd: Tensor, w_gp: Tensor, w_gs: Tensor, b_g: Tensor,
                fusion: str) -> Tensor:
@@ -723,66 +811,140 @@ def fuse_state(prev: Tensor, parent: Tensor, sibling: Tensor, w_d: Tensor, w_p: 
     matrix with one state per row (products ``w·x`` or ``x·wᵀ``); a vector,
     such as the zero state, broadcasts against the rows of the others.
     """
+    all_weights = (w_d, w_p, w_s, w_gd, w_gp, w_gs, b_g)
+    weights = _fusion_weights(fusion, all_weights)
     h = w_d.data.shape[0]
     inputs = (prev, parent, sibling)
-    weights = {"plain": (w_d, w_p, w_s), "gate": (w_d, w_p, w_s, w_gd, w_gp, w_gs, b_g),
-               "sgate": (w_d, w_p, w_s, w_gp, w_gs, b_g)}.get(fusion)
-    if weights is None:
-        raise ConfigError(f"unknown fusion mode {fusion!r}")
     if (any(x.data.ndim not in (1, 2) or x.data.shape[-1] != h for x in inputs)
-            or len({x.data.shape[0] for x in inputs if x.data.ndim == 2}) > 1
-            or any(w.data.shape != (h, h) for w in (w_d, w_p, w_s, w_gd, w_gp, w_gs))
-            or b_g.data.shape != (h,)):
+            or len({x.data.shape[0] for x in inputs if x.data.ndim == 2}) > 1):
         raise ShapeError(f"fuse_state shapes disagree: states {[x.data.shape for x in inputs]}, "
                          f"weights {[w.data.shape for w in weights]}")
+    w = (w_d.data, w_p.data, w_s.data, w_gd.data, w_gp.data, w_gs.data, b_g.data)
     p, q, s = prev.data, parent.data, sibling.data
-    combined = np.tanh(_linear(w_d.data, p) + _linear(w_p.data, q) + _linear(w_s.data, s))
-    if fusion == "plain":
-        data = combined
-    else:
-        if fusion == "gate":
-            raw = _linear(w_gd.data, p) + _linear(w_gp.data, q) + _linear(w_gs.data, s)
-        else:
-            pq, ps = p * q, p * s
-            raw = _linear(w_gp.data, pq) + _linear(w_gs.data, ps)
-        gate = _sig(raw + b_g.data)
-        data = gate * combined
+    data, saved = _fuse(p, q, s, w, fusion)
     if not _tracked(*inputs, *weights):
         return _const(data)
 
     def bwd(grad):
-        if fusion == "plain":
-            d_comb = grad * (1.0 - combined * combined)
-        else:
-            d_comb = grad * gate * (1.0 - combined * combined)
-            d_gate = grad * combined * gate * (1.0 - gate)
-        terms = [(w_d, p, d_comb), (w_p, q, d_comb), (w_s, s, d_comb)]
-        if fusion == "gate":
-            terms += [(w_gd, p, d_gate), (w_gp, q, d_gate), (w_gs, s, d_gate)]
-        elif fusion == "sgate":
-            terms += [(w_gp, pq, d_gate), (w_gs, ps, d_gate)]
-        dx = []
-        for w, x, d in terms:
-            if d.ndim > x.ndim:
-                d = d.sum(axis=0)
-            if w.requires_grad:
-                w._accum(_weight_grad(d, x))
-            dx.append(_input_grad(w.data, d))
-        d_prev, d_parent, d_sibling = dx[:3]
-        if fusion == "gate":
-            d_prev, d_parent, d_sibling = d_prev + dx[3], d_parent + dx[4], d_sibling + dx[5]
-        elif fusion == "sgate":
-            d_prev = (d_prev + _unbroadcast(dx[3] * q, p.shape)
-                      + _unbroadcast(dx[4] * s, p.shape))
-            d_parent = d_parent + _unbroadcast(dx[3] * p, q.shape)
-            d_sibling = d_sibling + _unbroadcast(dx[4] * p, s.shape)
-        if fusion != "plain" and b_g.requires_grad:
+        *dx, pairs, d_gate = _fuse_back(grad, p, q, s, w, fusion, saved)
+        for i, x, d in pairs:
+            if all_weights[i].requires_grad:
+                all_weights[i]._accum(_weight_grad(d, x))
+        if d_gate is not None and b_g.requires_grad:
             b_g._accum(_unbroadcast(d_gate, b_g.data.shape))
-        for x, d in zip(inputs, (d_prev, d_parent, d_sibling)):
+        for x, d in zip(inputs, dx):
             if x.requires_grad:
                 x._accum(d)
 
     return _node(data, inputs + weights, bwd)
+
+
+def hier_lstm_seq(x: Tensor, cells, fusion_weights, fusion: str, rows, keep=None) -> Tensor:
+    """A whole teacher-forced hierarchical LSTM decoder pass as one op.
+
+    Step t reads three rows of a state bank: its temporal predecessor, its
+    parent and its sibling, ``rows[t]``.  Bank row 0 is the zero state and
+    step t writes row t + 1, so ``rows[t]`` may name rows 0 to t only.  Each
+    step fuses the three states by ``fuse_state``'s arithmetic, all C state
+    components of a step as one (C, h) block, scales the result by
+    ``keep[t]`` (state dropout masks drawn beforehand, or None), and runs
+    the LSTM stack on it by ``lstm_step``'s arithmetic: layer l takes
+    components 2l and 2l+1 as its (h, c).  ``x`` holds the S decoder inputs,
+    one row per step; ``cells`` lists each layer's ``(w_x, bias, w_h)``, and
+    every layer projects its input (``x`` for the first, the new ``h`` of
+    the layer below for the others) inside the op.  ``fusion_weights`` is
+    ``(w_d, w_p, w_s, w_gd, w_gp, w_gs, b_g)``.
+
+    Returns the (S, h) top hidden states, one row per step.  The backward
+    pass runs backpropagation through the tree in one call, from the last
+    step back, and forms each weight's gradient as one product of stacked
+    rows at the end, as ``lstm_seq`` does through a chain.
+    """
+    used = _fusion_weights(fusion, tuple(fusion_weights))
+    fw = tuple(t.data for t in fusion_weights)
+    layers, h = len(cells), fw[0].shape[0]
+    rows = np.asarray(rows, dtype=np.intp)
+    steps, components = len(rows), 2 * len(cells)
+    if (layers < 1 or x.data.ndim != 2 or x.data.shape[0] != steps or rows.shape != (steps, 3)
+            or any(w_x.data.shape != (4 * h, h if l else x.data.shape[1])
+                   or b.data.shape != (4 * h,) or w_h.data.shape != (4 * h, h)
+                   for l, (w_x, b, w_h) in enumerate(cells))
+            or (keep is not None and keep.shape != (steps, components, h))):
+        raise ShapeError(f"hier_lstm_seq shapes disagree: x {x.data.shape}, rows {rows.shape}, "
+                         f"cells {[[t.data.shape for t in cell] for cell in cells]}, "
+                         f"keep {None if keep is None else keep.shape}")
+    if steps and (rows.min() < 0 or np.any(rows.max(axis=1) > np.arange(steps))):
+        raise IndexError("hier_lstm_seq rows must name the zero row or an earlier step")
+    tensors = [x] + [t for cell in cells for t in cell] + list(used)
+    tracked = _tracked(*tensors)
+    w_x0, b_0, _ = (t.data for t in cells[0])
+    xw = _linear(w_x0, x.data) + b_0
+    bank = np.zeros((steps + 1, components, h))
+    fused = np.empty((steps, components, h))  # each step's cell states after dropout
+    saved = [None] * steps
+    for t in range(steps):
+        p, q, s = bank[rows[t]]
+        fused[t], fuse_saved = _fuse(p, q, s, fw, fusion)
+        if keep is not None:
+            fused[t] *= keep[t]
+        inp, cell_saved = xw[t], []
+        for l, (w_x, b, w_h) in enumerate(cells):
+            if l:
+                inp = _linear(w_x.data, inp) + b.data
+            inp, c_new, cell = _lstm_cell(inp, w_h.data, fused[t, 2 * l], fused[t, 2 * l + 1],
+                                          None)
+            bank[t + 1, 2 * l], bank[t + 1, 2 * l + 1] = inp, c_new
+            cell_saved.append(cell)
+        if tracked:
+            saved[t] = (p, q, s, fuse_saved, cell_saved)
+    data = bank[1:, components - 2].copy()
+    if not tracked:
+        return _const(data)
+
+    def bwd(grad):
+        d_bank = np.zeros_like(bank)
+        d_bank[1:, components - 2] = grad
+        dpre = np.empty((layers, steps, 4 * h))
+        pairs = {}
+        d_gates = []
+        for t in reversed(range(steps)):
+            p, q, s, fuse_saved, cell_saved = saved[t]
+            d_fused = np.empty((components, h))
+            d_below = 0.0
+            for l in reversed(range(layers)):
+                dpre[l, t], d_fused[2 * l + 1] = _lstm_cell_back(
+                    d_bank[t + 1, 2 * l] + d_below, d_bank[t + 1, 2 * l + 1], cell_saved[l])
+                d_fused[2 * l] = _input_grad(cells[l][2].data, dpre[l, t])
+                if l:
+                    d_below = _input_grad(cells[l][0].data, dpre[l, t])
+            if keep is not None:
+                d_fused *= keep[t]
+            d_prev, d_parent, d_sibling, step_pairs, d_gate = _fuse_back(
+                d_fused, p, q, s, fw, fusion, fuse_saved)
+            for row, d in zip(rows[t], (d_prev, d_parent, d_sibling)):
+                d_bank[row] += d
+            for i, inp, d in step_pairs:
+                pairs.setdefault(i, []).append((inp, d))
+            if d_gate is not None:
+                d_gates.append(d_gate)
+        for i, terms in pairs.items():
+            if fusion_weights[i].requires_grad:
+                inputs = np.concatenate([inp for inp, _ in terms])
+                fusion_weights[i]._accum(np.concatenate([d for _, d in terms]).T @ inputs)
+        if d_gates and fusion_weights[6].requires_grad:
+            fusion_weights[6]._accum(np.concatenate(d_gates).sum(axis=0))
+        for l, (w_x, b, w_h) in enumerate(cells):
+            below = x.data if l == 0 else bank[1:, 2 * l - 2]
+            if w_x.requires_grad:
+                w_x._accum(dpre[l].T @ below)
+            if b.requires_grad:
+                b._accum(dpre[l].sum(axis=0))
+            if w_h.requires_grad:
+                w_h._accum(dpre[l].T @ fused[:, 2 * l])
+        if x.requires_grad:
+            x._accum(_input_grad(w_x0, dpre[0]))
+
+    return _node(data, tuple(tensors), bwd)
 
 
 def softmax(a: Tensor, mask=None) -> Tensor:
@@ -835,37 +997,62 @@ def matvec_rows(a: Tensor, b: Tensor) -> Tensor:
     return _node(data, (a, b), bwd)
 
 
-def cross_entropy(probabilities: Tensor, target: int) -> Tensor:
+def cross_entropy(probabilities: Tensor, target) -> Tensor:
     """Negative log-probability ``-log p[target]`` of a distribution
-    vector, as one op; the gradient reaches the target entry only."""
+    vector, as one op; the gradient reaches the target entry only.
+
+    Row form: a (k, m) matrix of k distributions with a sequence of k
+    targets, one per row, gives one node, the k row terms added left to
+    right as ``sum_terms`` adds them.
+    """
     p = probabilities.data
-    if p.ndim != 1:
-        raise ShapeError(f"cross_entropy expects a 1-D tensor, got shape {p.shape}")
-    if not 0 <= target < p.shape[0]:
-        raise IndexError(f"target {target} out of range for length {p.shape[0]}")
-    data = np.asarray(-np.log(p[target]))
+    if p.ndim == 1:
+        if not 0 <= target < p.shape[0]:
+            raise IndexError(f"target {target} out of range for length {p.shape[0]}")
+        index = target
+        data = np.asarray(-np.log(p[target]))
+    elif p.ndim == 2:
+        target = np.asarray(target, dtype=np.intp)
+        if target.shape != (p.shape[0],) or not p.shape[0]:
+            raise ShapeError(f"cross_entropy needs one target per row of {p.shape}, got "
+                             f"shape {target.shape}")
+        if target.min() < 0 or target.max() >= p.shape[1]:
+            raise IndexError(f"targets out of range for rows of length {p.shape[1]}")
+        index = (np.arange(p.shape[0]), target)
+        data = np.asarray(np.cumsum(-np.log(p[index]))[-1])
+    else:
+        raise ShapeError(f"cross_entropy expects a 1-D or 2-D tensor, got shape {p.shape}")
     if not _tracked(probabilities):
         return _const(data)
 
     def bwd(g):
         if probabilities._grad is None:
             probabilities._grad = np.zeros_like(p)
-        probabilities._grad[target] += -g / p[target]
+        probabilities._grad[index] += -g / p[index]
 
     return _node(data, (probabilities,), bwd)
 
 
-def dropout(a: Tensor, rate: float, training: bool, rng) -> Tensor:
+def keep_mask(shape, rate: float, rng) -> np.ndarray:
+    """An inverted-dropout mask: 0 with probability ``rate``, else 1/(1-rate)."""
+    return (rng.random(shape) >= rate) / (1.0 - rate)
+
+
+def dropout(a: Tensor, rate: float, training: bool, rng, keep=None) -> Tensor:
     """Inverted dropout: zero with probability ``rate``, scale survivors.
 
     Identity at inference or rate 0, so no rescaling is ever needed at
-    prediction time.
+    prediction time.  ``keep``, a mask of ``a``'s shape drawn beforehand by
+    ``keep_mask``, takes the place of a fresh draw from ``rng``.
     """
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return a
-    keep = (rng.random(a.data.shape) >= rate) / (1.0 - rate)
+    if keep is None:
+        keep = keep_mask(a.data.shape, rate, rng)
+    elif keep.shape != a.data.shape:
+        raise ShapeError(f"keep mask shape {keep.shape} does not match {a.data.shape}")
     data = a.data * keep
     if not _tracked(a):
         return _const(data)

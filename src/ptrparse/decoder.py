@@ -26,8 +26,13 @@ Fusion modes: "plain" uses the combined state as is, "gate" multiplies it
 by a sigmoid gate over the three raw states, "sgate" gates with products
 of the temporal state with the parent and sibling states.
 
-``fuse`` and ``step`` take one decoder state, or k states stacked as rows
-(one per beam hypothesis) and advance each row on its own.
+The decoder runs in two forms over the same weights and numpy kernels.
+Decoding calls ``fuse`` and ``step`` once per step, because each step's
+frame depends on the decision before it; they take one decoder state, or
+k states stacked as rows (one per beam hypothesis) and advance each row on
+its own.  Teacher forcing knows every frame before the decoder runs, so
+``run_schedule`` takes the frames of all 2n+1 steps at once and runs the
+whole pass as one ``autodiff.hier_lstm_seq`` op (LSTM cells only).
 """
 
 from __future__ import annotations
@@ -108,13 +113,43 @@ class HierDecoder(Module):
             sibling = zeros
         else:
             sibling = sibling_state
-        fused = []
-        for i in range(self.components):
-            component = ad.fuse_state(prev[i], parent[i], sibling[i], self.w_d, self.w_p,
-                                      self.w_s, self.w_gd, self.w_gp, self.w_gs, self.b_g,
-                                      self.fusion)
-            fused.append(ad.dropout(component, self.state_dropout, training, rng))
-        return tuple(fused)
+        fused = [ad.fuse_state(prev[i], parent[i], sibling[i], self.w_d, self.w_p, self.w_s,
+                               self.w_gd, self.w_gp, self.w_gs, self.b_g, self.fusion)
+                 for i in range(self.components)]
+        keep = self.draw_keep(training, rng, fused[0].data.shape[:-1])
+        if keep is None:
+            return tuple(fused)
+        return tuple(ad.dropout(component, self.state_dropout, training, rng, mask)
+                     for component, mask in zip(fused, keep))
+
+    def draw_keep(self, training, rng, rows=()):
+        """The state dropout masks ``fuse`` applies, (components, hidden)
+        for one state or (components, *rows, hidden) for ``rows`` states;
+        None when no dropout applies."""
+        if not training or self.state_dropout == 0.0:
+            return None
+        return ad.keep_mask((self.components, *rows, self.hidden_dim), self.state_dropout, rng)
+
+    def run_schedule(self, x: Tensor, frames: np.ndarray, keep=None) -> Tensor:
+        """Every step of a teacher-forced pass as one op; returns the (S,
+        hidden) top hidden states, one row per step.
+
+        ``frames`` holds the S frame tuples in step order, one row each,
+        and ``x`` their decoder inputs.  Step t reads bank row t as its
+        temporal predecessor and writes row t + 1, so the bank rows named in
+        the frames are the rows ``fuse`` would be handed.  ``keep`` stacks
+        one ``draw_keep`` mask per step, (S, components, hidden), or is None
+        for no dropout.  The decoder must have LSTM cells: the op has no GRU
+        form yet.
+        """
+        steps = len(frames)
+        absent = np.zeros(steps, dtype=np.intp)
+        prev = np.arange(steps) if self.variant == "pst" else absent
+        sibling = absent if self.variant == "p" else frames[:, 4]
+        cells = [(cell.w_x, cell.bias, cell.w_h) for cell in self.cells]
+        weights = (self.w_d, self.w_p, self.w_s, self.w_gd, self.w_gp, self.w_gs, self.b_g)
+        return ad.hier_lstm_seq(x, cells, weights, self.fusion,
+                                np.stack([prev, frames[:, 3], sibling], axis=1), keep)
 
     def step(self, x: Tensor, fused_state: tuple):
         """Run the cell stack from a fused state; returns (new_state, top_hidden).

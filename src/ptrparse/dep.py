@@ -11,6 +11,14 @@ Every complete decode makes exactly 2n+1 decisions: n attachments and one
 completion per head (including root).  Decisions with a single legal
 candidate are forced without invoking the pointer, which keeps pointer
 invocations at 2n or fewer per sentence.
+
+The decoder runs in two forms.  Decoding, greedy or beam, steps it once per
+decision through ``HierDecoder.fuse`` and ``step``, since each frame
+depends on the decision before it.  Training is teacher-forced: the gold
+tree's oracle order fixes every frame, target and label before the decoder
+runs, so one integer walk builds the schedule, and the tape records one
+decoder sequence op (``HierDecoder.run_schedule``) and one row-form call
+per head for the whole sentence.
 """
 
 from __future__ import annotations
@@ -128,12 +136,15 @@ def fit_loop(model, items, config, example_losses, evaluate, selections, targets
     After each epoch ``evaluate(model, eval_items)`` (dev when given, else
     the training data) returns the named metrics for the history row
     ``{epoch, loss, <metrics>, lr}``, and ``log`` gets the same row as one
-    line.  ``selections`` maps a name to the metric names whose tuple ranks
-    epochs; the best epoch of each is kept as a parameter snapshot, and a
-    non-improving epoch of the first one decays the learning rate when a
-    dev set exists.  ``targets`` lists (metric, threshold) pairs: training
-    stops once the first threshold is set and every set one is reached.
-    ``init_hook(model)`` runs once before training.
+    line, with ``grad_norm`` (the epoch's largest pre-clip global gradient
+    norm) and ``clip_scale`` (its smallest clip factor, 1.0 when no batch
+    was clipped) before ``lr``.  ``selections`` maps a name to
+    the metric names whose tuple ranks epochs; the best epoch of each is
+    kept as a parameter snapshot, and a non-improving epoch of the first
+    one decays the learning rate when a dev set exists.  ``targets`` lists
+    (metric, threshold) pairs: training stops once the first threshold is
+    set and every set one is reached.  ``init_hook(model)`` runs once
+    before training.
     """
     if init_hook is not None:
         init_hook(model)
@@ -148,7 +159,7 @@ def fit_loop(model, items, config, example_losses, evaluate, selections, targets
     step = 0
     for epoch in range(1, config.epochs + 1):
         order = train_rng.permutation(len(items))
-        epoch_loss = 0.0
+        epoch_loss, grad_norm, clip_scale = 0.0, 0.0, 1.0
         for lo in range(0, len(order), config.batch_size):
             batch = order[lo : lo + config.batch_size]
             optimizer.zero_grad()
@@ -160,7 +171,8 @@ def fit_loop(model, items, config, example_losses, evaluate, selections, targets
                     raise TrainingError("loss is not finite", step=step)
                 ad.backward(ad.mul(total, inv))
                 epoch_loss += total.item()
-            clip_by_global_norm(optimizer.params, config.clip)
+            scale, norm = clip_by_global_norm(optimizer.params, config.clip)
+            grad_norm, clip_scale = max(grad_norm, norm), min(clip_scale, scale)
             optimizer.step()
             step += 1
 
@@ -169,7 +181,8 @@ def fit_loop(model, items, config, example_losses, evaluate, selections, targets
         history.append(row)
         if log is not None:
             scores = "".join(f"{name} {value:.2f} " for name, value in metrics.items())
-            log(f"epoch {epoch} loss {row['loss']:.6f} {scores}lr {row['lr']:.6g}")
+            log(f"epoch {epoch} loss {row['loss']:.6f} {scores}grad_norm {grad_norm:.6g} "
+                f"clip_scale {clip_scale:.6g} lr {row['lr']:.6g}")
         for rank, (name, key_names) in enumerate(selections.items()):
             key = tuple(row[k] for k in key_names)
             if name not in best_keys or key > best_keys[name]:
@@ -310,21 +323,27 @@ def _check_length(config: DepConfig, n: int):
 
 def run_transition(model: DepModel, tokens, gold: DepTree = None, training: bool = False,
                    rng=None, want_trace: bool = False) -> RunResult:
-    """Shared stepper for teacher forcing (gold given) and greedy decoding.
+    """One pass over a sentence: teacher forcing when ``gold`` is given,
+    greedy decoding otherwise.
 
-    With a gold tree the oracle order drives every decision and the loss
-    tensors are populated; without one, decisions follow the pointer and
-    label argmax.  The same candidate masking applies in both modes, so a
-    forced pass scores exactly the probabilities the decoder would see.
     Frames and the state bank are those of ``decoder``'s module docstring:
     step t appends its state as bank row t, and attaching a word pushes
     the popped frame back with that word as its sibling, then the word's
-    own frame with step t's state as its parent.
+    own frame with step t's state as its parent.  The same candidate
+    masking applies in both forms, so a forced pass scores exactly the
+    probabilities the decoder would see.
+
+    Greedy decoding runs the decoder one step at a time (``fuse`` and
+    ``step``), because each frame depends on the decision before it, and
+    follows the pointer and label argmax.  With a gold tree the oracle
+    order fixes every frame before the decoder runs, and the pass is
+    ``_teacher_forced``: a fixed number of tape ops per sentence.
     """
     n = len(tokens)
     config = model.config
     _check_length(config, n)
-    events = iter(oracle_order(gold)) if gold is not None else None
+    if gold is not None:
+        return _teacher_forced(model, tokens, gold, training, rng, want_trace)
 
     encoded = model.encoder.encode(tokens, training=training, rng=rng)
     prepared = model.pointer.prepare(encoded, training=training, rng=rng)
@@ -336,7 +355,6 @@ def run_transition(model: DepModel, tokens, gold: DepTree = None, training: bool
     heads = [None] * n
     labels = [None] * n
     structure_terms = []
-    label_terms = []
     trace = []
     pointer_calls = 0
     score_evaluations = 0
@@ -353,40 +371,25 @@ def run_transition(model: DepModel, tokens, gold: DepTree = None, training: bool
         mask = _candidate_mask(element, attached)
         n_candidates = int(mask.sum())
         result = None
+        log_prob = 0.0
         if n_candidates > 1:
             result = model.pointer.attend(d, prepared, mask, training=training, rng=rng)
             pointer_calls += 1
             score_evaluations += n_candidates
-
-        if events is not None:
-            head, choice = next(events)
-            if head != element or not mask[choice]:
-                raise TreeError(f"oracle event ({head}, {choice}) is illegal at frame {element}")
-        elif result is not None:
             choice = result.best()
+            nll = result.nll(choice)
+            structure_terms.append(nll)
+            log_prob = -nll.item()
         else:
             choice = int(np.flatnonzero(mask)[0])
 
-        log_prob = 0.0
-        if result is not None:
-            if gold is None or config.selfpoint_loss or choice != element:
-                nll = result.nll(choice)
-                structure_terms.append(nll)
-                log_prob = -nll.item()
-
         label_name = None
-        if choice == element:
-            pass
-        else:
+        if choice != element:
             attached[choice] = True
             heads[choice - 1] = element
             dist = model.labeler.distribution(d, ad.row(encoded, choice),
                                               training=training, rng=rng)
-            if gold is not None:
-                label_name = gold.labels[choice - 1]
-                label_terms.append(ad.cross_entropy(dist, model.labels[label_name]))
-            else:
-                label_name = model.labels.name(int(np.argmax(dist.data)))
+            label_name = model.labels.name(int(np.argmax(dist.data)))
             labels[choice - 1] = label_name
             stack.append((element, parent, choice, parent_row, step))
             stack.append((choice, element, -1, step, 0))
@@ -398,9 +401,110 @@ def run_transition(model: DepModel, tokens, gold: DepTree = None, training: bool
 
     return RunResult(heads=heads, labels=labels,
                      structure_loss=ad.sum_terms(structure_terms),
-                     label_loss=ad.sum_terms(label_terms),
+                     label_loss=Tensor(0.0),
                      trace=trace, pointer_calls=pointer_calls,
                      score_evaluations=score_evaluations)
+
+
+def _stacked(masks):
+    """Per-step dropout masks as one array, or None when none were drawn."""
+    return None if masks[0] is None else np.stack(masks)
+
+
+def _teacher_forced(model: DepModel, tokens, gold: DepTree, training, rng,
+                    want_trace) -> RunResult:
+    """Teacher forcing from a schedule: ``run_transition`` with a gold tree.
+
+    One integer walk of ``oracle_order`` builds every step's frame,
+    candidate mask and gold target, and the gold label of each attach step.
+    The walk also draws every dropout mask, step by step in the per-step
+    order, through the ``draw_keep`` method that each module's per-step
+    call uses: the decoder's, then the pointer's on a step with more than
+    one candidate, then the labeler's on an attach step.  The tape
+    then records one ``gather_sum`` of decoder inputs, one
+    ``decoder.run_schedule``, one row-form ``pointer.attend`` over the steps
+    with more than one candidate, one ``labeler.distribution`` over the
+    attach steps, and one row-form ``cross_entropy`` per head.  A
+    self-point term is left out of the structure loss when
+    ``selfpoint_loss`` is off.
+    """
+    n = len(tokens)
+    if gold.n != n:
+        raise TreeError(f"gold tree has {gold.n} words but the sentence has {n}")
+    config = model.config
+    events = oracle_order(gold)
+    encoded = model.encoder.encode(tokens, training=training, rng=rng)
+    prepared = model.pointer.prepare(encoded, training=training, rng=rng)
+
+    decoder, pointer, labeler = model.decoder, model.pointer, model.labeler
+    stack = [(0, -1, -1, 0, 0)]
+    attached = np.zeros(n + 1, dtype=bool)
+    attached[0] = True
+    heads = [None] * n
+    labels = [None] * n
+    frames, state_keep = [], []
+    pointed, masks, pointer_keep = [], [], []   # steps with more than one candidate
+    attach, label_keep = [], []                 # (step, child, label id) of attach steps
+    for step, (head, choice) in enumerate(events):
+        frame = stack.pop()
+        element = frame[0]
+        mask = _candidate_mask(element, attached)
+        if head != element or not mask[choice]:
+            raise TreeError(f"oracle event ({head}, {choice}) is illegal at frame {element}")
+        frames.append(frame)
+        state_keep.append(decoder.draw_keep(training, rng))
+        if mask.sum() > 1:
+            pointed.append(step)
+            masks.append(mask)
+            pointer_keep.append(pointer.draw_keep(training, rng))
+        if choice != element:
+            attached[choice] = True
+            heads[choice - 1] = element
+            labels[choice - 1] = gold.labels[choice - 1]
+            attach.append((step, choice, model.labels[labels[choice - 1]]))
+            label_keep.append(labeler.draw_keep(training, rng))
+            stack.append((element, frame[1], choice, frame[3], step + 1))
+            stack.append((choice, element, -1, step + 1, 0))
+
+    frames = np.array(frames, dtype=np.intp)
+    top = decoder.run_schedule(ad.gather_sum(encoded, frames[:, :3]), frames,
+                               _stacked(state_keep))
+
+    structure_loss, probs = Tensor(0.0), None
+    targets = [events[step][1] for step in pointed]
+    if pointed:
+        result = pointer.attend(ad.gather(top, pointed), prepared, np.array(masks),
+                                training=training, rng=rng, keep=_stacked(pointer_keep))
+        probs = result.probs.data
+        scored = [i for i, step in enumerate(pointed)
+                  if config.selfpoint_loss or targets[i] != frames[step, 0]]
+        if scored:
+            rows = result.probs if len(scored) == len(pointed) else ad.gather(result.probs, scored)
+            structure_loss = ad.cross_entropy(rows, [targets[i] for i in scored])
+
+    steps, children, label_ids = zip(*attach)
+    left, right = zip(*label_keep)
+    dist = labeler.distribution(ad.gather(top, steps), ad.gather(encoded, children),
+                                training=training, rng=rng,
+                                keep=(_stacked(left), _stacked(right)))
+    label_loss = ad.cross_entropy(dist, label_ids)
+
+    trace = []
+    if want_trace:
+        row_of = {step: i for i, step in enumerate(pointed)}
+        for step, (element, target) in enumerate(events):
+            row = row_of.get(step)
+            in_loss = row is not None and (config.selfpoint_loss or target != element)
+            trace.append(TraceStep(
+                step=step + 1, head=element, target=target,
+                log_prob=float(np.log(probs[row, target])) if in_loss else 0.0,
+                candidates=int(masks[row].sum()) if row is not None else 1,
+                label=None if target == element else labels[target - 1],
+                probabilities=probs[row].copy() if row is not None else None))
+
+    return RunResult(heads=heads, labels=labels, structure_loss=structure_loss,
+                     label_loss=label_loss, trace=trace, pointer_calls=len(pointed),
+                     score_evaluations=int(sum(mask.sum() for mask in masks)))
 
 
 def example_losses(model: DepModel, tokens, gold: DepTree, training: bool = False, rng=None):

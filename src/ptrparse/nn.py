@@ -212,10 +212,6 @@ class GruCell(Module):
         return ad.gru_step(x_rz, x_n, self.u_rz, self.u_n, h)
 
 
-def _keep_mask(dim: int, rate: float, rng) -> np.ndarray:
-    return (rng.random(dim) >= rate) / (1.0 - rate)
-
-
 class BiRecurrentEncoder(Module):
     """Stacked bidirectional recurrent encoder (LSTM or GRU cells).
 
@@ -252,7 +248,7 @@ class BiRecurrentEncoder(Module):
     def _run_direction(self, cell, inputs, order, training, rng):
         mask = None
         if training and self.recurrent_dropout > 0.0:
-            mask = _keep_mask(self.hidden_dim, self.recurrent_dropout, rng)
+            mask = ad.keep_mask(self.hidden_dim, self.recurrent_dropout, rng)
         return cell.run(cell.project(inputs), order, mask)
 
     def encode(self, inputs, training: bool = False, rng=None):
@@ -262,7 +258,7 @@ class BiRecurrentEncoder(Module):
         steps = seq.data.shape[0]
         for layer, (fw, bw) in enumerate(zip(self.forward_cells, self.backward_cells)):
             if layer > 0 and training and self.layer_dropout > 0.0:
-                seq = ad.mul(seq, Tensor(_keep_mask(seq.data.shape[1], self.layer_dropout, rng)))
+                seq = ad.mul(seq, Tensor(ad.keep_mask(seq.data.shape[1], self.layer_dropout, rng)))
             left = self._run_direction(fw, seq, range(steps), training, rng)
             right = self._run_direction(bw, seq, range(steps - 1, -1, -1), training, rng)
             seq = ad.hconcat([left, right])
@@ -276,6 +272,10 @@ class MlpElu(Module):
         self.weight = Tensor(glorot(rng, input_dim, output_dim, (input_dim, output_dim)),
                              requires_grad=True)
         self.bias = Tensor(np.zeros(output_dim), requires_grad=True)
+
+    @property
+    def output_dim(self) -> int:
+        return self.bias.data.shape[0]
 
     def __call__(self, x: Tensor) -> Tensor:
         return ad.elu(ad.add(ad.matmul(x, self.weight), self.bias))

@@ -9,11 +9,12 @@ import numpy as np
 from .errors import ConfigError, NumericError
 
 
-def clip_by_global_norm(params, max_norm: float) -> float:
+def clip_by_global_norm(params, max_norm: float) -> tuple:
     """Scale all gradients in place so their joint L2 norm is at most ``max_norm``.
 
-    ``params`` is an iterable of (name, tensor) pairs.  Returns the factor
-    applied (1.0 when no clipping occurred).
+    ``params`` is an iterable of (name, tensor) pairs.  Returns ``(scale,
+    norm)``: the factor applied (1.0 when no clipping occurred) and the
+    joint norm before clipping.
     """
     if max_norm <= 0:
         raise ConfigError(f"clip norm must be positive, got {max_norm}")
@@ -27,11 +28,11 @@ def clip_by_global_norm(params, max_norm: float) -> float:
         total += float(np.dot(g.ravel(), g.ravel()))
     norm = math.sqrt(total)
     if norm <= max_norm or norm == 0.0:
-        return 1.0
+        return 1.0, norm
     scale = max_norm / norm
     for g in grads:
         g *= scale
-    return scale
+    return scale, norm
 
 
 class Adam:

@@ -115,13 +115,24 @@ class BiaffinePointer(Module):
         """Precompute the encoder-side MLP for all positions of one sentence."""
         return ad.dropout(self.g2(matrix), self.dropout, training, rng)
 
-    def attend(self, d: Tensor, prepared: Tensor, mask, training=False, rng=None) -> AttentionResult:
+    def draw_keep(self, training, rng, rows=()):
+        """The dropout mask ``attend`` applies to ``g1``'s output for one
+        decoder state, or for ``rows`` states; None when no dropout applies."""
+        if not training or self.dropout == 0.0:
+            return None
+        return ad.keep_mask((*rows, self.g1.output_dim), self.dropout, rng)
+
+    def attend(self, d: Tensor, prepared: Tensor, mask, training=False, rng=None,
+               keep=None) -> AttentionResult:
         """Attention from decoder state ``d`` over the prepared positions.
 
         Row form: a (k, state) matrix ``d`` with a (k, positions) ``mask``
-        attends from each row under its own mask row.
+        attends from each row under its own mask row.  ``keep``, masks from
+        ``draw_keep`` drawn beforehand, replaces the draw.
         """
-        g1 = ad.dropout(self.g1(d), self.dropout, training, rng)
+        if keep is None:
+            keep = self.draw_keep(training, rng, d.data.shape[:-1])
+        g1 = ad.dropout(self.g1(d), self.dropout, training, rng, keep)
         scores = self.biaffine.score_rows(g1, prepared)
         probs = ad.softmax(scores, mask)
         return AttentionResult(scores, probs, offset=0, mask=mask)
@@ -150,9 +161,23 @@ class PairLabeler(Module):
         self.labeler = BiaffineLabeler(mlp_dim, mlp_dim, labels, rng)
         self.dropout = dropout
 
-    def distribution(self, left: Tensor, right: Tensor, training=False, rng=None) -> Tensor:
+    def draw_keep(self, training, rng, rows=()):
+        """The dropout masks ``distribution`` applies to ``g1``'s and then
+        ``g2``'s output for one pair, or for ``rows`` pairs; (None, None)
+        when no dropout applies."""
+        if not training or self.dropout == 0.0:
+            return None, None
+        return tuple(ad.keep_mask((*rows, g.output_dim), self.dropout, rng)
+                     for g in (self.g1, self.g2))
+
+    def distribution(self, left: Tensor, right: Tensor, training=False, rng=None,
+                     keep=None) -> Tensor:
         """Label probabilities for one pair, or one row per pair when
-        ``left`` and ``right`` are matrices with a row per pair."""
-        a = ad.dropout(self.g1(left), self.dropout, training, rng)
-        b = ad.dropout(self.g2(right), self.dropout, training, rng)
+        ``left`` and ``right`` are matrices with a row per pair.  ``keep``,
+        a pair of masks from ``draw_keep`` drawn beforehand, replaces the
+        draw."""
+        if keep is None:
+            keep = self.draw_keep(training, rng, left.data.shape[:-1])
+        a = ad.dropout(self.g1(left), self.dropout, training, rng, keep[0])
+        b = ad.dropout(self.g2(right), self.dropout, training, rng, keep[1])
         return ad.softmax(self.labeler.scores(a, b))

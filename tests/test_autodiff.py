@@ -741,3 +741,116 @@ def test_fuse_state_checks():
         ad.fuse_state(leaf((2, 3)), leaf((4, 3)), leaf((3,)), *weights, "gate")
     with pytest.raises(ShapeError):
         ad.fuse_state(leaf((4,)), leaf((4,)), leaf((4,)), *weights, "plain")
+
+
+# The teacher-forced decoder pass as one op, against the per-step graph of
+# ``fuse_state``, ``dropout`` and ``lstm_step`` it replaces.
+
+# Bank rows (prev, parent, sibling) of a 6-step schedule: step t writes row
+# t + 1, row 0 is the zero state, and a row may serve twice in one step.
+SCHEDULE = np.array([[0, 0, 0], [1, 1, 0], [2, 2, 0], [3, 2, 3], [4, 1, 2], [5, 0, 4]])
+
+
+def decoder_cells(layers, n, in_dim):
+    return [(leaf((4 * n, in_dim if l == 0 else n)), leaf((4 * n,)), leaf((4 * n, n)))
+            for l in range(layers)]
+
+
+def hier_loop(x, cells, weights, fusion, rows, keep):
+    """The per-step decoder: one ``fuse_state`` and keep product per state
+    component, then one ``lstm_step`` per layer; the top states as rows."""
+    n = weights[0].data.shape[0]
+    components = 2 * len(cells)
+    bank = [(Tensor(np.zeros(n)),) * components]
+    top = []
+    for t, (prev, parent, sibling) in enumerate(rows):
+        fused = [ad.fuse_state(bank[prev][i], bank[parent][i], bank[sibling][i], *weights, fusion)
+                 for i in range(components)]
+        if keep is not None:
+            fused = [ad.mul(f, Tensor(keep[t, i])) for i, f in enumerate(fused)]
+        inp, state = ad.row(x, t), []
+        for l, (w_x, b, w_h) in enumerate(cells):
+            hc = ad.lstm_step(ad.add(linear(w_x, inp), b), w_h, fused[2 * l], fused[2 * l + 1])
+            inp = ad.narrow(hc, 0, n)
+            state += [inp, ad.narrow(hc, n, 2 * n)]
+        bank.append(tuple(state))
+        top.append(inp)
+    return ad.stack(top)
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("fusion", ["plain", "gate", "sgate"])
+def test_grad_hier_lstm_seq(fusion, layers):
+    n, in_dim = 3, 4
+    x = leaf((len(SCHEDULE), in_dim))
+    cells = decoder_cells(layers, n, in_dim)
+    weights = fusion_weights(n)
+    used = list(ad._FUSION_WEIGHTS[fusion](weights))
+    tensors = [x] + [t for cell in cells for t in cell] + used
+    masks = np.random.default_rng(5).random((len(SCHEDULE), 2 * layers, n))
+    for keep in (None, (masks >= 0.3) / 0.7):
+        make = lambda: ad.hier_lstm_seq(x, cells, weights, fusion, SCHEDULE, keep)
+        check_gradients(lambda: weighted(make()), tensors)
+        got = make().data
+        want = hier_loop(x, cells, weights, fusion, SCHEDULE, keep).data
+        assert np.abs(got - want).max() <= 1e-12
+        for g, w in zip(grads_of(make, tensors),
+                        grads_of(lambda: hier_loop(x, cells, weights, fusion, SCHEDULE, keep),
+                                 tensors)):
+            assert np.abs(g - w).max(initial=0.0) <= 1e-10
+
+
+def test_hier_lstm_seq_checks():
+    n = 3
+    x, cells, weights = leaf((3, 4)), decoder_cells(2, n, 4), fusion_weights(n)
+    rows = SCHEDULE[:3]
+    with no_grad():
+        out = ad.hier_lstm_seq(x, cells, weights, "gate", rows)
+    assert out._bwd is None and out._parents == () and out.data.shape == (3, n)
+    assert np.array_equal(out.data, ad.hier_lstm_seq(x, cells, weights, "gate", rows).data)
+    with pytest.raises(ConfigError):
+        ad.hier_lstm_seq(x, cells, weights, "max", rows)
+    with pytest.raises(IndexError):  # step 1 may not read row 2, its own output
+        ad.hier_lstm_seq(x, cells, weights, "gate", [[0, 0, 0], [2, 0, 0], [0, 0, 0]])
+    with pytest.raises(ShapeError):
+        ad.hier_lstm_seq(leaf((3, 5)), cells, weights, "gate", rows)
+    with pytest.raises(ShapeError):
+        ad.hier_lstm_seq(x, cells, weights, "gate", rows, keep=np.ones((3, 2, n)))
+
+
+def test_grad_cross_entropy_rows():
+    # Row form: one node whose value is the row terms added left to right,
+    # as ``sum_terms`` of the vector-form terms adds them.
+    for k, m in ((1, 3), (4, 5), (9, 2)):
+        x = leaf((k, m))
+        targets = RNG.integers(0, m, size=k)
+        check_gradients(lambda: ad.cross_entropy(ad.softmax(x), targets), [x])
+        probs = ad.softmax(x)
+        terms = [ad.cross_entropy(Tensor(probs.data[i]), int(t)) for i, t in enumerate(targets)]
+        assert ad.cross_entropy(probs, targets).item() == ad.sum_terms(terms).item()
+    p = Tensor(np.array([[0.25, 0.0, 0.75], [0.5, 0.5, 0.0]]), requires_grad=True)
+    ad.backward(ad.cross_entropy(p, [2, 0]))
+    assert np.array_equal(p.grad, [[0.0, 0.0, -1 / 0.75], [-2.0, 0.0, 0.0]])
+    for targets in ([3, 0], [0, -1]):
+        with pytest.raises(IndexError):
+            ad.cross_entropy(p, targets)
+    for targets in ([0], [0, 1, 2], [[0, 1]]):
+        with pytest.raises(ShapeError):
+            ad.cross_entropy(p, targets)
+
+
+def test_gather_sum_tuple_fast_path():
+    # A tuple index sums its present rows in one pass with no index list;
+    # under no_grad a one-entry frame hands back the stored row, and every
+    # result is bit for bit the left-to-right sum, with the same errors.
+    m = leaf((4, 3))
+    with no_grad():
+        for i in range(4):
+            one = ad.gather_sum(m, (i, -1, -1))
+            assert np.array_equal(one.data, m.data[i]) and not one.requires_grad
+        for frame in [(0, 1, 2), (3, -1, 1), (2, 0, -1)]:
+            assert np.array_equal(ad.gather_sum(m, frame).data, frame_input_sum(m.data, *frame))
+        assert np.array_equal(ad.gather_sum(m, (-1, -1, -1)).data, np.zeros(3))
+        for frame in [(4, -1, -1), (0, -1, 4), (1, 9, 0)]:
+            with pytest.raises(IndexError):
+                ad.gather_sum(m, frame)

@@ -340,12 +340,36 @@ def test_train_dep_history_and_early_stop():
     assert len(stopped) == 1
 
 
+def test_train_dep_logs_grad_norm_and_clip_scale():
+    # Every log line carries the epoch's largest pre-clip global gradient
+    # norm and its smallest clip factor, before lr; a clip far below the
+    # norm scales every batch.  History rows keep their keys.
+    items = items_for([[0, 1], [0, 1, 1]])
+
+    def logged(**overrides):
+        lines = []
+        _, history = train_dep(items, tiny_config(epochs=2, **overrides), log=lines.append)
+        assert set(history[0]) == {"epoch", "loss", "uas", "las", "lr"}
+        words = [line.split() for line in lines]
+        assert all(w[w.index("clip_scale") + 2] == "lr" for w in words)
+        return [(float(w[w.index("grad_norm") + 1]), float(w[w.index("clip_scale") + 1]))
+                for w in words]
+
+    assert all(norm > 0.0 and scale == 1.0 for norm, scale in logged())
+    for norm, scale in logged(clip=1e-3):
+        assert 0.0 < scale < 1.0
+        assert scale == pytest.approx(1e-3 / norm, rel=1.0)
+
+
 def test_train_dep_rejects_empty_and_invalid():
     with pytest.raises(ConfigError):
         train_dep([], tiny_config())
     bad = [(sentence(2), DepTree([2, 1], ["a", "b"]))]
     with pytest.raises(TreeError):
         train_dep(bad, tiny_config())
+    for heads in ([0], [0, 1, 2]):  # a gold tree longer or shorter than its sentence
+        with pytest.raises(TreeError):
+            train_dep([(sentence(2), DepTree(heads, ["a"] * len(heads)))], tiny_config())
 
 
 def test_train_dep_keeps_lr_without_dev_set():
@@ -395,13 +419,15 @@ def test_gold_heads_recovered_after_overfitting_one_sentence():
 
 def test_teacher_forced_graph_size_per_token():
     # Tape ops reachable from the teacher-forced loss under the criterion-3
-    # config.  One gather of summed encoder rows per decoder input and the
-    # encoder's matrix handed on whole bring this to about 57.9 per token;
-    # a chain of adds over one row per encoder state had 58.5, a pick, log
-    # and neg per loss term 65.3, fused single steps about 129 and the
-    # per-gate graph about 264.  The count is exact, so a change that
-    # unfuses a layer or splits a loss term fails here rather than only in
-    # wall time, and the message names the ops per token by op name.
+    # config.  Teacher forcing from a schedule (one decoder sequence op and
+    # one row-form call per head) brings this to about 10.8 per token; one
+    # decoder step and head call at a time with one gather of summed
+    # encoder rows per decoder input had about 57.9, a chain of adds over
+    # one row per encoder state 58.5, a pick, log and neg per loss term
+    # 65.3, fused single steps about 129 and the per-gate graph about 264.
+    # The count is exact, so a change that unfuses a layer or splits a loss
+    # term fails here rather than only in wall time, and the message names
+    # the ops per token by op name.
     items = gen_synthetic_dep(7, 64, max_len=12, vocab_size=200, label_count=8)[:16]
     config = DepConfig(variant="pst", fusion="sgate", encoder_hidden=64, decoder_hidden=64,
                        arc_mlp=64, label_mlp=16, batch_size=8, seed=7).validate()
@@ -420,7 +446,7 @@ def test_teacher_forced_graph_size_per_token():
     ops = sum(by_name.values())
     tokens = sum(len(tokens) for tokens, _ in items)
     per_op = ", ".join(f"{name} {count / tokens:.2f}" for name, count in by_name.most_common())
-    assert ops / tokens <= 58, f"{ops / tokens:.2f} tape ops per token: {per_op}"
+    assert ops / tokens <= 12, f"{ops / tokens:.2f} tape ops per token: {per_op}"
 
 
 def test_max_len_enforced_by_greedy_and_beam():
@@ -599,3 +625,19 @@ def test_encoder_tape_does_not_grow_with_length(monkeypatch):
             sentence(n), training=True, rng=np.random.default_rng(8)))
         counts[n] = ops
     assert counts[3] == counts[12]
+
+
+def test_teacher_forced_tape_does_not_grow_with_length(monkeypatch):
+    # Teacher forcing records one decoder op and one call per head for the
+    # whole sentence, so a 12-word sentence records exactly the ops of a
+    # 3-word one, dropout included; a per-step loop fails here.
+    items = items_for([[0, 1, 1]])
+    model, _ = tiny_model(items, encoder_layers=2, decoder_layers=2, embed_dropout=0.3,
+                          recurrent_dropout=0.3, layer_dropout=0.3, state_dropout=0.3,
+                          mlp_dropout=0.3)
+    counts = {}
+    for n in (3, 12):
+        gold = DepTree([0] + list(range(1, n)), ["dep0"] * n)
+        counts[n] = count_graph_ops(monkeypatch, lambda: run_transition(
+            model, sentence(n), gold=gold, training=True, rng=np.random.default_rng(8)))
+    assert counts[3] == counts[12], counts

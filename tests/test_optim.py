@@ -20,8 +20,8 @@ def params_of(*arrays):
 def test_clip_noop_below_threshold():
     params = params_of([1.0, 2.0])
     params[0][1].grad = np.array([3.0, 4.0])  # norm 5
-    scale = clip_by_global_norm(params, 5.0)
-    assert scale == 1.0
+    scale, norm = clip_by_global_norm(params, 5.0)
+    assert scale == 1.0 and norm == 5.0
     assert np.array_equal(params[0][1].grad, [3.0, 4.0])
 
 
@@ -30,8 +30,8 @@ def test_clip_rescales_to_max_norm():
     params[0][1].grad = np.array([6.0, 8.0])
     params[1][1].grad = np.array([0.0])
     # global norm 10, max 5 -> scale 0.5
-    scale = clip_by_global_norm(params, 5.0)
-    assert scale == pytest.approx(0.5)
+    scale, norm = clip_by_global_norm(params, 5.0)
+    assert scale == pytest.approx(0.5) and norm == 10.0
     assert np.allclose(params[0][1].grad, [3.0, 4.0])
     norm = np.sqrt(sum((p.grad ** 2).sum() for _, p in params))
     assert norm == pytest.approx(5.0)
