@@ -16,7 +16,7 @@ The op set is what the parsers call, and no more:
   ``reshape``, ``transpose``, ``gather``, ``gather_sum``, ``segment_max``
   and ``max_over_rows``;
 - fused layers: ``lstm_step``, ``gru_step``, ``lstm_seq``, ``gru_seq``,
-  ``fuse_state`` and ``hier_lstm_seq``;
+  ``fuse_state`` and ``hier_seq``;
 - heads and losses: ``softmax`` (masked, over the last axis of a vector
   or of every row of a matrix), ``dropout``, ``cross_entropy`` and
   ``sum_terms``.
@@ -25,9 +25,11 @@ The hierarchical decoder has two forms.  Decoding advances it one step at
 a time, one ``fuse_state`` per state component and one ``lstm_step`` or
 ``gru_step`` per layer, because each step's input depends on the last
 decision.  Teacher forcing knows every step in advance, so the whole
-decoder pass is one ``hier_lstm_seq`` op over a schedule of bank rows.
-Both forms call the same numpy kernels (``_fuse``, ``_lstm_cell`` and
-their backward halves), so the gate math exists once.
+decoder pass is one ``hier_seq`` op over a schedule of bank rows, for
+either cell kind: only the per-layer cell arithmetic differs between LSTM
+and GRU, and the op shares the rest.  Both forms call the same numpy
+kernels (``_fuse``, ``_lstm_cell``, ``_gru_cell`` and their backward
+halves), so the gate math exists once.
 
 Each loss term is one node: ``cross_entropy`` picks ``-log p[target]``
 in a single op, or sums the picks of every row of a matrix, and
@@ -839,8 +841,68 @@ def fuse_state(prev: Tensor, parent: Tensor, sibling: Tensor, w_d: Tensor, w_p: 
     return _node(data, inputs + weights, bwd)
 
 
-def hier_lstm_seq(x: Tensor, cells, fusion_weights, fusion: str, rows, keep=None) -> Tensor:
-    """A whole teacher-forced hierarchical LSTM decoder pass as one op.
+def _lstm_layer(xp, rec, state):
+    """An LSTM layer of ``hier_seq`` on arrays: its new (h, c) block from the
+    input projection ``xp``, ``rec`` = (w_h,) and the fused (h, c) block."""
+    h, c, saved = _lstm_cell(xp, rec[0], state[0], state[1], None)
+    return (h, c), saved
+
+
+def _lstm_layer_back(d_h, d_rest, rec, saved):
+    """Backward of ``_lstm_layer``: (for ``xp``, for the fused block)."""
+    dpre, dc = _lstm_cell_back(d_h, d_rest[0], saved)
+    return dpre, (_input_grad(rec[0], dpre), dc)
+
+
+def _gru_layer(xp, rec, state):
+    """A GRU layer of ``hier_seq`` on arrays: its new (h,) block from the
+    input projection ``xp`` = [x_rz; x_n], ``rec`` = (u_rz, u_n) and the
+    fused (h,) block."""
+    n = state.shape[-1]
+    h, saved = _gru_cell(xp[: 2 * n], xp[2 * n :], rec[0], rec[1], state[0], None)
+    return (h,), saved
+
+
+def _gru_layer_back(d_h, d_rest, rec, saved):
+    """Backward of ``_gru_layer``: (for ``xp``, for the fused block)."""
+    drz, dn, dh = _gru_cell_back(d_h, rec[0], rec[1], saved, None)
+    return np.concatenate([drz, dn]), (dh,)
+
+
+# What ``hier_seq`` varies by cell kind: a layer's weight sizes as multiples
+# of the hidden size (one input weight, one bias and one recurrent weight
+# each: LSTM (w_x, bias, w_h), GRU (w_rz, w_n, b_rz, b_n, u_rz, u_n)), the
+# state components per layer, the layer's step and backward on arrays, and
+# the stacked inputs whose products with the recurrent weights' upstreams
+# are their gradients, from the fused h rows and each step's saved cell.
+_SEQ_CELLS = {
+    "lstm": ((4,), 2, _lstm_layer, _lstm_layer_back, lambda hm, saved: (hm,)),
+    "gru": ((2, 1), 1, _gru_layer, _gru_layer_back,
+            lambda hm, saved: (hm, np.stack([cell[3] for cell in saved]))),
+}
+
+
+def _project(ws, bs, x):
+    """``x`` through each input weight of ``ws`` plus its bias, the results
+    joined along the last axis."""
+    if len(ws) == 1:
+        return _linear(ws[0], x) + bs[0]
+    return np.concatenate([_linear(w, x) + b for w, b in zip(ws, bs)], axis=-1)
+
+
+def _project_back(ws, d):
+    """Gradient of ``x`` in ``_project(ws, bs, x)`` for upstream ``d``."""
+    grad, start = None, 0
+    for w in ws:
+        part = _input_grad(w, d[..., start : start + len(w)])
+        grad = part if grad is None else grad + part
+        start += len(w)
+    return grad
+
+
+def hier_seq(x: Tensor, cell: str, layers, fusion_weights, fusion: str, rows,
+             keep=None) -> Tensor:
+    """A whole teacher-forced hierarchical decoder pass as one op.
 
     Step t reads three rows of a state bank: its temporal predecessor, its
     parent and its sibling, ``rows[t]``.  Bank row 0 is the zero state and
@@ -848,37 +910,49 @@ def hier_lstm_seq(x: Tensor, cells, fusion_weights, fusion: str, rows, keep=None
     step fuses the three states by ``fuse_state``'s arithmetic, all C state
     components of a step as one (C, h) block, scales the result by
     ``keep[t]`` (state dropout masks drawn beforehand, or None), and runs
-    the LSTM stack on it by ``lstm_step``'s arithmetic: layer l takes
-    components 2l and 2l+1 as its (h, c).  ``x`` holds the S decoder inputs,
-    one row per step; ``cells`` lists each layer's ``(w_x, bias, w_h)``, and
-    every layer projects its input (``x`` for the first, the new ``h`` of
-    the layer below for the others) inside the op.  ``fusion_weights`` is
-    ``(w_d, w_p, w_s, w_gd, w_gp, w_gs, b_g)``.
+    the cell stack on it: by ``lstm_step``'s arithmetic for ``cell`` "lstm",
+    where layer l takes components 2l and 2l+1 as its (h, c), or by
+    ``gru_step``'s for "gru", where layer l takes component l as its h.
+    ``x`` holds the S decoder inputs, one row per step.  ``layers`` lists
+    each layer's weights, ``(w_x, bias, w_h)`` for an LSTM layer and
+    ``(w_rz, w_n, b_rz, b_n, u_rz, u_n)`` for a GRU layer; every layer
+    projects its input (``x`` for the first, the new h of the layer below
+    for the others) inside the op.  ``fusion_weights`` is ``(w_d, w_p, w_s,
+    w_gd, w_gp, w_gs, b_g)``.
 
     Returns the (S, h) top hidden states, one row per step.  The backward
     pass runs backpropagation through the tree in one call, from the last
     step back, and forms each weight's gradient as one product of stacked
     rows at the end, as ``lstm_seq`` does through a chain.
     """
+    kind = _SEQ_CELLS.get(cell)
+    if kind is None:
+        raise ConfigError(f"unknown decoder cell {cell!r}")
+    multiples, width, layer_step, layer_back, rec_inputs = kind
+    parts = len(multiples)
     used = _fusion_weights(fusion, tuple(fusion_weights))
     fw = tuple(t.data for t in fusion_weights)
-    layers, h = len(cells), fw[0].shape[0]
+    depth, h = len(layers), fw[0].shape[0]
+    sizes = [k * h for k in multiples]
     rows = np.asarray(rows, dtype=np.intp)
-    steps, components = len(rows), 2 * len(cells)
-    if (layers < 1 or x.data.ndim != 2 or x.data.shape[0] != steps or rows.shape != (steps, 3)
-            or any(w_x.data.shape != (4 * h, h if l else x.data.shape[1])
-                   or b.data.shape != (4 * h,) or w_h.data.shape != (4 * h, h)
-                   for l, (w_x, b, w_h) in enumerate(cells))
+    steps, components = len(rows), width * depth
+    if (depth < 1 or x.data.ndim != 2 or x.data.shape[0] != steps or rows.shape != (steps, 3)
+            or any([t.data.shape for t in layer]
+                   != [(s, h if l else x.data.shape[1]) for s in sizes]
+                   + [(s,) for s in sizes] + [(s, h) for s in sizes]
+                   for l, layer in enumerate(layers))
             or (keep is not None and keep.shape != (steps, components, h))):
-        raise ShapeError(f"hier_lstm_seq shapes disagree: x {x.data.shape}, rows {rows.shape}, "
-                         f"cells {[[t.data.shape for t in cell] for cell in cells]}, "
+        raise ShapeError(f"hier_seq shapes disagree: x {x.data.shape}, rows {rows.shape}, "
+                         f"{cell} layers {[[t.data.shape for t in layer] for layer in layers]}, "
                          f"keep {None if keep is None else keep.shape}")
     if steps and (rows.min() < 0 or np.any(rows.max(axis=1) > np.arange(steps))):
-        raise IndexError("hier_lstm_seq rows must name the zero row or an earlier step")
-    tensors = [x] + [t for cell in cells for t in cell] + list(used)
+        raise IndexError("hier_seq rows must name the zero row or an earlier step")
+    tensors = [x] + [t for layer in layers for t in layer] + list(used)
     tracked = _tracked(*tensors)
-    w_x0, b_0, _ = (t.data for t in cells[0])
-    xw = _linear(w_x0, x.data) + b_0
+    # Per layer: the input weights, the biases and the recurrent weights.
+    arrays = [tuple(tuple(t.data for t in layer[i * parts : (i + 1) * parts]) for i in range(3))
+              for layer in layers]
+    xp = _project(*arrays[0][:2], x.data)
     bank = np.zeros((steps + 1, components, h))
     fused = np.empty((steps, components, h))  # each step's cell states after dropout
     saved = [None] * steps
@@ -887,36 +961,38 @@ def hier_lstm_seq(x: Tensor, cells, fusion_weights, fusion: str, rows, keep=None
         fused[t], fuse_saved = _fuse(p, q, s, fw, fusion)
         if keep is not None:
             fused[t] *= keep[t]
-        inp, cell_saved = xw[t], []
-        for l, (w_x, b, w_h) in enumerate(cells):
+        inp, cell_saved = xp[t], []
+        for l, (w_in, b_in, rec) in enumerate(arrays):
             if l:
-                inp = _linear(w_x.data, inp) + b.data
-            inp, c_new, cell = _lstm_cell(inp, w_h.data, fused[t, 2 * l], fused[t, 2 * l + 1],
-                                          None)
-            bank[t + 1, 2 * l], bank[t + 1, 2 * l + 1] = inp, c_new
-            cell_saved.append(cell)
+                inp = _project(w_in, b_in, inp)
+            block = slice(width * l, width * (l + 1))
+            state, saved_cell = layer_step(inp, rec, fused[t, block])
+            bank[t + 1, block] = state
+            inp = state[0]
+            cell_saved.append(saved_cell)
         if tracked:
             saved[t] = (p, q, s, fuse_saved, cell_saved)
-    data = bank[1:, components - 2].copy()
+    data = bank[1:, components - width].copy()
     if not tracked:
         return _const(data)
 
     def bwd(grad):
         d_bank = np.zeros_like(bank)
-        d_bank[1:, components - 2] = grad
-        dpre = np.empty((layers, steps, 4 * h))
+        d_bank[1:, components - width] = grad
+        dproj = np.empty((depth, steps, sum(sizes)))
         pairs = {}
         d_gates = []
         for t in reversed(range(steps)):
             p, q, s, fuse_saved, cell_saved = saved[t]
             d_fused = np.empty((components, h))
             d_below = 0.0
-            for l in reversed(range(layers)):
-                dpre[l, t], d_fused[2 * l + 1] = _lstm_cell_back(
-                    d_bank[t + 1, 2 * l] + d_below, d_bank[t + 1, 2 * l + 1], cell_saved[l])
-                d_fused[2 * l] = _input_grad(cells[l][2].data, dpre[l, t])
+            for l in reversed(range(depth)):
+                first = width * l
+                dproj[l, t], d_fused[first : first + width] = layer_back(
+                    d_bank[t + 1, first] + d_below, d_bank[t + 1, first + 1 : first + width],
+                    arrays[l][2], cell_saved[l])
                 if l:
-                    d_below = _input_grad(cells[l][0].data, dpre[l, t])
+                    d_below = _project_back(arrays[l][0], dproj[l, t])
             if keep is not None:
                 d_fused *= keep[t]
             d_prev, d_parent, d_sibling, step_pairs, d_gate = _fuse_back(
@@ -933,16 +1009,20 @@ def hier_lstm_seq(x: Tensor, cells, fusion_weights, fusion: str, rows, keep=None
                 fusion_weights[i]._accum(np.concatenate([d for _, d in terms]).T @ inputs)
         if d_gates and fusion_weights[6].requires_grad:
             fusion_weights[6]._accum(np.concatenate(d_gates).sum(axis=0))
-        for l, (w_x, b, w_h) in enumerate(cells):
-            below = x.data if l == 0 else bank[1:, 2 * l - 2]
-            if w_x.requires_grad:
-                w_x._accum(dpre[l].T @ below)
-            if b.requires_grad:
-                b._accum(dpre[l].sum(axis=0))
-            if w_h.requires_grad:
-                w_h._accum(dpre[l].T @ fused[:, 2 * l])
+        bounds = [sum(sizes[:k]) for k in range(1, parts)]
+        for l, layer in enumerate(layers):
+            below = x.data if l == 0 else bank[1:, width * (l - 1)]
+            recurrent = rec_inputs(fused[:, width * l], [cells[l] for *_, cells in saved])
+            for k, d in enumerate(np.split(dproj[l], bounds, axis=1)):
+                w_in, b_in, w_rec = layer[k], layer[parts + k], layer[2 * parts + k]
+                if w_in.requires_grad:
+                    w_in._accum(d.T @ below)
+                if b_in.requires_grad:
+                    b_in._accum(d.sum(axis=0))
+                if w_rec.requires_grad:
+                    w_rec._accum(d.T @ recurrent[k])
         if x.requires_grad:
-            x._accum(_input_grad(w_x0, dpre[0]))
+            x._accum(_project_back(arrays[0][0], dproj[0]))
 
     return _node(data, tuple(tensors), bwd)
 

@@ -235,6 +235,8 @@ def run_parse(args):
 
 
 def run_eval(args):
+    if args.bucket_width < 1:
+        raise ConfigError(f"--bucket-width must be at least 1, got {args.bucket_width}")
     punct_xpos = tuple(args.punct_xpos)
     exclude_punct = not args.include_punct
     if args.task == "dep":
@@ -274,8 +276,12 @@ def run_eval(args):
 
 
 def run_gen_data(args):
-    if args.count < 1:
-        raise ConfigError(f"count must be at least 1, got {args.count}")
+    for name in ("count", "max_len", "max_edus", "vocab_size", "labels"):
+        if getattr(args, name) < 1:
+            raise ConfigError(f"--{name.replace('_', '-')} must be at least 1, "
+                              f"got {getattr(args, name)}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     if args.kind == "dep":
         items = gen_synthetic_dep(args.seed, args.count, max_len=args.max_len,
                                   vocab_size=args.vocab_size, label_count=args.labels)

@@ -31,8 +31,10 @@ Decoding calls ``fuse`` and ``step`` once per step, because each step's
 frame depends on the decision before it; they take one decoder state, or
 k states stacked as rows (one per beam hypothesis) and advance each row on
 its own.  Teacher forcing knows every frame before the decoder runs, so
-``run_schedule`` takes the frames of all 2n+1 steps at once and runs the
-whole pass as one ``autodiff.hier_lstm_seq`` op (LSTM cells only).
+``run_schedule`` takes the frames of every step at once (2n+1 for a
+dependency sentence, one per pointed span for a discourse sentence) and
+runs the whole pass as one ``autodiff.hier_seq`` op, for LSTM and GRU
+cells alike.
 """
 
 from __future__ import annotations
@@ -139,17 +141,19 @@ class HierDecoder(Module):
         temporal predecessor and writes row t + 1, so the bank rows named in
         the frames are the rows ``fuse`` would be handed.  ``keep`` stacks
         one ``draw_keep`` mask per step, (S, components, hidden), or is None
-        for no dropout.  The decoder must have LSTM cells: the op has no GRU
-        form yet.
+        for no dropout.  LSTM and GRU cells run through the same op.
         """
         steps = len(frames)
         absent = np.zeros(steps, dtype=np.intp)
         prev = np.arange(steps) if self.variant == "pst" else absent
         sibling = absent if self.variant == "p" else frames[:, 4]
-        cells = [(cell.w_x, cell.bias, cell.w_h) for cell in self.cells]
+        if self.cell == "lstm":
+            layers = [(c.w_x, c.bias, c.w_h) for c in self.cells]
+        else:
+            layers = [(c.w_rz, c.w_n, c.b_rz, c.b_n, c.u_rz, c.u_n) for c in self.cells]
         weights = (self.w_d, self.w_p, self.w_s, self.w_gd, self.w_gp, self.w_gs, self.b_g)
-        return ad.hier_lstm_seq(x, cells, weights, self.fusion,
-                                np.stack([prev, frames[:, 3], sibling], axis=1), keep)
+        return ad.hier_seq(x, self.cell, layers, weights, self.fusion,
+                           np.stack([prev, frames[:, 3], sibling], axis=1), keep)
 
     def step(self, x: Tensor, fused_state: tuple):
         """Run the cell stack from a fused state; returns (new_state, top_hidden).

@@ -7,7 +7,12 @@ the label); single EDUs are leaves.  Each split is labeled by a biaffine
 classifier over the last-EDU representations of the two child spans.
 
 Frames are popped in preorder, so the gold event sequence from
-``oracle_splits`` lines up with the stack discipline exactly.
+``oracle_splits`` lines up with the stack discipline exactly.  Teacher
+forcing uses that to build the whole pass before the decoder runs: one
+walk of the gold events gives every pointed span's frame, candidate range
+and target and every split's labeler pair, and the tape records one
+decoder sequence op, one row-form dot pointer and one labeler call per
+sentence.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, no_grad
 from .decoder import FUSIONS, HierDecoder, VARIANTS
-from .dep import _check_common, _finite, fit_loop
+from .dep import _check_common, _finite, _stacked, fit_loop
 from .encoder import RstEncoder, UNK, Vocab
 from .errors import ConfigError, TreeError
 from .metrics import score_parseval_corpus
@@ -137,7 +142,7 @@ class RstRunResult:
 
 def run_splits(model: RstModel, words, ends, gold: DiscTree = None, training: bool = False,
                rng=None) -> RstRunResult:
-    """Shared stepper for teacher forcing (gold given) and greedy decoding.
+    """Greedy decoding, or teacher forcing when ``gold`` is given.
 
     Frames and the state bank are those of ``decoder``'s module docstring,
     with a span (i, j) as the element and the last EDU of a span as its
@@ -147,74 +152,126 @@ def run_splits(model: RstModel, words, ends, gold: DiscTree = None, training: bo
     by the pointer.  Every split, forced or pointed, is then labeled the
     same way.  When both children of a split will step, the left one is
     popped next, so the right one's sibling state is the next bank row.
+
+    Greedy decoding steps the decoder, the dot pointer and the labeler one
+    span at a time, because each split decides the frames after it.  With
+    a gold tree every frame is known in advance, so the pass goes through
+    ``_teacher_forced``: a fixed number of tape ops per sentence.
     """
     config = model.config
     if len(words) > config.max_len:
         raise ConfigError(f"sentence length {len(words)} exceeds max_len {config.max_len}")
     edus = model.encoder.encode(words, ends, training=training, rng=rng)
     m = edus.data.shape[0]
-    if gold is not None and gold.m != m:
-        raise TreeError(f"gold tree spans {gold.m} EDUs but segmentation has {m}")
-    events = iter(oracle_splits(gold)) if gold is not None else None
+    if gold is not None:
+        if gold.m != m:
+            raise TreeError(f"gold tree spans {gold.m} EDUs but segmentation has {m}")
+        return _teacher_forced(model, edus, gold, training, rng)
 
     splits = {}
-    structure_terms = []
-    label_terms = []
     pointer_calls = 0
     score_evaluations = 0
     bank = [model.decoder.zero_state()]
     stack = [((1, m), -1, -1, 0, 0)] if m >= 2 else []
-
     while stack:
         (i, j), parent, sibling, parent_row, sibling_row = stack.pop()
-        pointed = j - i >= 2
-        if events is not None:
-            _, k, label, _ = _next_event(events, (i, j), expect_pointed=pointed)
-
-        if pointed:
+        k = i
+        if j - i >= 2:
             x = ad.gather_sum(edus, (j - 1, parent, sibling))
             fused = model.decoder.fuse(bank[-1], bank[parent_row], bank[sibling_row],
                                        training=training, rng=rng)
             state, d = model.decoder.step(x, fused)
             bank.append(state)
-            result = dot_attend(edus, d, i - 1, j - 1, position_offset=i)
+            k = dot_attend(edus, d, i - 1, j - 1, position_offset=i).best()
             pointer_calls += 1
             score_evaluations += j - i
-            if events is None:
-                k = result.best()
-            else:
-                structure_terms.append(result.nll(k))
-        elif events is not None and k != i:
-            raise TreeError(f"forced split at {(i, j)} disagrees with gold position {k}")
-        else:
-            k = i
-
         dist = model.labeler.distribution(ad.row(edus, k - 1), ad.row(edus, j - 1),
                                           training=training, rng=rng)
-        if events is not None:
-            label_terms.append(ad.cross_entropy(dist, model.labels[label]))
-        else:
-            label = model.labels.name(int(np.argmax(dist.data)))
+        label = model.labels.name(int(np.argmax(dist.data)))
         splits[(i, j)] = (k, *split_label(label))
+        _push_children(stack, i, j, k, len(bank) - 1)
 
-        state_row = len(bank) - 1
-        left_len = k - i + 1
-        right_len = j - k
-        if right_len >= 2:
-            if left_len >= 3 and right_len >= 3:
-                stack.append(((k + 1, j), j - 1, k - 1, state_row, state_row + 1))
-            else:
-                stack.append(((k + 1, j), j - 1, -1, state_row, 0))
-        if left_len >= 2:
-            stack.append(((i, k), j - 1, -1, state_row, 0))
+    return RstRunResult(tree=DiscTree(_assemble(splits, 1, m)), structure_loss=Tensor(0.0),
+                        label_loss=Tensor(0.0), pointer_calls=pointer_calls,
+                        score_evaluations=score_evaluations)
 
-    if events is not None and next(events, None) is not None:
+
+def _push_children(stack, i: int, j: int, k: int, state_row: int):
+    """Push the child spans of split (i, j) at k that still need a decision,
+    left on top; ``state_row`` is the bank row of the latest decoder state."""
+    left_len = k - i + 1
+    right_len = j - k
+    if right_len >= 2:
+        if left_len >= 3 and right_len >= 3:
+            stack.append(((k + 1, j), j - 1, k - 1, state_row, state_row + 1))
+        else:
+            stack.append(((k + 1, j), j - 1, -1, state_row, 0))
+    if left_len >= 2:
+        stack.append(((i, k), j - 1, -1, state_row, 0))
+
+
+def _teacher_forced(model: RstModel, edus: Tensor, gold: DiscTree, training,
+                    rng) -> RstRunResult:
+    """Teacher forcing from a schedule: ``run_splits`` with a gold tree.
+
+    One integer walk of ``oracle_splits``, in the stack order of decoding,
+    builds each pointed span's frame, its candidate-mask row over the EDU
+    rows [i-1, j-1) and its gold target row k-1; pointed step t writes bank
+    row t + 1.  Every split, forced two-EDU splits included, adds its
+    labeler pair rows (k-1, j-1) and its label id.  The walk also draws
+    every dropout mask in the per-step order, through each module's own
+    ``draw_keep``: the decoder's on a pointed span, then the labeler's on
+    every split.  The tape then records one ``gather_sum`` of decoder
+    inputs, one ``decoder.run_schedule``, one row-form ``dot_attend`` with
+    one row-form ``cross_entropy``, and one ``labeler.distribution`` over
+    all splits with its row-form ``cross_entropy``.  With no pointed span
+    the structure loss is the zero constant.
+    """
+    m = edus.data.shape[0]
+    decoder, labeler = model.decoder, model.labeler
+    events = iter(oracle_splits(gold))
+    splits = {}
+    frames, state_keep, masks, targets = [], [], [], []   # pointed spans
+    pairs, label_ids, label_keep = [], [], []             # every split
+    stack = [((1, m), -1, -1, 0, 0)] if m >= 2 else []
+    while stack:
+        (i, j), parent, sibling, parent_row, sibling_row = stack.pop()
+        pointed = j - i >= 2
+        _, k, label, _ = _next_event(events, (i, j), expect_pointed=pointed)
+        if pointed:
+            frames.append((j - 1, parent, sibling, parent_row, sibling_row))
+            state_keep.append(decoder.draw_keep(training, rng))
+            mask = np.zeros(m, dtype=bool)
+            mask[i - 1 : j - 1] = True
+            masks.append(mask)
+            targets.append(k - 1)
+        elif k != i:
+            raise TreeError(f"forced split at {(i, j)} disagrees with gold position {k}")
+        pairs.append((k - 1, j - 1))
+        label_ids.append(model.labels[label])
+        label_keep.append(labeler.draw_keep(training, rng))
+        splits[(i, j)] = (k, *split_label(label))
+        _push_children(stack, i, j, k, len(frames))
+    if next(events, None) is not None:
         raise TreeError("gold events remain after decoding finished")
 
-    tree = DiscTree(_assemble(splits, 1, m))
-    return RstRunResult(tree=tree, structure_loss=ad.sum_terms(structure_terms),
-                        label_loss=ad.sum_terms(label_terms), pointer_calls=pointer_calls,
-                        score_evaluations=score_evaluations)
+    structure_loss = label_loss = Tensor(0.0)
+    if frames:
+        frames = np.array(frames, dtype=np.intp)
+        top = decoder.run_schedule(ad.gather_sum(edus, frames[:, :3]), frames,
+                                   _stacked(state_keep))
+        result = dot_attend(edus, top, mask=np.array(masks))
+        structure_loss = ad.cross_entropy(result.probs, targets)
+    if pairs:
+        left, right = zip(*pairs)
+        left_keep, right_keep = zip(*label_keep)
+        dist = labeler.distribution(ad.gather(edus, left), ad.gather(edus, right),
+                                    training=training, rng=rng,
+                                    keep=(_stacked(left_keep), _stacked(right_keep)))
+        label_loss = ad.cross_entropy(dist, label_ids)
+    return RstRunResult(tree=DiscTree(_assemble(splits, 1, m)), structure_loss=structure_loss,
+                        label_loss=label_loss, pointer_calls=len(masks),
+                        score_evaluations=int(sum(mask.sum() for mask in masks)))
 
 
 def _next_event(events, span, expect_pointed):

@@ -5,9 +5,9 @@ every encoder state; the discourse pointer is a plain dot product between
 the decoder state and candidate split representations.  Label classifiers
 are per-label biaffines over the same kind of vector pair.
 
-The dependency pointer and the labelers also take a matrix with one row
-per beam hypothesis and answer with one row of scores or probabilities per
-hypothesis, through the same weights and ops.
+Both pointers and the labelers also take a matrix with one row per decoder
+state (a beam hypothesis, or a teacher-forced step) and answer with one row
+of scores or probabilities per state, through the same weights and ops.
 """
 
 from __future__ import annotations
@@ -142,13 +142,23 @@ class BiaffinePointer(Module):
         return self.biaffine.score(self.g1(d), self.g2(h))
 
 
-def dot_attend(matrix: Tensor, d: Tensor, row_start: int, row_stop: int,
-               position_offset: int) -> AttentionResult:
-    """Dot-product attention of ``d`` against rows [row_start, row_stop)."""
-    candidates = ad.rows(matrix, row_start, row_stop)
-    scores = ad.matmul(candidates, d)
-    probs = ad.softmax(scores)
-    return AttentionResult(scores, probs, offset=position_offset)
+def dot_attend(matrix: Tensor, d: Tensor, row_start: int = 0, row_stop: int = None,
+               position_offset: int = 0, mask=None) -> AttentionResult:
+    """Dot-product attention of ``d`` against rows [row_start, row_stop) of
+    ``matrix`` (all rows when ``row_stop`` is None).
+
+    Row form: an (S, dim) matrix ``d`` of decoder states with an (S,
+    candidates) boolean ``mask`` scores every state against the same rows,
+    ``d · rowsᵀ``, and normalizes each row under its own mask row.
+    """
+    if row_stop is not None:
+        matrix = ad.rows(matrix, row_start, row_stop)
+    if d.data.ndim == 1:
+        scores = ad.matmul(matrix, d)
+    else:
+        scores = ad.matmul(d, ad.transpose(matrix))
+    probs = ad.softmax(scores, mask)
+    return AttentionResult(scores, probs, offset=position_offset, mask=mask)
 
 
 class PairLabeler(Module):

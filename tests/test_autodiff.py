@@ -744,23 +744,30 @@ def test_fuse_state_checks():
 
 
 # The teacher-forced decoder pass as one op, against the per-step graph of
-# ``fuse_state``, ``dropout`` and ``lstm_step`` it replaces.
+# ``fuse_state``, ``dropout`` and ``lstm_step`` or ``gru_step`` it replaces.
 
 # Bank rows (prev, parent, sibling) of a 6-step schedule: step t writes row
 # t + 1, row 0 is the zero state, and a row may serve twice in one step.
 SCHEDULE = np.array([[0, 0, 0], [1, 1, 0], [2, 2, 0], [3, 2, 3], [4, 1, 2], [5, 0, 4]])
 
 
-def decoder_cells(layers, n, in_dim):
-    return [(leaf((4 * n, in_dim if l == 0 else n)), leaf((4 * n,)), leaf((4 * n, n)))
-            for l in range(layers)]
+def decoder_cells(layers, n, in_dim, cell="lstm"):
+    """Each layer's weights in ``hier_seq``'s order for ``cell``."""
+    def sizes(l):
+        width = in_dim if l == 0 else n
+        if cell == "lstm":
+            return [(4 * n, width), (4 * n,), (4 * n, n)]
+        return [(2 * n, width), (n, width), (2 * n,), (n,), (2 * n, n), (n, n)]
+    return [tuple(leaf(shape) for shape in sizes(l)) for l in range(layers)]
 
 
-def hier_loop(x, cells, weights, fusion, rows, keep):
+def hier_loop(x, cell, cells, weights, fusion, rows, keep):
     """The per-step decoder: one ``fuse_state`` and keep product per state
-    component, then one ``lstm_step`` per layer; the top states as rows."""
+    component, then one ``lstm_step`` or ``gru_step`` per layer; the top
+    states as rows."""
     n = weights[0].data.shape[0]
-    components = 2 * len(cells)
+    width = 2 if cell == "lstm" else 1
+    components = width * len(cells)
     bank = [(Tensor(np.zeros(n)),) * components]
     top = []
     for t, (prev, parent, sibling) in enumerate(rows):
@@ -769,53 +776,71 @@ def hier_loop(x, cells, weights, fusion, rows, keep):
         if keep is not None:
             fused = [ad.mul(f, Tensor(keep[t, i])) for i, f in enumerate(fused)]
         inp, state = ad.row(x, t), []
-        for l, (w_x, b, w_h) in enumerate(cells):
-            hc = ad.lstm_step(ad.add(linear(w_x, inp), b), w_h, fused[2 * l], fused[2 * l + 1])
-            inp = ad.narrow(hc, 0, n)
-            state += [inp, ad.narrow(hc, n, 2 * n)]
+        for l, layer in enumerate(cells):
+            if cell == "lstm":
+                w_x, b, w_h = layer
+                hc = ad.lstm_step(ad.add(linear(w_x, inp), b), w_h, fused[2 * l], fused[2 * l + 1])
+                inp = ad.narrow(hc, 0, n)
+                state += [inp, ad.narrow(hc, n, 2 * n)]
+            else:
+                w_rz, w_n, b_rz, b_n, u_rz, u_n = layer
+                inp = ad.gru_step(ad.add(linear(w_rz, inp), b_rz), ad.add(linear(w_n, inp), b_n),
+                                  u_rz, u_n, fused[l])
+                state.append(inp)
         bank.append(tuple(state))
         top.append(inp)
     return ad.stack(top)
 
 
-@pytest.mark.parametrize("layers", [1, 2])
-@pytest.mark.parametrize("fusion", ["plain", "gate", "sgate"])
-def test_grad_hier_lstm_seq(fusion, layers):
+# LSTM cases keep the ids they had before the op took GRU cells too.
+HIER_CASES = [pytest.param(cell, fusion, layers,
+                           id=f"{fusion}-{layers}" + ("" if cell == "lstm" else "-gru"))
+              for cell in ("lstm", "gru") for layers in (1, 2)
+              for fusion in ("plain", "gate", "sgate")]
+
+
+@pytest.mark.parametrize("cell, fusion, layers", HIER_CASES)
+def test_grad_hier_lstm_seq(cell, fusion, layers):
     n, in_dim = 3, 4
+    width = 2 if cell == "lstm" else 1
     x = leaf((len(SCHEDULE), in_dim))
-    cells = decoder_cells(layers, n, in_dim)
+    cells = decoder_cells(layers, n, in_dim, cell)
     weights = fusion_weights(n)
     used = list(ad._FUSION_WEIGHTS[fusion](weights))
-    tensors = [x] + [t for cell in cells for t in cell] + used
-    masks = np.random.default_rng(5).random((len(SCHEDULE), 2 * layers, n))
+    tensors = [x] + [t for layer in cells for t in layer] + used
+    masks = np.random.default_rng(5).random((len(SCHEDULE), width * layers, n))
+    reference = lambda: hier_loop(x, cell, cells, weights, fusion, SCHEDULE, keep)
     for keep in (None, (masks >= 0.3) / 0.7):
-        make = lambda: ad.hier_lstm_seq(x, cells, weights, fusion, SCHEDULE, keep)
+        make = lambda: ad.hier_seq(x, cell, cells, weights, fusion, SCHEDULE, keep)
         check_gradients(lambda: weighted(make()), tensors)
-        got = make().data
-        want = hier_loop(x, cells, weights, fusion, SCHEDULE, keep).data
-        assert np.abs(got - want).max() <= 1e-12
-        for g, w in zip(grads_of(make, tensors),
-                        grads_of(lambda: hier_loop(x, cells, weights, fusion, SCHEDULE, keep),
-                                 tensors)):
+        assert np.abs(make().data - reference().data).max() <= 1e-12
+        for g, w in zip(grads_of(make, tensors), grads_of(reference, tensors)):
             assert np.abs(g - w).max(initial=0.0) <= 1e-10
 
 
 def test_hier_lstm_seq_checks():
     n = 3
-    x, cells, weights = leaf((3, 4)), decoder_cells(2, n, 4), fusion_weights(n)
     rows = SCHEDULE[:3]
-    with no_grad():
-        out = ad.hier_lstm_seq(x, cells, weights, "gate", rows)
-    assert out._bwd is None and out._parents == () and out.data.shape == (3, n)
-    assert np.array_equal(out.data, ad.hier_lstm_seq(x, cells, weights, "gate", rows).data)
+    weights = fusion_weights(n)
+    for cell, components in (("lstm", 4), ("gru", 2)):
+        x, cells = leaf((3, 4)), decoder_cells(2, n, 4, cell)
+        with no_grad():
+            out = ad.hier_seq(x, cell, cells, weights, "gate", rows)
+        assert out._bwd is None and out._parents == () and out.data.shape == (3, n)
+        assert np.array_equal(out.data, ad.hier_seq(x, cell, cells, weights, "gate", rows).data)
+        with pytest.raises(ConfigError):
+            ad.hier_seq(x, cell, cells, weights, "max", rows)
+        with pytest.raises(IndexError):  # step 1 may not read row 2, its own output
+            ad.hier_seq(x, cell, cells, weights, "gate", [[0, 0, 0], [2, 0, 0], [0, 0, 0]])
+        with pytest.raises(ShapeError):
+            ad.hier_seq(leaf((3, 5)), cell, cells, weights, "gate", rows)
+        with pytest.raises(ShapeError):
+            ad.hier_seq(x, cell, cells, weights, "gate", rows, keep=np.ones((3, components - 1, n)))
+        ad.hier_seq(x, cell, cells, weights, "gate", rows, keep=np.ones((3, components, n)))
     with pytest.raises(ConfigError):
-        ad.hier_lstm_seq(x, cells, weights, "max", rows)
-    with pytest.raises(IndexError):  # step 1 may not read row 2, its own output
-        ad.hier_lstm_seq(x, cells, weights, "gate", [[0, 0, 0], [2, 0, 0], [0, 0, 0]])
-    with pytest.raises(ShapeError):
-        ad.hier_lstm_seq(leaf((3, 5)), cells, weights, "gate", rows)
-    with pytest.raises(ShapeError):
-        ad.hier_lstm_seq(x, cells, weights, "gate", rows, keep=np.ones((3, 2, n)))
+        ad.hier_seq(x, "rnn", cells, weights, "gate", rows)
+    with pytest.raises(ShapeError):  # GRU layers handed to the LSTM form
+        ad.hier_seq(x, "lstm", cells, weights, "gate", rows)
 
 
 def test_grad_cross_entropy_rows():

@@ -108,9 +108,18 @@ def test_gen_data_rst_is_valid(tmp_path):
         tree.validate()
 
 
-def test_gen_data_rejects_bad_count(tmp_path):
-    assert run(["gen-data", "--kind", "dep", "--count", "0",
-                "--out", str(tmp_path / "x")]) == 1
+@pytest.mark.parametrize("kind, option, value", [
+    ("dep", "--count", "0"), ("dep", "--max-len", "0"), ("dep", "--max-len", "-3"),
+    ("rst", "--max-edus", "0"), ("dep", "--vocab-size", "0"), ("dep", "--labels", "0"),
+    ("rst", "--labels", "0"), ("dep", "--seed", "-1"), ("rst", "--seed", "-2")])
+def test_gen_data_rejects_bad_count(tmp_path, capsys, kind, option, value):
+    # An option below 1 or a negative seed is a usage error, exit 1, with no
+    # traceback and no file written.
+    out = tmp_path / "x"
+    assert run(["gen-data", "--kind", kind, "--count", "2", option, value,
+                "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {option}")
+    assert not out.exists()
 
 
 def test_train_writes_artifacts(dep_run):
@@ -232,6 +241,16 @@ def test_eval_buckets_csv(dep_run, tmp_path):
     lines = csv.read_text().splitlines()
     assert lines[0] == "bucket,metric,value,count"
     assert any(line.startswith("1-3,UAS,") for line in lines)
+
+
+@pytest.mark.parametrize("task", ["dep", "rst"])
+def test_eval_rejects_bad_bucket_width(tmp_path, capsys, task):
+    # A usage error, exit 1, found before any file is read or score printed.
+    missing = str(tmp_path / "missing")
+    assert run(["eval", "--task", task, "--gold", missing, "--pred", missing,
+                "--buckets", "--bucket-width", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: --bucket-width")
 
 
 def test_eval_count_mismatch(dep_run, tmp_path):

@@ -1,5 +1,8 @@
 """Discourse pipeline tests: oracle split events, exact uniform-loss
-closed forms, forced and greedy decoding, sibling handoff, and training."""
+closed forms, forced and greedy decoding, sibling handoff, the teacher-forced
+tape size, and training."""
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -270,3 +273,61 @@ def test_train_rst_raises_on_divergence():
     items = [segmented_from_texts(texts) + (tree,) for texts, tree in raw]
     with np.errstate(all="ignore"), pytest.raises(TrainingError, match="loss is not finite"):
         train_rst(items, tiny_config(lr=1e100, batch_size=2))
+
+
+def reachable_ops(losses):
+    """Tape ops reachable from the given loss tensors, by op name."""
+    work, seen = list(losses), {}
+    while work:
+        node = work.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            work.extend(node._parents)
+    return Counter(node._bwd.__qualname__.split(".")[0] for node in seen.values()
+                   if node._bwd is not None)
+
+
+def test_teacher_forced_graph_size_per_word():
+    # Tape ops reachable from the teacher-forced losses of the first 16
+    # criterion-4 trees.  Teacher forcing from a schedule (one decoder
+    # sequence op, one row-form dot pointer and one labeler call per tree)
+    # brings this to about 4.1 per word; one decoder step, pointer call and
+    # labeler call per split had about 11.1.  The message names the ops per
+    # word by op name.
+    items = [segmented_from_texts(texts) + (tree,)
+             for texts, tree in gen_synthetic_rst(7, 64, max_edus=8, label_count=8)][:16]
+    config = RstConfig(word_dim=64, encoder_hidden=64, encoder_layers=2, decoder_layers=2,
+                       rel_mlp=64, fusion="plain", embed_dropout=0.0, encoder_dropout=0.0,
+                       decoder_dropout=0.0, classifier_dropout=0.0, l2=0.0, batch_size=8,
+                       seed=7).validate()
+    model = RstModel(config, build_rst_vocab(items), corpus_label_set(items),
+                     np.random.default_rng(7))
+    rng = np.random.default_rng(8)
+    by_name = reachable_ops(ad.add(*example_losses(model, words, ends, tree, training=True,
+                                                   rng=rng))
+                            for words, ends, tree in items)
+    words = sum(len(words) for words, _, _ in items)
+    per_op = ", ".join(f"{name} {count / words:.2f}" for name, count in by_name.most_common())
+    ops = sum(by_name.values())
+    assert ops / words <= 5, f"{ops / words:.2f} tape ops per word: {per_op}"
+
+
+def test_teacher_forced_tape_does_not_grow_with_edus():
+    # One decoder op, one pointer call and one labeler call per tree, so an
+    # 8-EDU tree records exactly the ops of a 3-EDU one, dropout included;
+    # a per-split loop fails here.
+    model, _ = model_for(m_labels=("NS-a", "NS-b", "NN-c"), encoder_layers=2,
+                         decoder_layers=2, embed_dropout=0.3,
+                         encoder_dropout=0.3, decoder_dropout=0.3, classifier_dropout=0.3)
+    balanced = DiscTree(internal(
+        internal(internal(leaf(1), leaf(2), "NS", "a"), internal(leaf(3), leaf(4), "NS", "b"),
+                 "NN", "c"),
+        internal(internal(leaf(5), leaf(6), "NS", "a"), internal(leaf(7), leaf(8), "NS", "b"),
+                 "NN", "c"),
+        "NS", "a"))
+    counts = {}
+    for tree in (chain_tree(3, "NS", "a"), balanced):
+        words, ends = edus_for(tree.m)
+        counts[tree.m] = reachable_ops(example_losses(model, words, ends, tree, training=True,
+                                                      rng=np.random.default_rng(8)))
+    assert counts[3] == counts[8], counts

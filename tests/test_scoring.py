@@ -4,10 +4,13 @@ masked biaffine attention, and the dot-product split scorer."""
 import numpy as np
 import pytest
 
+from ptrparse import autodiff as ad
 from ptrparse.autodiff import Tensor
 from ptrparse.errors import DataError, ShapeError
 from ptrparse.scoring import (AttentionResult, BiaffinePointer, LabelSet,
                               PairLabeler, dot_attend)
+
+from helpers import check_gradients
 
 RNG = np.random.default_rng(20240814)
 
@@ -107,6 +110,37 @@ def test_dot_attend_zero_state_is_uniform():
     matrix = Tensor(RNG.standard_normal((4, 3)))
     res = dot_attend(matrix, Tensor(np.zeros(3)), 0, 4, position_offset=0)
     assert np.allclose(res.probs.data, 0.25, atol=1e-15)
+
+
+def test_dot_attend_row_form_matches_vector_form():
+    # A matrix of S decoder states scores every row of the matrix; row i
+    # under its mask row (a contiguous candidate range, as discourse spans
+    # have) gives the vector form's probabilities over that range, masked
+    # positions exactly zero, and the result carries the mask.
+    matrix = Tensor(RNG.standard_normal((6, 3)))
+    d = RNG.standard_normal((3, 3))
+    ranges = [(0, 6), (1, 4), (3, 5)]
+    mask = np.zeros((3, 6), dtype=bool)
+    for i, (start, stop) in enumerate(ranges):
+        mask[i, start:stop] = True
+    res = dot_attend(matrix, Tensor(d), mask=mask)
+    assert res.mask is mask and res.probs.shape == (3, 6)
+    with pytest.raises(ShapeError):
+        len(res)
+    for i, (start, stop) in enumerate(ranges):
+        one = dot_attend(matrix, Tensor(d[i]), start, stop, position_offset=start + 1)
+        assert np.abs(res.probs.data[i, start:stop] - one.probs.data).max() <= 1e-15
+        assert not res.probs.data[i, ~mask[i]].any()
+
+
+def test_grad_dot_attend_row_form():
+    matrix = Tensor(RNG.standard_normal((5, 3)), requires_grad=True)
+    d = Tensor(RNG.standard_normal((4, 3)), requires_grad=True)
+    mask = RNG.random((4, 5)) < 0.6
+    mask[:, 1] = True
+    targets = [int(np.flatnonzero(row)[-1]) for row in mask]
+    check_gradients(lambda: ad.cross_entropy(dot_attend(matrix, d, mask=mask).probs, targets),
+                    [matrix, d])
 
 
 def test_pair_labeler_distribution():

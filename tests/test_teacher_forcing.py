@@ -1,10 +1,11 @@
 """Teacher forcing from a schedule against the per-step decoder loop.
 
-``dep.run_transition`` with a gold tree runs the whole decoder pass as one
-``hier_lstm_seq`` op and each head once over stacked rows.  The reference
-here is the per-step loop that the schedule replaced: ``fuse``, ``step``,
-``attend`` and ``distribution`` once per decoder step, from the same
-random stream.  Both must give the same losses, parameter gradients and
+``dep.run_transition`` and ``rst.run_splits`` with a gold tree run the
+whole decoder pass as one ``hier_seq`` op and each head once over stacked
+rows.  The reference here is the per-step loop that the schedule replaced:
+``fuse``, ``step``, the pointer (``attend`` or ``dot_attend``) and
+``distribution`` once per decoder step or split, from the same random
+stream.  Both must give the same losses, parameter gradients and
 random-generator state.
 """
 
@@ -12,9 +13,12 @@ import numpy as np
 import pytest
 
 from ptrparse import autodiff as ad
-from ptrparse.corpus import gen_synthetic_dep
+from ptrparse.corpus import gen_synthetic_dep, gen_synthetic_rst, segmented_from_texts
 from ptrparse.dep import (DepConfig, DepModel, _candidate_mask, build_dep_vocabs,
                           oracle_order, run_transition)
+from ptrparse.rst import (RstConfig, RstModel, build_rst_vocab, corpus_label_set,
+                          oracle_splits, run_splits)
+from ptrparse.scoring import dot_attend
 
 
 def reference_losses(model, tokens, gold, rng, trace=None):
@@ -106,3 +110,78 @@ def test_schedule_matches_per_step_loop(variant, fusion, layers, selfpoint_loss)
             assert (got.probabilities is None) == (probs is None)
             if probs is not None:
                 assert np.abs(got.probabilities - probs).max() <= 1e-12
+
+
+def reference_rst_losses(model, words, ends, gold, rng):
+    """The per-step discourse loop: one decoder step and one ``dot_attend``
+    per pointed span, one labeler call per split, drawing every dropout
+    mask as it goes.  Also returns the pointer calls and score evaluations."""
+    events = iter(oracle_splits(gold))
+    edus = model.encoder.encode(words, ends, training=True, rng=rng)
+    m = edus.data.shape[0]
+    bank = [model.decoder.zero_state()]
+    stack = [((1, m), -1, -1, 0, 0)] if m >= 2 else []
+    structure_terms, label_terms, calls, evaluations = [], [], 0, 0
+    while stack:
+        (i, j), parent, sibling, parent_row, sibling_row = stack.pop()
+        _, k, label, pointed = next(events)
+        if pointed:
+            x = ad.gather_sum(edus, (j - 1, parent, sibling))
+            fused = model.decoder.fuse(bank[-1], bank[parent_row], bank[sibling_row],
+                                       training=True, rng=rng)
+            state, d = model.decoder.step(x, fused)
+            bank.append(state)
+            structure_terms.append(dot_attend(edus, d, i - 1, j - 1, position_offset=i).nll(k))
+            calls += 1
+            evaluations += j - i
+        dist = model.labeler.distribution(ad.row(edus, k - 1), ad.row(edus, j - 1),
+                                          training=True, rng=rng)
+        label_terms.append(ad.cross_entropy(dist, model.labels[label]))
+        row = len(bank) - 1
+        if j - k >= 2:
+            both = k - i + 1 >= 3 and j - k >= 3
+            stack.append(((k + 1, j), j - 1, k - 1 if both else -1, row, row + 1 if both else 0))
+        if k - i + 1 >= 2:
+            stack.append(((i, k), j - 1, -1, row, 0))
+    return ad.sum_terms(structure_terms), ad.sum_terms(label_terms), calls, evaluations
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("fusion", ["gate", "sgate", "plain"])
+@pytest.mark.parametrize("variant", ["p", "ps", "pst"])
+def test_rst_schedule_matches_per_step_loop(variant, fusion, layers):
+    items = [segmented_from_texts(texts) + (tree,)
+             for texts, tree in gen_synthetic_rst(11, 6, max_edus=8, label_count=4)]
+    # The corpus has a split whose children both point, so a sibling row is read.
+    assert any(k - i + 1 >= 3 and j - k >= 3
+               for *_, tree in items for (i, j), k, _, _ in oracle_splits(tree))
+    config = RstConfig(word_dim=6, encoder_hidden=3, encoder_layers=1, decoder_layers=layers,
+                       rel_mlp=5, variant=variant, fusion=fusion, embed_dropout=0.3,
+                       encoder_dropout=0.3, decoder_dropout=0.3, classifier_dropout=0.3,
+                       seed=3).validate()
+    model = RstModel(config, build_rst_vocab(items), corpus_label_set(items),
+                     np.random.default_rng(3))
+    for words, ends, gold in items:
+        ref_rng, rng = np.random.default_rng(9), np.random.default_rng(9)
+        counts = []
+
+        def reference():
+            structure, label, *rest = reference_rst_losses(model, words, ends, gold, ref_rng)
+            counts.extend(rest)
+            return structure, label
+
+        want = losses_and_grads(model, reference)
+        result = None
+
+        def forced():
+            nonlocal result
+            result = run_splits(model, words, ends, gold=gold, training=True, rng=rng)
+            return result.structure_loss, result.label_loss
+
+        got = losses_and_grads(model, forced)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert abs(got[0] - want[0]) <= 1e-12 and abs(got[1] - want[1]) <= 1e-12
+        for name, grad in want[2].items():
+            assert np.abs(got[2][name] - grad).max(initial=0.0) <= 1e-12, name
+        assert result.tree == gold
+        assert [result.pointer_calls, result.score_evaluations] == counts
