@@ -21,15 +21,24 @@ The op set is what the parsers call, and no more:
   or of every row of a matrix), ``dropout``, ``cross_entropy`` and
   ``sum_terms``.
 
+The sequence ops take a batch: ``lstm_seq`` and ``gru_seq`` run many
+sequences of one encoder direction, and ``hier_seq`` the teacher-forced
+decoder passes of many sentences, each sequence or sentence from its own
+zero state.  Step t of every sequence still running advances together,
+with stacked products ``(B, 1, h) @ Wᵀ``: each row has the bits of the
+one-sequence product ``W @ h``, so a sequence's outputs do not depend on
+its batch, and a batch of one is the one-sequence op.  The backward pass
+forms every weight's gradient as one product over all rows of the batch.
+
 The hierarchical decoder has two forms.  Decoding advances it one step at
 a time, one ``fuse_state`` per state component and one ``lstm_step`` or
 ``gru_step`` per layer, because each step's input depends on the last
 decision.  Teacher forcing knows every step in advance, so the whole
-decoder pass is one ``hier_seq`` op over a schedule of bank rows, for
-either cell kind: only the per-layer cell arithmetic differs between LSTM
-and GRU, and the op shares the rest.  Both forms call the same numpy
-kernels (``_fuse``, ``_lstm_cell``, ``_gru_cell`` and their backward
-halves), so the gate math exists once.
+decoder pass of a batch is one ``hier_seq`` op over schedules of bank
+rows, for either cell kind: only the per-layer cell arithmetic differs
+between LSTM and GRU, and the op shares the rest.  Both forms call the
+same numpy kernels (``_fuse``, ``_lstm_cell``, ``_gru_cell`` and their
+backward halves), so the gate math exists once.
 
 Each loss term is one node: ``cross_entropy`` picks ``-log p[target]``
 in a single op, or sums the picks of every row of a matrix, and
@@ -624,98 +633,182 @@ def gru_step(x_rz: Tensor, x_n: Tensor, u_rz: Tensor, u_n: Tensor, h: Tensor, ma
     return _node(data, (x_rz, x_n, u_rz, u_n, h), bwd)
 
 
-def _check_order(order, steps: int, op: str) -> list:
-    order = list(order)
-    if sorted(order) != list(range(steps)):
-        raise ShapeError(f"{op} order must visit each of the {steps} rows once, got {order}")
-    return order
+class _Sequences:
+    """The sequences of a sequence op, in the order their steps run.
+
+    ``order`` is one visiting order (a permutation of 0..steps-1) or a list
+    of B orders that together visit each row once.  The sequences are
+    ranked longest first, ties in their given order (``rank``).  Step t of
+    every sequence still running forms one wave.  ``waves`` holds, per
+    wave, where its rows sit in ``to_steps``'s layout and how many leading
+    state rows it advances.  A batch steps on (k, 1, n) stacks of rows, its
+    waves' rows listed wave by wave in rank order, so that each row's
+    products are stacked ones; a single sequence steps on plain vectors,
+    whose products have the same bits, straight from its rows.
+    """
+
+    def __init__(self, order, steps: int, op: str):
+        batch = len(order) > 0 and not isinstance(order[0], (int, np.integer))
+        orders = [np.asarray(o, dtype=np.intp) for o in (order if batch else [order])]
+        if sorted(np.concatenate(orders).tolist()) != list(range(steps)):
+            raise ShapeError(f"{op} orders must visit each of the {steps} rows once, got {order}")
+        self.single = len(orders) == 1
+        if self.single:
+            self.rank, self.waves = [0], [(row, None) for row in orders[0].tolist()]
+            return
+        lengths = [len(o) for o in orders]
+        self.rank = sorted(range(len(orders)), key=lambda b: -lengths[b])
+        index = np.full((max(lengths), len(orders)), -1, dtype=np.intp)
+        for j, b in enumerate(self.rank):
+            index[: lengths[b], j] = orders[b]
+        self.rows = index[index >= 0]
+        ends = np.cumsum(np.count_nonzero(index >= 0, axis=1)).tolist()
+        self.waves = [(slice(a, b), b - a) for a, b in zip([0] + ends[:-1], ends)]
+
+    def zeros(self, n: int) -> np.ndarray:
+        """The zero state of every sequence."""
+        return np.zeros(n) if self.single else np.zeros((len(self.rank), 1, n))
+
+    def masks(self, mask, n: int):
+        """Recurrent dropout masks laid out like ``zeros``: ``mask`` is one
+        (n,) mask for every sequence, one row per sequence (B, n), or None."""
+        if mask is None:
+            return None
+        mask = np.asarray(mask, dtype=np.float64)
+        if mask.shape not in ((n,), (len(self.rank), n)):
+            raise ShapeError(f"recurrent mask of shape {mask.shape} for {len(self.rank)} "
+                             f"sequences of width {n}")
+        if self.single:
+            return mask.reshape(n)
+        return np.broadcast_to(mask, (len(self.rank), n))[self.rank][:, None, :]
+
+    def to_steps(self, a: np.ndarray) -> np.ndarray:
+        """Rows of ``a`` laid out for the waves: ``a`` itself for a single
+        sequence, its rows in wave order as (T, 1, width) for a batch."""
+        return a if self.single else a[self.rows][:, None, :]
+
+    def to_rows(self, stepped: np.ndarray) -> np.ndarray:
+        """The inverse of ``to_steps``."""
+        if self.single:
+            return stepped
+        out = np.empty((len(self.rows), stepped.shape[-1]))
+        out[self.rows] = stepped[:, 0]
+        return out
 
 
 def lstm_seq(xw: Tensor, w_h: Tensor, order, mask=None) -> Tensor:
-    """A whole LSTM direction as one op; returns the (T, n) hidden states.
+    """LSTM directions over whole sequences as one op; returns the (T, n)
+    hidden states.
 
     ``xw`` holds the input projections plus bias of T timesteps, one row
-    each.  The recurrence starts from a zero state and visits the rows in
-    ``order`` (a permutation of 0..T-1, e.g. reversed for a backward
-    direction); row t of the result is the hidden state after the step on
-    row t.  Each step does the arithmetic of ``lstm_step``, ``mask``
-    included.  The backward pass runs backpropagation through time in one
-    call and forms the ``w_h`` gradient as one product of the stacked gate
-    gradients with the stacked masked states.
+    each.  ``order`` is one sequence's visiting order, a permutation of
+    0..T-1 (reversed for a backward direction), or a list of B such orders
+    that together visit every row once, one per sequence of a batch.  Each
+    sequence starts from a zero state; row t of the result is the hidden
+    state after the step on row t.  ``mask`` scales ``h`` inside the
+    recurrent product, as in ``lstm_step``: one (n,) mask, one (B, n) row
+    per sequence, or None.
+
+    Step t of every sequence still running advances together, its
+    recurrent product a stacked ``(B, 1, n) @ w_hᵀ``, so each row of the
+    result is bit-equal to the same sequence run alone and to ``lstm_step``
+    on it.  The backward pass runs backpropagation through time in one
+    call, and forms the ``w_h`` gradient as one product of the gate
+    gradients of every row with the masked states: a sum over the whole
+    batch.
     """
     n = w_h.data.shape[-1]
     if xw.data.ndim != 2 or xw.data.shape[1] != 4 * n or w_h.data.shape != (4 * n, n):
         raise ShapeError(f"lstm_seq shapes disagree: xw {xw.data.shape}, w_h {w_h.data.shape}")
     steps = xw.data.shape[0]
-    order = _check_order(order, steps, "lstm_seq")
+    seqs = _Sequences(order, steps, "lstm_seq")
+    masks = seqs.masks(mask, n)
     tracked = _tracked(xw, w_h)
-    data = np.empty((steps, n))
-    saved = [None] * steps
-    h = c = np.zeros(n)
-    for t in order:
-        h, c, cell = _lstm_cell(xw.data[t], w_h.data, h, c, mask)
-        data[t] = h
+    xs = seqs.to_steps(xw.data)
+    lead = xs.shape[:-1]
+    hs = np.empty(lead + (n,))
+    saved = []
+    h = c = seqs.zeros(n)
+    for at, k in seqs.waves:
+        h, c, cell = _lstm_cell(xs[at], w_h.data, h[:k], c[:k],
+                                None if masks is None else masks[:k])
+        hs[at] = h
         if tracked:
-            saved[t] = cell
+            saved.append(cell)
+    data = seqs.to_rows(hs)
     if not tracked:
         return _const(data)
 
     def bwd(grad):
-        dpre = np.empty((steps, 4 * n))
-        w_t = w_h.data.T
-        dh = dc = np.zeros(n)
-        for t in reversed(order):
-            dpre[t], dc = _lstm_cell_back(grad[t] + dh, dc, saved[t])
-            dh = w_t @ dpre[t]
-            if mask is not None:
-                dh = dh * mask
+        gs = seqs.to_steps(grad)
+        dpres, hms = np.empty(lead + (4 * n,)), np.empty(lead + (n,))
+        dh, dc = seqs.zeros(n), seqs.zeros(n)
+        for (at, k), cell in zip(reversed(seqs.waves), reversed(saved)):
+            dpres[at], dc[:k] = _lstm_cell_back(gs[at] + dh[:k], dc[:k], cell)
+            hms[at] = cell[0]
+            dh[:k] = _input_grad(w_h.data, dpres[at])
+            if masks is not None:
+                dh[:k] *= masks[:k]
+        dpre = seqs.to_rows(dpres)
         if xw.requires_grad:
             xw._accum(dpre)
         if w_h.requires_grad:
-            w_h._accum(dpre.T @ np.stack([cell[0] for cell in saved]))
+            w_h._accum(dpre.T @ seqs.to_rows(hms))
 
     return _node(data, (xw, w_h), bwd)
 
 
 def gru_seq(x_rz: Tensor, x_n: Tensor, u_rz: Tensor, u_n: Tensor, order, mask=None) -> Tensor:
-    """A whole GRU direction as one op; returns the (T, n) hidden states.
+    """GRU directions over whole sequences as one op; returns the (T, n)
+    hidden states.
 
     ``x_rz`` and ``x_n`` hold the gate and candidate input projections plus
-    biases of T timesteps, one row each.  Runs like ``lstm_seq``: a zero
-    start, rows visited in ``order``, the arithmetic of ``gru_step`` per
-    step, and one product per recurrent weight in the backward pass.
+    biases of T timesteps, one row each.  Runs like ``lstm_seq``: ``order``
+    names one sequence or a batch, each starts from a zero state, each step
+    does the arithmetic of ``gru_step`` with stacked recurrent products, and
+    the backward pass forms one product per recurrent weight over every row.
     """
     steps, n = len(x_n.data), u_n.data.shape[-1]
     if (x_rz.data.shape != (steps, 2 * n) or x_n.data.shape != (steps, n)
             or u_rz.data.shape != (2 * n, n) or u_n.data.shape != (n, n)):
         raise ShapeError(f"gru_seq shapes disagree: x_rz {x_rz.data.shape}, x_n {x_n.data.shape}, "
                          f"u_rz {u_rz.data.shape}, u_n {u_n.data.shape}")
-    order = _check_order(order, steps, "gru_seq")
+    seqs = _Sequences(order, steps, "gru_seq")
+    masks = seqs.masks(mask, n)
     tracked = _tracked(x_rz, x_n, u_rz, u_n)
-    data = np.empty((steps, n))
-    saved = [None] * steps
-    h = np.zeros(n)
-    for t in order:
-        h, cell = _gru_cell(x_rz.data[t], x_n.data[t], u_rz.data, u_n.data, h, mask)
-        data[t] = h
+    xs_rz, xs_n = seqs.to_steps(x_rz.data), seqs.to_steps(x_n.data)
+    lead = xs_n.shape[:-1]
+    hs = np.empty(lead + (n,))
+    saved = []
+    h = seqs.zeros(n)
+    for at, k in seqs.waves:
+        h, cell = _gru_cell(xs_rz[at], xs_n[at], u_rz.data, u_n.data, h[:k],
+                            None if masks is None else masks[:k])
+        hs[at] = h
         if tracked:
-            saved[t] = cell
+            saved.append(cell)
+    data = seqs.to_rows(hs)
     if not tracked:
         return _const(data)
 
     def bwd(grad):
-        drz, dn = np.empty((steps, 2 * n)), np.empty((steps, n))
-        dh = np.zeros(n)
-        for t in reversed(order):
-            drz[t], dn[t], dh = _gru_cell_back(grad[t] + dh, u_rz.data, u_n.data, saved[t], mask)
+        gs = seqs.to_steps(grad)
+        drzs = np.empty(lead + (2 * n,))
+        dns, hms, rhs = np.empty(lead + (n,)), np.empty(lead + (n,)), np.empty(lead + (n,))
+        dh = seqs.zeros(n)
+        for (at, k), cell in zip(reversed(seqs.waves), reversed(saved)):
+            drzs[at], dns[at], dh[:k] = _gru_cell_back(
+                gs[at] + dh[:k], u_rz.data, u_n.data, cell, None if masks is None else masks[:k])
+            hms[at], rhs[at] = cell[1], cell[3]
+        drz, dn = seqs.to_rows(drzs), seqs.to_rows(dns)
         if x_rz.requires_grad:
             x_rz._accum(drz)
         if x_n.requires_grad:
             x_n._accum(dn)
         if u_rz.requires_grad:
-            u_rz._accum(drz.T @ np.stack([cell[1] for cell in saved]))
+            u_rz._accum(drz.T @ seqs.to_rows(hms))
         if u_n.requires_grad:
-            u_n._accum(dn.T @ np.stack([cell[3] for cell in saved]))
+            u_n._accum(dn.T @ seqs.to_rows(rhs))
 
     return _node(data, (x_rz, x_n, u_rz, u_n), bwd)
 
@@ -842,43 +935,43 @@ def fuse_state(prev: Tensor, parent: Tensor, sibling: Tensor, w_d: Tensor, w_p: 
 
 
 def _lstm_layer(xp, rec, state):
-    """An LSTM layer of ``hier_seq`` on arrays: its new (h, c) block from the
-    input projection ``xp``, ``rec`` = (w_h,) and the fused (h, c) block."""
-    h, c, saved = _lstm_cell(xp, rec[0], state[0], state[1], None)
-    return (h, c), saved
+    """An LSTM layer of ``hier_seq`` on arrays: its new (k, 2, h) block of
+    (h, c) from the (k, 1, 4h) input projections ``xp``, ``rec`` = (w_h,)
+    and the fused (k, 2, h) block."""
+    h, c, saved = _lstm_cell(xp, rec[0], state[:, :1], state[:, 1:], None)
+    return np.concatenate([h, c], axis=1), saved
 
 
-def _lstm_layer_back(d_h, d_rest, rec, saved):
-    """Backward of ``_lstm_layer``: (for ``xp``, for the fused block)."""
-    dpre, dc = _lstm_cell_back(d_h, d_rest[0], saved)
-    return dpre, (_input_grad(rec[0], dpre), dc)
+def _lstm_layer_back(d_state, rec, saved):
+    """Backward of ``_lstm_layer`` for its block's gradient: (for ``xp``,
+    for the fused block)."""
+    dpre, dc = _lstm_cell_back(d_state[:, :1], d_state[:, 1:], saved)
+    return dpre, np.concatenate([_input_grad(rec[0], dpre), dc], axis=1)
 
 
 def _gru_layer(xp, rec, state):
-    """A GRU layer of ``hier_seq`` on arrays: its new (h,) block from the
-    input projection ``xp`` = [x_rz; x_n], ``rec`` = (u_rz, u_n) and the
-    fused (h,) block."""
+    """A GRU layer of ``hier_seq`` on arrays: its new (k, 1, h) block from
+    the input projections ``xp`` = [x_rz; x_n], ``rec`` = (u_rz, u_n) and
+    the fused block."""
     n = state.shape[-1]
-    h, saved = _gru_cell(xp[: 2 * n], xp[2 * n :], rec[0], rec[1], state[0], None)
-    return (h,), saved
+    return _gru_cell(xp[..., : 2 * n], xp[..., 2 * n :], rec[0], rec[1], state, None)
 
 
-def _gru_layer_back(d_h, d_rest, rec, saved):
+def _gru_layer_back(d_state, rec, saved):
     """Backward of ``_gru_layer``: (for ``xp``, for the fused block)."""
-    drz, dn, dh = _gru_cell_back(d_h, rec[0], rec[1], saved, None)
-    return np.concatenate([drz, dn]), (dh,)
+    drz, dn, dh = _gru_cell_back(d_state, rec[0], rec[1], saved, None)
+    return np.concatenate([drz, dn], axis=-1), dh
 
 
 # What ``hier_seq`` varies by cell kind: a layer's weight sizes as multiples
 # of the hidden size (one input weight, one bias and one recurrent weight
 # each: LSTM (w_x, bias, w_h), GRU (w_rz, w_n, b_rz, b_n, u_rz, u_n)), the
 # state components per layer, the layer's step and backward on arrays, and
-# the stacked inputs whose products with the recurrent weights' upstreams
-# are their gradients, from the fused h rows and each step's saved cell.
+# where in a step's saved cell the input of the second recurrent weight
+# sits (GRU's r∘h; the first one's input is the fused h).
 _SEQ_CELLS = {
-    "lstm": ((4,), 2, _lstm_layer, _lstm_layer_back, lambda hm, saved: (hm,)),
-    "gru": ((2, 1), 1, _gru_layer, _gru_layer_back,
-            lambda hm, saved: (hm, np.stack([cell[3] for cell in saved]))),
+    "lstm": ((4,), 2, _lstm_layer, _lstm_layer_back, None),
+    "gru": ((2, 1), 1, _gru_layer, _gru_layer_back, 3),
 }
 
 
@@ -901,8 +994,8 @@ def _project_back(ws, d):
 
 
 def hier_seq(x: Tensor, cell: str, layers, fusion_weights, fusion: str, rows,
-             keep=None) -> Tensor:
-    """A whole teacher-forced hierarchical decoder pass as one op.
+             keep=None, lengths=None) -> Tensor:
+    """Teacher-forced hierarchical decoder passes as one op.
 
     Step t reads three rows of a state bank: its temporal predecessor, its
     parent and its sibling, ``rows[t]``.  Bank row 0 is the zero state and
@@ -920,15 +1013,24 @@ def hier_seq(x: Tensor, cell: str, layers, fusion_weights, fusion: str, rows,
     for the others) inside the op.  ``fusion_weights`` is ``(w_d, w_p, w_s,
     w_gd, w_gp, w_gs, b_g)``.
 
+    Batch form: ``lengths`` splits the S steps into B consecutive
+    schedules, each numbering its own bank rows as above; their rows are
+    offset into one bank whose row 0, the zero state, they share.  The op
+    runs them as a wavefront: step t of every schedule still running
+    advances together.  Its products are stacked per schedule (``(B, C, h)
+    @ Wᵀ`` for the fusion, ``(B, 1, h) @ Wᵀ`` in the cells) and the first
+    layer projects each schedule's inputs on their own, so every row of
+    the result is bit-equal to its schedule run alone.
+
     Returns the (S, h) top hidden states, one row per step.  The backward
-    pass runs backpropagation through the tree in one call, from the last
-    step back, and forms each weight's gradient as one product of stacked
-    rows at the end, as ``lstm_seq`` does through a chain.
+    pass runs backpropagation through the trees in one call, from the last
+    wave back, and forms each weight's gradient as one product of stacked
+    rows of every step at the end, as ``lstm_seq`` does through chains.
     """
     kind = _SEQ_CELLS.get(cell)
     if kind is None:
         raise ConfigError(f"unknown decoder cell {cell!r}")
-    multiples, width, layer_step, layer_back, rec_inputs = kind
+    multiples, width, layer_step, layer_back, extra = kind
     parts = len(multiples)
     used = _fusion_weights(fusion, tuple(fusion_weights))
     fw = tuple(t.data for t in fusion_weights)
@@ -936,42 +1038,55 @@ def hier_seq(x: Tensor, cell: str, layers, fusion_weights, fusion: str, rows,
     sizes = [k * h for k in multiples]
     rows = np.asarray(rows, dtype=np.intp)
     steps, components = len(rows), width * depth
+    lengths = np.array([steps] if lengths is None else lengths, dtype=np.intp)
     if (depth < 1 or x.data.ndim != 2 or x.data.shape[0] != steps or rows.shape != (steps, 3)
             or any([t.data.shape for t in layer]
                    != [(s, h if l else x.data.shape[1]) for s in sizes]
                    + [(s,) for s in sizes] + [(s, h) for s in sizes]
                    for l, layer in enumerate(layers))
-            or (keep is not None and keep.shape != (steps, components, h))):
+            or (keep is not None and keep.shape != (steps, components, h))
+            or lengths.ndim != 1 or lengths.sum() != steps or np.any(lengths < 0)):
         raise ShapeError(f"hier_seq shapes disagree: x {x.data.shape}, rows {rows.shape}, "
                          f"{cell} layers {[[t.data.shape for t in layer] for layer in layers]}, "
-                         f"keep {None if keep is None else keep.shape}")
-    if steps and (rows.min() < 0 or np.any(rows.max(axis=1) > np.arange(steps))):
+                         f"keep {None if keep is None else keep.shape}, lengths {lengths}")
+    starts = np.cumsum(lengths) - lengths
+    offset = np.repeat(starts, lengths)
+    if steps and (rows.min() < 0 or np.any(rows.max(axis=1) > np.arange(steps) - offset)):
         raise IndexError("hier_seq rows must name the zero row or an earlier step")
+    bank_rows = np.where(rows > 0, rows + offset[:, None], 0)
+    ranked = starts[np.argsort(-lengths, kind="stable")]
+    waves = [ranked[: np.count_nonzero(lengths > t)] + t for t in range(lengths.max(initial=0))]
     tensors = [x] + [t for layer in layers for t in layer] + list(used)
     tracked = _tracked(*tensors)
     # Per layer: the input weights, the biases and the recurrent weights.
     arrays = [tuple(tuple(t.data for t in layer[i * parts : (i + 1) * parts]) for i in range(3))
               for layer in layers]
-    xp = _project(*arrays[0][:2], x.data)
+    xp = np.concatenate([_project(*arrays[0][:2], x.data[a : a + n])
+                         for a, n in zip(starts, lengths) if n]
+                        or [np.empty((0, sum(sizes)))])
     bank = np.zeros((steps + 1, components, h))
     fused = np.empty((steps, components, h))  # each step's cell states after dropout
-    saved = [None] * steps
-    for t in range(steps):
-        p, q, s = bank[rows[t]]
-        fused[t], fuse_saved = _fuse(p, q, s, fw, fusion)
+    extras = np.empty((depth, steps, h)) if extra is not None and tracked else None
+    saved = []
+    for wave in waves:
+        p, q, s = (bank[bank_rows[wave, col]] for col in range(3))
+        block_in, fuse_saved = _fuse(p, q, s, fw, fusion)
         if keep is not None:
-            fused[t] *= keep[t]
-        inp, cell_saved = xp[t], []
+            block_in = block_in * keep[wave]
+        fused[wave] = block_in
+        inp, cell_saved = xp[wave][:, None, :], []
         for l, (w_in, b_in, rec) in enumerate(arrays):
             if l:
                 inp = _project(w_in, b_in, inp)
             block = slice(width * l, width * (l + 1))
-            state, saved_cell = layer_step(inp, rec, fused[t, block])
-            bank[t + 1, block] = state
-            inp = state[0]
+            state, saved_cell = layer_step(inp, rec, block_in[:, block])
+            bank[wave + 1, block] = state
+            inp = state[:, :1]
             cell_saved.append(saved_cell)
+            if extras is not None:
+                extras[l, wave] = saved_cell[extra][:, 0]
         if tracked:
-            saved[t] = (p, q, s, fuse_saved, cell_saved)
+            saved.append((p, q, s, fuse_saved, cell_saved))
     data = bank[1:, components - width].copy()
     if not tracked:
         return _const(data)
@@ -982,27 +1097,28 @@ def hier_seq(x: Tensor, cell: str, layers, fusion_weights, fusion: str, rows,
         dproj = np.empty((depth, steps, sum(sizes)))
         pairs = {}
         d_gates = []
-        for t in reversed(range(steps)):
-            p, q, s, fuse_saved, cell_saved = saved[t]
-            d_fused = np.empty((components, h))
+        for wave, (p, q, s, fuse_saved, cell_saved) in zip(reversed(waves), reversed(saved)):
+            d_state = d_bank[wave + 1]
+            d_fused = np.empty_like(d_state)
             d_below = 0.0
             for l in reversed(range(depth)):
-                first = width * l
-                dproj[l, t], d_fused[first : first + width] = layer_back(
-                    d_bank[t + 1, first] + d_below, d_bank[t + 1, first + 1 : first + width],
-                    arrays[l][2], cell_saved[l])
+                block = slice(width * l, width * (l + 1))
+                d_state[:, width * l : width * l + 1] += d_below
+                dp, d_fused[:, block] = layer_back(d_state[:, block], arrays[l][2], cell_saved[l])
+                dproj[l, wave] = dp[:, 0]
                 if l:
-                    d_below = _project_back(arrays[l][0], dproj[l, t])
+                    d_below = _project_back(arrays[l][0], dp)
             if keep is not None:
-                d_fused *= keep[t]
+                d_fused *= keep[wave]
             d_prev, d_parent, d_sibling, step_pairs, d_gate = _fuse_back(
                 d_fused, p, q, s, fw, fusion, fuse_saved)
-            for row, d in zip(rows[t], (d_prev, d_parent, d_sibling)):
-                d_bank[row] += d
+            # Schedules share only row 0, whose gradient is never read.
+            for col, d in enumerate((d_prev, d_parent, d_sibling)):
+                d_bank[bank_rows[wave, col]] += d
             for i, inp, d in step_pairs:
-                pairs.setdefault(i, []).append((inp, d))
+                pairs.setdefault(i, []).append((inp.reshape(-1, h), d.reshape(-1, h)))
             if d_gate is not None:
-                d_gates.append(d_gate)
+                d_gates.append(d_gate.reshape(-1, h))
         for i, terms in pairs.items():
             if fusion_weights[i].requires_grad:
                 inputs = np.concatenate([inp for inp, _ in terms])
@@ -1012,7 +1128,7 @@ def hier_seq(x: Tensor, cell: str, layers, fusion_weights, fusion: str, rows,
         bounds = [sum(sizes[:k]) for k in range(1, parts)]
         for l, layer in enumerate(layers):
             below = x.data if l == 0 else bank[1:, width * (l - 1)]
-            recurrent = rec_inputs(fused[:, width * l], [cells[l] for *_, cells in saved])
+            recurrent = (fused[:, width * l],) + (() if extras is None else (extras[l],))
             for k, d in enumerate(np.split(dproj[l], bounds, axis=1)):
                 w_in, b_in, w_rec = layer[k], layer[parts + k], layer[2 * parts + k]
                 if w_in.requires_grad:
@@ -1146,8 +1262,10 @@ def dropout(a: Tensor, rate: float, training: bool, rng, keep=None) -> Tensor:
 def backward(loss: Tensor):
     """Populate gradients of every tensor reachable from a scalar loss.
 
-    Leaf gradients accumulate across calls; intermediate node gradients are
-    reset per call so repeated backward passes stay consistent.
+    Leaf gradients accumulate across calls.  An intermediate node's
+    gradient lives only while the pass needs it: it starts empty and is
+    released once the node's backward has run, so a batch's tape holds one
+    gradient buffer per node only along the pass's frontier.
     """
     if loss.data.shape != ():
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.data.shape}")
@@ -1177,3 +1295,4 @@ def backward(loss: Tensor):
     for node in reversed(topo):
         if node._bwd is not None:
             node._bwd(node._grad)
+            node._grad = None

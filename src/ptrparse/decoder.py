@@ -32,9 +32,12 @@ frame depends on the decision before it; they take one decoder state, or
 k states stacked as rows (one per beam hypothesis) and advance each row on
 its own.  Teacher forcing knows every frame before the decoder runs, so
 ``run_schedule`` takes the frames of every step at once (2n+1 for a
-dependency sentence, one per pointed span for a discourse sentence) and
-runs the whole pass as one ``autodiff.hier_seq`` op, for LSTM and GRU
-cells alike.
+dependency sentence, one per pointed span for a discourse sentence), for
+one sentence or for every sentence of a training batch, and runs the
+whole pass as one ``autodiff.hier_seq`` op, for LSTM and GRU cells alike.
+In a batch each sentence keeps its own bank rows; the op offsets them into
+one bank whose zero row all sentences share, and advances step t of every
+sentence together.
 """
 
 from __future__ import annotations
@@ -132,7 +135,7 @@ class HierDecoder(Module):
             return None
         return ad.keep_mask((self.components, *rows, self.hidden_dim), self.state_dropout, rng)
 
-    def run_schedule(self, x: Tensor, frames: np.ndarray, keep=None) -> Tensor:
+    def run_schedule(self, x: Tensor, frames: np.ndarray, keep=None, lengths=None) -> Tensor:
         """Every step of a teacher-forced pass as one op; returns the (S,
         hidden) top hidden states, one row per step.
 
@@ -141,11 +144,16 @@ class HierDecoder(Module):
         temporal predecessor and writes row t + 1, so the bank rows named in
         the frames are the rows ``fuse`` would be handed.  ``keep`` stacks
         one ``draw_keep`` mask per step, (S, components, hidden), or is None
-        for no dropout.  LSTM and GRU cells run through the same op.
+        for no dropout.  ``lengths`` splits the steps into the consecutive
+        passes of a batch, each with its own bank rows, and runs them as
+        one wavefront (``autodiff.hier_seq``).  LSTM and GRU cells run
+        through the same op.
         """
         steps = len(frames)
+        lengths = [steps] if lengths is None else lengths
         absent = np.zeros(steps, dtype=np.intp)
-        prev = np.arange(steps) if self.variant == "pst" else absent
+        prev = (np.concatenate([np.arange(n) for n in lengths]) if self.variant == "pst"
+                else absent)
         sibling = absent if self.variant == "p" else frames[:, 4]
         if self.cell == "lstm":
             layers = [(c.w_x, c.bias, c.w_h) for c in self.cells]
@@ -153,7 +161,7 @@ class HierDecoder(Module):
             layers = [(c.w_rz, c.w_n, c.b_rz, c.b_n, c.u_rz, c.u_n) for c in self.cells]
         weights = (self.w_d, self.w_p, self.w_s, self.w_gd, self.w_gp, self.w_gs, self.b_g)
         return ad.hier_seq(x, self.cell, layers, weights, self.fusion,
-                           np.stack([prev, frames[:, 3], sibling], axis=1), keep)
+                           np.stack([prev, frames[:, 3], sibling], axis=1), keep, lengths)
 
     def step(self, x: Tensor, fused_state: tuple):
         """Run the cell stack from a fused state; returns (new_state, top_hidden).

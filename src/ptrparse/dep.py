@@ -16,16 +16,18 @@ The decoder runs in two forms.  Decoding, greedy or beam, steps it once per
 decision through ``HierDecoder.fuse`` and ``step``, since each frame
 depends on the decision before it.  Training is teacher-forced: the gold
 tree's oracle order fixes every frame, target and label before the decoder
-runs, so one integer walk builds the schedule, and the tape records one
-decoder sequence op (``HierDecoder.run_schedule``) and one row-form call
-per head for the whole sentence.
+runs, so one integer walk per sentence builds the schedule, and a batch of
+sentences records one tape: one encoder call, one decoder sequence op
+(``HierDecoder.run_schedule``) and one row-form call per head for every
+sentence of the batch.  ``fit_loop``, the training loop of both tasks,
+lives here too.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -122,16 +124,20 @@ def _finite(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
-def fit_loop(model, items, config, example_losses, evaluate, selections, targets,
+def fit_loop(model, items, config, batch_losses, evaluate, selections, targets,
              dev_items=None, log=None, init_hook=None, weight_decay=0.0):
     """Teacher-forced Adam training shared by both tasks; returns (history, snapshots).
 
     Each epoch visits ``items`` in a fresh random order in batches of
-    ``config.batch_size``.  Every example's (structure, label) losses come
-    from ``example_losses(model, *item, training=True, rng=...)``; their
-    sum, scaled by one over the batch size, is backpropagated, and each
-    batch ends with global-norm clipping and one Adam step.  A non-finite
-    loss raises ``TrainingError`` before any gradient from it is applied.
+    ``config.batch_size``.  ``batch_losses(model, batch, training=True,
+    rng=...)`` runs a batch as one teacher-forced pass on one tape and
+    returns its (structure, label) loss tensors, summed over the batch,
+    with each example's pair of loss values.  A non-finite loss raises
+    ``TrainingError`` before the batch's backward pass, so no gradient from
+    it is applied.  Otherwise the summed loss, scaled by one over the batch
+    size, is backpropagated once, and the batch ends with global-norm
+    clipping and one Adam step.  The epoch loss adds each example's
+    structure + label value in example order.
 
     After each epoch ``evaluate(model, eval_items)`` (dev when given, else
     the training data) returns the named metrics for the history row
@@ -161,16 +167,10 @@ def fit_loop(model, items, config, example_losses, evaluate, selections, targets
         order = train_rng.permutation(len(items))
         epoch_loss, grad_norm, clip_scale = 0.0, 0.0, 1.0
         for lo in range(0, len(order), config.batch_size):
-            batch = order[lo : lo + config.batch_size]
+            batch = [items[int(idx)] for idx in order[lo : lo + config.batch_size]]
             optimizer.zero_grad()
-            inv = Tensor(1.0 / len(batch))
-            for idx in batch:
-                s, l = example_losses(model, *items[int(idx)], training=True, rng=train_rng)
-                total = ad.add(s, l)
-                if not np.isfinite(total.data):
-                    raise TrainingError("loss is not finite", step=step)
-                ad.backward(ad.mul(total, inv))
-                epoch_loss += total.item()
+            for total in _backward_batch(model, batch, batch_losses, train_rng, step):
+                epoch_loss += total
             scale, norm = clip_by_global_norm(optimizer.params, config.clip)
             grad_norm, clip_scale = max(grad_norm, norm), min(clip_scale, scale)
             optimizer.step()
@@ -194,6 +194,19 @@ def fit_loop(model, items, config, example_losses, evaluate, selections, targets
                 threshold is None or row[name] >= threshold for name, threshold in targets):
             break
     return history, snapshots
+
+
+def _backward_batch(model, batch, batch_losses, rng, step) -> list:
+    """One batch's teacher-forced pass and its one backward; returns each
+    example's structure + label loss value.  The batch's tape is released
+    on return, before the next batch records its own."""
+    structure, label, losses = batch_losses(model, batch, training=True, rng=rng)
+    totals = [s + l for s, l in losses]
+    loss = ad.add(structure, label)
+    if not (np.isfinite(loss.data) and all(math.isfinite(t) for t in totals)):
+        raise TrainingError("loss is not finite", step=step)
+    ad.backward(ad.mul(loss, Tensor(1.0 / len(batch))))
+    return totals
 
 
 class DepModel(Module):
@@ -335,15 +348,21 @@ def run_transition(model: DepModel, tokens, gold: DepTree = None, training: bool
 
     Greedy decoding runs the decoder one step at a time (``fuse`` and
     ``step``), because each frame depends on the decision before it, and
-    follows the pointer and label argmax.  With a gold tree the oracle
-    order fixes every frame before the decoder runs, and the pass is
-    ``_teacher_forced``: a fixed number of tape ops per sentence.
+    follows the pointer and label argmax; ``want_trace`` records its
+    steps.  With a gold tree the pass is a batch of one of
+    ``batch_losses``, which records a fixed number of tape ops per batch
+    and no trace (asking for one is a ``ConfigError``).
     """
     n = len(tokens)
     config = model.config
     _check_length(config, n)
     if gold is not None:
-        return _teacher_forced(model, tokens, gold, training, rng, want_trace)
+        if want_trace:
+            raise ConfigError("want_trace records greedy decoding only, not teacher forcing")
+        structure, label, _, (walk,) = _teacher_forced(model, [(tokens, gold)], training, rng)
+        return RunResult(heads=list(gold.heads), labels=list(gold.labels),
+                         structure_loss=structure, label_loss=label, trace=[],
+                         pointer_calls=len(walk.pointed), score_evaluations=walk.evaluations)
 
     encoded = model.encoder.encode(tokens, training=training, rng=rng)
     prepared = model.pointer.prepare(encoded, training=training, rng=rng)
@@ -407,110 +426,194 @@ def run_transition(model: DepModel, tokens, gold: DepTree = None, training: bool
 
 
 def _stacked(masks):
-    """Per-step dropout masks as one array, or None when none were drawn."""
-    return None if masks[0] is None else np.stack(masks)
+    """Per-row dropout masks as one array, or None when none were drawn."""
+    return None if not masks or masks[0] is None else np.stack(masks)
 
 
-def _teacher_forced(model: DepModel, tokens, gold: DepTree, training, rng,
-                    want_trace) -> RunResult:
-    """Teacher forcing from a schedule: ``run_transition`` with a gold tree.
+@dataclass
+class _Walk:
+    """One sentence's teacher-forced pass, from one walk of its gold tree.
+
+    ``size`` counts the sentence's encoder rows and ``frames`` holds one
+    frame tuple per decoder step.  ``pointed`` holds one (step, candidate
+    mask over the encoder rows, gold row, scored) tuple per pointer row,
+    and ``labeled`` one (left, right, label id) tuple per labeler row:
+    ``left`` a step (dep) or an encoder row (rst), ``right`` an encoder
+    row.  Every index is the sentence's own.  The ``*_keep`` fields hold
+    the dropout masks of each part (dep's ``prepare_keep`` that of
+    ``pointer.prepare``), and rst fills ``splits`` with the split table.
+    """
+
+    size: int
+    encoder_keep: tuple
+    prepare_keep: object = None
+    splits: dict = field(default_factory=dict)
+    frames: list = field(default_factory=list)
+    state_keep: list = field(default_factory=list)
+    pointed: list = field(default_factory=list)
+    pointer_keep: list = field(default_factory=list)
+    labeled: list = field(default_factory=list)
+    label_keep: list = field(default_factory=list)
+
+    @property
+    def evaluations(self) -> int:
+        return int(sum(mask.sum() for _, mask, _, _ in self.pointed))
+
+
+class _Batch:
+    """The walks of a batch joined into one schedule.
+
+    Encoder indices and steps are offset by the sentences before; bank rows
+    stay each sentence's own, for ``run_schedule``'s ``lengths``.  Each
+    pointer row gets its sentence's encoder rows as its candidates,
+    ``index``, padded to the longest sentence with its last row, and its
+    candidate mask padded with False, so pads are never candidates.
+    """
+
+    def __init__(self, walks, label_steps: bool):
+        sizes = np.array([w.size for w in walks])
+        self.lengths = [len(w.frames) for w in walks]
+        row0 = np.cumsum(sizes) - sizes
+        step0 = np.cumsum(self.lengths) - self.lengths
+        frames = [np.array(w.frames, dtype=np.intp).reshape(-1, 5) for w in walks]
+        for f, r in zip(frames, row0):
+            f[:, :3] = np.where(f[:, :3] >= 0, f[:, :3] + r, -1)
+        self.frames = np.concatenate(frames)
+        self.state_keep = _stacked([keep for w in walks for keep in w.state_keep])
+        pointed = [(s + step, r, size, mask, target, scored)
+                   for w, size, r, s in zip(walks, sizes, row0, step0)
+                   for step, mask, target, scored in w.pointed]
+        width = np.arange(sizes.max())
+        self.pointer_rows = np.array([p[0] for p in pointed], dtype=np.intp)
+        self.index = np.array([r + np.minimum(width, size - 1) for _, r, size, *_ in pointed],
+                              dtype=np.intp).reshape(len(pointed), len(width))
+        self.masks = np.zeros(self.index.shape, dtype=bool)
+        for row, (_, _, size, mask, _, _) in zip(self.masks, pointed):
+            row[:size] = mask
+        self.targets = np.array([p[4] for p in pointed], dtype=np.intp)
+        self.scored = np.array([p[5] for p in pointed], dtype=bool)
+        self.pointer_keep = _stacked([keep for w in walks for keep in w.pointer_keep])
+        self.scored_counts = [sum(scored for *_, scored in w.pointed) for w in walks]
+        left0 = step0 if label_steps else row0
+        labeled = [(l0 + left, r + right, label)
+                   for w, l0, r in zip(walks, left0, row0) for left, right, label in w.labeled]
+        self.label_left, self.label_right, self.label_ids = (
+            np.array(column, dtype=np.intp) for column in (zip(*labeled) if labeled else [[]] * 3))
+        pairs = [keep for w in walks for keep in w.label_keep]
+        self.label_keep = (_stacked([a for a, _ in pairs]), _stacked([b for _, b in pairs]))
+        self.label_counts = [len(w.labeled) for w in walks]
+
+
+def _head_loss(probs: Tensor, targets, counts):
+    """One row-form ``cross_entropy`` over the rows of ``probs``, and each
+    example's loss value: its ``counts[b]`` consecutive rows' terms added
+    left to right, as ``cross_entropy`` adds them (0.0 for none)."""
+    terms = -np.log(probs.data[np.arange(len(targets)), targets])
+    values, start = [], 0
+    for count in counts:
+        values.append(float(np.cumsum(terms[start : start + count])[-1]) if count else 0.0)
+        start += count
+    return ad.cross_entropy(probs, targets), values
+
+
+def _walk(model: DepModel, tokens, gold: DepTree, training, rng) -> _Walk:
+    """One sentence's teacher-forced pass as a ``_Walk``.
 
     One integer walk of ``oracle_order`` builds every step's frame,
-    candidate mask and gold target, and the gold label of each attach step.
-    The walk also draws every dropout mask, step by step in the per-step
-    order, through the ``draw_keep`` method that each module's per-step
-    call uses: the decoder's, then the pointer's on a step with more than
-    one candidate, then the labeler's on an attach step.  The tape
-    then records one ``gather_sum`` of decoder inputs, one
-    ``decoder.run_schedule``, one row-form ``pointer.attend`` over the steps
-    with more than one candidate, one ``labeler.distribution`` over the
-    attach steps, and one row-form ``cross_entropy`` per head.  A
-    self-point term is left out of the structure loss when
+    candidate mask and gold target, and the gold label of each attach
+    step.  The random stream is drawn in the order of a per-step pass: the
+    encoder's masks, ``prepare``'s, then step by step the decoder's, the
+    pointer's on a step with more than one candidate, and the labeler's on
+    an attach step.  A self-point row stays out of the loss when
     ``selfpoint_loss`` is off.
     """
     n = len(tokens)
+    config = model.config
+    _check_length(config, n)
     if gold.n != n:
         raise TreeError(f"gold tree has {gold.n} words but the sentence has {n}")
-    config = model.config
     events = oracle_order(gold)
-    encoded = model.encoder.encode(tokens, training=training, rng=rng)
-    prepared = model.pointer.prepare(encoded, training=training, rng=rng)
-
     decoder, pointer, labeler = model.decoder, model.pointer, model.labeler
+    walk = _Walk(n + 1, model.encoder.draw_keep(n, training, rng),
+                 prepare_keep=pointer.draw_keep(training, rng, (n + 1,)))
     stack = [(0, -1, -1, 0, 0)]
     attached = np.zeros(n + 1, dtype=bool)
     attached[0] = True
-    heads = [None] * n
-    labels = [None] * n
-    frames, state_keep = [], []
-    pointed, masks, pointer_keep = [], [], []   # steps with more than one candidate
-    attach, label_keep = [], []                 # (step, child, label id) of attach steps
     for step, (head, choice) in enumerate(events):
         frame = stack.pop()
         element = frame[0]
         mask = _candidate_mask(element, attached)
         if head != element or not mask[choice]:
             raise TreeError(f"oracle event ({head}, {choice}) is illegal at frame {element}")
-        frames.append(frame)
-        state_keep.append(decoder.draw_keep(training, rng))
+        walk.frames.append(frame)
+        walk.state_keep.append(decoder.draw_keep(training, rng))
         if mask.sum() > 1:
-            pointed.append(step)
-            masks.append(mask)
-            pointer_keep.append(pointer.draw_keep(training, rng))
+            walk.pointed.append((step, mask, choice, config.selfpoint_loss or choice != element))
+            walk.pointer_keep.append(pointer.draw_keep(training, rng))
         if choice != element:
             attached[choice] = True
-            heads[choice - 1] = element
-            labels[choice - 1] = gold.labels[choice - 1]
-            attach.append((step, choice, model.labels[labels[choice - 1]]))
-            label_keep.append(labeler.draw_keep(training, rng))
+            walk.labeled.append((step, choice, model.labels[gold.labels[choice - 1]]))
+            walk.label_keep.append(labeler.draw_keep(training, rng))
             stack.append((element, frame[1], choice, frame[3], step + 1))
             stack.append((choice, element, -1, step + 1, 0))
+    return walk
 
-    frames = np.array(frames, dtype=np.intp)
-    top = decoder.run_schedule(ad.gather_sum(encoded, frames[:, :3]), frames,
-                               _stacked(state_keep))
 
-    structure_loss, probs = Tensor(0.0), None
-    targets = [events[step][1] for step in pointed]
-    if pointed:
-        result = pointer.attend(ad.gather(top, pointed), prepared, np.array(masks),
-                                training=training, rng=rng, keep=_stacked(pointer_keep))
-        probs = result.probs.data
-        scored = [i for i, step in enumerate(pointed)
-                  if config.selfpoint_loss or targets[i] != frames[step, 0]]
-        if scored:
-            rows = result.probs if len(scored) == len(pointed) else ad.gather(result.probs, scored)
-            structure_loss = ad.cross_entropy(rows, [targets[i] for i in scored])
+def _teacher_forced(model: DepModel, examples, training, rng):
+    """Teacher forcing for a batch of (tokens, gold) examples as one pass.
 
-    steps, children, label_ids = zip(*attach)
-    left, right = zip(*label_keep)
-    dist = labeler.distribution(ad.gather(top, steps), ad.gather(encoded, children),
-                                training=training, rng=rng,
-                                keep=(_stacked(left), _stacked(right)))
-    label_loss = ad.cross_entropy(dist, label_ids)
+    ``_walk`` builds each example's schedule in turn, so the random stream
+    is drawn example by example in the per-step order.  The tape then
+    records one ``encoder.encode`` over every sentence, one
+    ``pointer.prepare``, one ``gather_sum`` of decoder inputs, one
+    ``decoder.run_schedule`` running the sentences' steps as a wavefront,
+    one row-form ``pointer.attend`` in which each row scores only its own
+    sentence's positions, one ``labeler.distribution`` over every attach
+    step, and one row-form ``cross_entropy`` per head.  Returns the
+    (structure, label) loss tensors summed over the batch, each example's
+    (structure, label) loss values, and the walks.
+    """
+    walks = [_walk(model, tokens, gold, training, rng) for tokens, gold in examples]
+    batch = _Batch(walks, label_steps=True)
+    pointer = model.pointer
+    encoded = model.encoder.encode([tokens for tokens, _ in examples], training=training,
+                                   rng=rng, keep=[w.encoder_keep for w in walks])
+    prepare_keep = [w.prepare_keep for w in walks]
+    prepared = pointer.prepare(encoded, training=training, rng=rng,
+                               keep=None if prepare_keep[0] is None
+                               else np.concatenate(prepare_keep))
+    top = model.decoder.run_schedule(ad.gather_sum(encoded, batch.frames[:, :3]), batch.frames,
+                                     batch.state_keep, batch.lengths)
 
-    trace = []
-    if want_trace:
-        row_of = {step: i for i, step in enumerate(pointed)}
-        for step, (element, target) in enumerate(events):
-            row = row_of.get(step)
-            in_loss = row is not None and (config.selfpoint_loss or target != element)
-            trace.append(TraceStep(
-                step=step + 1, head=element, target=target,
-                log_prob=float(np.log(probs[row, target])) if in_loss else 0.0,
-                candidates=int(masks[row].sum()) if row is not None else 1,
-                label=None if target == element else labels[target - 1],
-                probabilities=probs[row].copy() if row is not None else None))
+    structure, structure_values = Tensor(0.0), [0.0] * len(walks)
+    if len(batch.pointer_rows):
+        result = pointer.attend(ad.gather(top, batch.pointer_rows), prepared, batch.masks,
+                                training=training, rng=rng, keep=batch.pointer_keep,
+                                index=batch.index)
+        scored = np.flatnonzero(batch.scored)
+        if len(scored):
+            rows = result.probs if len(scored) == len(batch.scored) else ad.gather(result.probs,
+                                                                                   scored)
+            structure, structure_values = _head_loss(rows, batch.targets[scored],
+                                                     batch.scored_counts)
+    dist = model.labeler.distribution(ad.gather(top, batch.label_left),
+                                      ad.gather(encoded, batch.label_right),
+                                      training=training, rng=rng, keep=batch.label_keep)
+    label, label_values = _head_loss(dist, batch.label_ids, batch.label_counts)
+    return structure, label, list(zip(structure_values, label_values)), walks
 
-    return RunResult(heads=heads, labels=labels, structure_loss=structure_loss,
-                     label_loss=label_loss, trace=trace, pointer_calls=len(pointed),
-                     score_evaluations=int(sum(mask.sum() for mask in masks)))
+
+def batch_losses(model: DepModel, examples, training: bool = False, rng=None):
+    """Teacher-forced losses of a batch of (tokens, gold) examples on one
+    tape: the (structure, label) tensors summed over the batch and each
+    example's (structure, label) loss values."""
+    return _teacher_forced(model, examples, training, rng)[:3]
 
 
 def example_losses(model: DepModel, tokens, gold: DepTree, training: bool = False, rng=None):
-    """Teacher-forced (structure, label) loss tensors for one example."""
-    result = run_transition(model, tokens, gold=gold, training=training, rng=rng)
-    return result.structure_loss, result.label_loss
+    """Teacher-forced (structure, label) loss tensors for one example, a
+    batch of one."""
+    return batch_losses(model, [(tokens, gold)], training, rng)[:2]
 
 
 def forced_decode(model: DepModel, tokens, gold: DepTree) -> float:
@@ -663,7 +766,7 @@ def train_dep(items, config: DepConfig, dev_items=None, log=None, init_hook=None
 
     model = DepModel(config, *build_dep_vocabs(items), np.random.default_rng(config.seed))
     history, snapshots = fit_loop(
-        model, items, config, example_losses, _evaluate_dep, {"uas": ("uas", "las")},
+        model, items, config, batch_losses, _evaluate_dep, {"uas": ("uas", "las")},
         [("uas", config.target_uas), ("las", config.target_las)],
         dev_items=dev_items, log=log, init_hook=init_hook)
     model.restore(snapshots["uas"])

@@ -1,15 +1,14 @@
 """Neural building blocks: embeddings, char CNN, recurrent cells, MLPs, biaffines.
 
 Everything is built from the autodiff ops and threads randomness through
-explicit ``numpy.random.Generator`` arguments.  Layers work on one
-sentence at a time: a single vector, or one row matrix holding every token
-of the sentence (char CNN words, encoder timesteps, pointer candidates).
-Each direction of an encoder layer is one sequence-level tape op over all
-timesteps of the sentence, and the encoder hands on its output as one
-state matrix.  The recurrent cells' single steps, the MLPs and the
-biaffines also take a matrix with one row per beam hypothesis, in place of
-a single decoder state, and treat each row as that vector.  There is no
-batch dimension across sentences.
+explicit ``numpy.random.Generator`` arguments.  Layers take a single
+vector, or one row matrix holding many of them: every token of a sentence
+(char CNN words, encoder timesteps, pointer candidates), one decoder state
+per beam hypothesis, or the tokens of every sentence of a training batch,
+one sentence after another.  Each direction of an encoder layer is one
+sequence-level tape op over all timesteps; given the sentences' lengths,
+it runs every sentence of a batch in the same op, each from its own zero
+state.  The encoder hands on its output as one state matrix.
 """
 
 from __future__ import annotations
@@ -151,9 +150,9 @@ class LstmCell(Module):
     """Single LSTM cell; gate order i, f, g, o; forget bias initialized to 1.
 
     ``project`` applies the input weights and bias to one vector, or to all
-    timesteps of a sequence at once.  ``step`` runs one fused ``lstm_step``
-    on a state ``(h, c)`` (or on one state per row); ``run`` runs the whole
-    sequence of projected timesteps as one ``lstm_seq`` op.
+    timesteps at once.  ``step`` runs one fused ``lstm_step`` on a state
+    ``(h, c)`` (or on one state per row); ``run`` runs whole sequences of
+    projected timesteps as one ``lstm_seq`` op.
     """
 
     def __init__(self, input_dim: int, hidden_dim: int, rng):
@@ -169,7 +168,8 @@ class LstmCell(Module):
         return (_project(self.w_x, x, self.bias),)
 
     def run(self, projected: tuple, order, mask=None) -> Tensor:
-        """Hidden states of a projected (T, 4h) sequence visited in ``order``."""
+        """Hidden states of projected (T, 4h) timesteps visited in ``order``,
+        one sequence or a batch of them (see ``autodiff.lstm_seq``)."""
         return ad.lstm_seq(projected[0], self.w_h, order, mask)
 
     def step(self, x: Tensor, h: Tensor, c: Tensor):
@@ -184,8 +184,8 @@ class GruCell(Module):
     """Single GRU cell; update gate z keeps the previous hidden state at z=1.
 
     Split like ``LstmCell``: ``project`` yields the gate and candidate
-    input projections, ``step`` runs one fused ``gru_step`` and ``run`` a
-    whole projected sequence as one ``gru_seq`` op.
+    input projections, ``step`` runs one fused ``gru_step`` and ``run``
+    whole projected sequences as one ``gru_seq`` op.
     """
 
     def __init__(self, input_dim: int, hidden_dim: int, rng):
@@ -202,7 +202,8 @@ class GruCell(Module):
         return _project(self.w_rz, x, self.b_rz), _project(self.w_n, x, self.b_n)
 
     def run(self, projected: tuple, order, mask=None) -> Tensor:
-        """Hidden states of a projected sequence visited in ``order``."""
+        """Hidden states of projected timesteps visited in ``order``, one
+        sequence or a batch of them (see ``autodiff.gru_seq``)."""
         return ad.gru_seq(projected[0], projected[1], self.u_rz, self.u_n, order, mask)
 
     def step(self, x: Tensor, h: Tensor) -> Tensor:
@@ -218,9 +219,10 @@ class BiRecurrentEncoder(Module):
     Dropout is variational: one mask per sequence for each recurrent
     connection, and one mask per sequence between layers.  Each direction
     of a layer projects all its inputs in one matmul and then runs the
-    whole recurrence as one sequence-level tape op (``lstm_seq`` or
-    ``gru_seq``), so the tape does not grow with the sentence length.  The
-    output is the last layer's (T, 2*hidden_dim) state matrix.
+    whole recurrence of every sequence as one sequence-level tape op
+    (``lstm_seq`` or ``gru_seq``), so the tape grows neither with the
+    sentence length nor with the batch size.  The output is the last
+    layer's (T, 2*hidden_dim) state matrix.
     """
 
     def __init__(self, cell: str, layers: int, input_dim: int, hidden_dim: int, rng,
@@ -245,22 +247,46 @@ class BiRecurrentEncoder(Module):
     def out_dim(self):
         return 2 * self.hidden_dim
 
-    def _run_direction(self, cell, inputs, order, training, rng):
-        mask = None
-        if training and self.recurrent_dropout > 0.0:
-            mask = ad.keep_mask(self.hidden_dim, self.recurrent_dropout, rng)
-        return cell.run(cell.project(inputs), order, mask)
+    def draw_keep(self, training, rng):
+        """One sequence's dropout masks in the order ``encode`` applies them:
+        per layer, the layer mask (None on the first layer), then the
+        forward and backward recurrent masks; None when not training."""
+        if not training:
+            return None
 
-    def encode(self, inputs, training: bool = False, rng=None):
+        def draw(size, rate):
+            return ad.keep_mask(size, rate, rng) if rate > 0.0 else None
+
+        h = self.hidden_dim
+        return [(draw(2 * h, self.layer_dropout) if layer else None,
+                 draw(h, self.recurrent_dropout), draw(h, self.recurrent_dropout))
+                for layer in range(len(self.forward_cells))]
+
+    def encode(self, inputs, training: bool = False, rng=None, lengths=None, keep=None):
         """Map a (T, input_dim) matrix, or a list of T input vectors, to a
-        (T, 2*hidden_dim) matrix with one state row per timestep."""
+        (T, 2*hidden_dim) matrix with one state row per timestep.
+
+        Batch form: ``lengths`` splits the T rows into consecutive
+        sequences, each encoded on its own, and every direction of a layer
+        runs them all as one sequence op.  ``keep`` holds one ``draw_keep``
+        result per sequence, drawn beforehand; without it they are drawn
+        sequence by sequence.
+        """
         seq = inputs if isinstance(inputs, Tensor) else ad.stack(list(inputs))
-        steps = seq.data.shape[0]
+        lengths = [seq.data.shape[0]] if lengths is None else list(lengths)
+        if keep is None:
+            keep = [self.draw_keep(training, rng) for _ in lengths]
+        starts = np.cumsum(lengths) - lengths
+        forward = [range(a, a + n) for a, n in zip(starts, lengths)]
+        backward = [range(a + n - 1, a - 1, -1) for a, n in zip(starts, lengths)]
         for layer, (fw, bw) in enumerate(zip(self.forward_cells, self.backward_cells)):
-            if layer > 0 and training and self.layer_dropout > 0.0:
-                seq = ad.mul(seq, Tensor(ad.keep_mask(seq.data.shape[1], self.layer_dropout, rng)))
-            left = self._run_direction(fw, seq, range(steps), training, rng)
-            right = self._run_direction(bw, seq, range(steps - 1, -1, -1), training, rng)
+            layer_mask, fw_mask, bw_mask = (
+                None if keep[0] is None or keep[0][layer][i] is None
+                else np.stack([masks[layer][i] for masks in keep]) for i in range(3))
+            if layer_mask is not None:
+                seq = ad.mul(seq, Tensor(np.repeat(layer_mask, lengths, axis=0)))
+            left = fw.run(fw.project(seq), forward, fw_mask)
+            right = bw.run(bw.project(seq), backward, bw_mask)
             seq = ad.hconcat([left, right])
         return seq
 
@@ -301,17 +327,24 @@ class Biaffine(Module):
         """Score ``a`` against every row of a matrix at once; returns a vector.
 
         Row form: a matrix ``a`` of k left vectors gives a (k, rows) matrix,
-        one row of scores per left vector.
+        one row of scores per left vector.  With a (k, c, dim) stack of
+        rows, left vector i is scored against the c rows of stack entry i.
         """
         left = ad.matmul(a, self.w)
         if a.data.ndim == 1:
             bilinear = ad.matmul(rows_matrix, left)
             own = ad.matmul(self.u, a)
+            theirs = ad.matmul(rows_matrix, self.v)
         else:
-            bilinear = ad.matmul(left, ad.transpose(rows_matrix))
             own = ad.reshape(ad.matmul(a, self.u), (-1, 1))
-        linear_terms = ad.add(own, ad.matmul(rows_matrix, self.v))
-        return ad.add(ad.add(bilinear, linear_terms), self.b)
+            if rows_matrix.data.ndim == 2:
+                bilinear = ad.matmul(left, ad.transpose(rows_matrix))
+                theirs = ad.matmul(rows_matrix, self.v)
+            else:
+                bilinear = ad.matvec_rows(rows_matrix, left)
+                flat = ad.reshape(rows_matrix, (-1, rows_matrix.data.shape[-1]))
+                theirs = ad.reshape(ad.matmul(flat, self.v), rows_matrix.data.shape[:2])
+        return ad.add(ad.add(bilinear, ad.add(own, theirs)), self.b)
 
 
 class BiaffineLabeler(Module):

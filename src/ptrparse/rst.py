@@ -10,9 +10,9 @@ Frames are popped in preorder, so the gold event sequence from
 ``oracle_splits`` lines up with the stack discipline exactly.  Teacher
 forcing uses that to build the whole pass before the decoder runs: one
 walk of the gold events gives every pointed span's frame, candidate range
-and target and every split's labeler pair, and the tape records one
-decoder sequence op, one row-form dot pointer and one labeler call per
-sentence.
+and target and every split's labeler pair, and a batch of sentences
+records one tape: one encoder call, one decoder sequence op, one
+row-form dot pointer and one labeler call.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, no_grad
 from .decoder import FUSIONS, HierDecoder, VARIANTS
-from .dep import _check_common, _finite, _stacked, fit_loop
+from .dep import _Batch, _Walk, _check_common, _finite, _head_loss, fit_loop
 from .encoder import RstEncoder, UNK, Vocab
 from .errors import ConfigError, TreeError
 from .metrics import score_parseval_corpus
@@ -155,19 +155,22 @@ def run_splits(model: RstModel, words, ends, gold: DiscTree = None, training: bo
 
     Greedy decoding steps the decoder, the dot pointer and the labeler one
     span at a time, because each split decides the frames after it.  With
-    a gold tree every frame is known in advance, so the pass goes through
-    ``_teacher_forced``: a fixed number of tape ops per sentence.
+    a gold tree every frame is known in advance, and the pass is a batch
+    of one of ``batch_losses``: a fixed number of tape ops per batch.
     """
     config = model.config
     if len(words) > config.max_len:
         raise ConfigError(f"sentence length {len(words)} exceeds max_len {config.max_len}")
+    if gold is not None:
+        structure, label, _, (walk,) = _teacher_forced(model, [(words, ends, gold)], training,
+                                                       rng)
+        return RstRunResult(tree=DiscTree(_assemble(walk.splits, 1, gold.m)),
+                            structure_loss=structure, label_loss=label,
+                            pointer_calls=len(walk.pointed),
+                            score_evaluations=walk.evaluations)
+
     edus = model.encoder.encode(words, ends, training=training, rng=rng)
     m = edus.data.shape[0]
-    if gold is not None:
-        if gold.m != m:
-            raise TreeError(f"gold tree spans {gold.m} EDUs but segmentation has {m}")
-        return _teacher_forced(model, edus, gold, training, rng)
-
     splits = {}
     pointer_calls = 0
     score_evaluations = 0
@@ -210,68 +213,79 @@ def _push_children(stack, i: int, j: int, k: int, state_row: int):
         stack.append(((i, k), j - 1, -1, state_row, 0))
 
 
-def _teacher_forced(model: RstModel, edus: Tensor, gold: DiscTree, training,
-                    rng) -> RstRunResult:
-    """Teacher forcing from a schedule: ``run_splits`` with a gold tree.
+def _walk(model: RstModel, words, ends, gold: DiscTree, training, rng) -> _Walk:
+    """One segmented sentence's teacher-forced pass as a ``_Walk``.
 
     One integer walk of ``oracle_splits``, in the stack order of decoding,
-    builds each pointed span's frame, its candidate-mask row over the EDU
-    rows [i-1, j-1) and its gold target row k-1; pointed step t writes bank
-    row t + 1.  Every split, forced two-EDU splits included, adds its
-    labeler pair rows (k-1, j-1) and its label id.  The walk also draws
-    every dropout mask in the per-step order, through each module's own
-    ``draw_keep``: the decoder's on a pointed span, then the labeler's on
-    every split.  The tape then records one ``gather_sum`` of decoder
-    inputs, one ``decoder.run_schedule``, one row-form ``dot_attend`` with
-    one row-form ``cross_entropy``, and one ``labeler.distribution`` over
-    all splits with its row-form ``cross_entropy``.  With no pointed span
-    the structure loss is the zero constant.
+    builds each pointed span's frame, its candidate mask over the EDU rows
+    [i-1, j-1) and its gold row k-1; pointed step t writes bank row t + 1.
+    Every split, forced two-EDU splits included, adds its labeler pair
+    rows (k-1, j-1) and its label id, and its entry in the split table
+    (``splits``).  The random stream is drawn in the order of a per-step
+    pass: the encoder's masks, then the decoder's on a pointed span and
+    the labeler's on every split.
     """
-    m = edus.data.shape[0]
-    decoder, labeler = model.decoder, model.labeler
+    m = gold.m
+    if len(ends) != m:
+        raise TreeError(f"gold tree spans {gold.m} EDUs but segmentation has {len(ends)}")
     events = iter(oracle_splits(gold))
-    splits = {}
-    frames, state_keep, masks, targets = [], [], [], []   # pointed spans
-    pairs, label_ids, label_keep = [], [], []             # every split
+    decoder, labeler = model.decoder, model.labeler
+    walk = _Walk(m, model.encoder.draw_keep(len(words), training, rng))
     stack = [((1, m), -1, -1, 0, 0)] if m >= 2 else []
     while stack:
         (i, j), parent, sibling, parent_row, sibling_row = stack.pop()
         pointed = j - i >= 2
         _, k, label, _ = _next_event(events, (i, j), expect_pointed=pointed)
         if pointed:
-            frames.append((j - 1, parent, sibling, parent_row, sibling_row))
-            state_keep.append(decoder.draw_keep(training, rng))
             mask = np.zeros(m, dtype=bool)
             mask[i - 1 : j - 1] = True
-            masks.append(mask)
-            targets.append(k - 1)
+            walk.pointed.append((len(walk.frames), mask, k - 1, True))
+            walk.frames.append((j - 1, parent, sibling, parent_row, sibling_row))
+            walk.state_keep.append(decoder.draw_keep(training, rng))
         elif k != i:
             raise TreeError(f"forced split at {(i, j)} disagrees with gold position {k}")
-        pairs.append((k - 1, j - 1))
-        label_ids.append(model.labels[label])
-        label_keep.append(labeler.draw_keep(training, rng))
-        splits[(i, j)] = (k, *split_label(label))
-        _push_children(stack, i, j, k, len(frames))
+        walk.labeled.append((k - 1, j - 1, model.labels[label]))
+        walk.label_keep.append(labeler.draw_keep(training, rng))
+        walk.splits[(i, j)] = (k, *split_label(label))
+        _push_children(stack, i, j, k, len(walk.frames))
     if next(events, None) is not None:
         raise TreeError("gold events remain after decoding finished")
+    return walk
 
-    structure_loss = label_loss = Tensor(0.0)
-    if frames:
-        frames = np.array(frames, dtype=np.intp)
-        top = decoder.run_schedule(ad.gather_sum(edus, frames[:, :3]), frames,
-                                   _stacked(state_keep))
-        result = dot_attend(edus, top, mask=np.array(masks))
-        structure_loss = ad.cross_entropy(result.probs, targets)
-    if pairs:
-        left, right = zip(*pairs)
-        left_keep, right_keep = zip(*label_keep)
-        dist = labeler.distribution(ad.gather(edus, left), ad.gather(edus, right),
-                                    training=training, rng=rng,
-                                    keep=(_stacked(left_keep), _stacked(right_keep)))
-        label_loss = ad.cross_entropy(dist, label_ids)
-    return RstRunResult(tree=DiscTree(_assemble(splits, 1, m)), structure_loss=structure_loss,
-                        label_loss=label_loss, pointer_calls=len(masks),
-                        score_evaluations=int(sum(mask.sum() for mask in masks)))
+
+def _teacher_forced(model: RstModel, examples, training, rng):
+    """Teacher forcing for a batch of (words, ends, gold) examples as one pass.
+
+    ``_walk`` builds each example's schedule in turn, so the random stream
+    is drawn example by example in the per-step order.  The tape then
+    records one ``encoder.encode`` over every sentence, one ``gather_sum``
+    of decoder inputs, one ``decoder.run_schedule`` running the sentences'
+    pointed spans as a wavefront, one row-form ``dot_attend`` in which each
+    row scores only its own sentence's EDUs, one ``labeler.distribution``
+    over every split, and one row-form ``cross_entropy`` per head.  A head
+    with no rows in the batch gives the zero constant.  Returns the
+    (structure, label) loss tensors summed over the batch, each example's
+    (structure, label) loss values, and the walks.
+    """
+    walks = [_walk(model, words, ends, gold, training, rng) for words, ends, gold in examples]
+    batch = _Batch(walks, label_steps=False)
+    edus = model.encoder.encode([words for words, _, _ in examples],
+                                [ends for _, ends, _ in examples], training=training, rng=rng,
+                                keep=[w.encoder_keep for w in walks])
+    structure, structure_values = Tensor(0.0), [0.0] * len(walks)
+    if len(batch.frames):
+        top = model.decoder.run_schedule(ad.gather_sum(edus, batch.frames[:, :3]), batch.frames,
+                                         batch.state_keep, batch.lengths)
+        result = dot_attend(edus, top, mask=batch.masks, index=batch.index)
+        structure, structure_values = _head_loss(result.probs, batch.targets,
+                                                 batch.scored_counts)
+    label, label_values = Tensor(0.0), [0.0] * len(walks)
+    if len(batch.label_ids):
+        dist = model.labeler.distribution(ad.gather(edus, batch.label_left),
+                                          ad.gather(edus, batch.label_right),
+                                          training=training, rng=rng, keep=batch.label_keep)
+        label, label_values = _head_loss(dist, batch.label_ids, batch.label_counts)
+    return structure, label, list(zip(structure_values, label_values)), walks
 
 
 def _next_event(events, span, expect_pointed):
@@ -281,11 +295,18 @@ def _next_event(events, span, expect_pointed):
     return event
 
 
+def batch_losses(model: RstModel, examples, training: bool = False, rng=None):
+    """Teacher-forced losses of a batch of (words, ends, gold) examples on
+    one tape: the (structure, label) tensors summed over the batch and each
+    example's (structure, label) loss values."""
+    return _teacher_forced(model, examples, training, rng)[:3]
+
+
 def example_losses(model: RstModel, words, ends, gold: DiscTree, training: bool = False,
                    rng=None):
-    """Teacher-forced (structure, label) loss tensors for one example."""
-    result = run_splits(model, words, ends, gold=gold, training=training, rng=rng)
-    return result.structure_loss, result.label_loss
+    """Teacher-forced (structure, label) loss tensors for one example, a
+    batch of one."""
+    return batch_losses(model, [(words, ends, gold)], training, rng)[:2]
 
 
 def forced_decode(model: RstModel, words, ends, gold: DiscTree) -> float:
@@ -346,7 +367,7 @@ def train_rst(items, config: RstConfig, dev_items=None, label_set: LabelSet = No
     model = RstModel(config, build_rst_vocab(items), labels,
                      np.random.default_rng(config.seed))
     history, snapshots = fit_loop(
-        model, items, config, example_losses, _evaluate_rst,
+        model, items, config, batch_losses, _evaluate_rst,
         {"span": ("span", "relation"), "relation": ("relation", "span")},
         [("span", config.target_span), ("relation", config.target_relation)],
         dev_items=dev_items, log=log, init_hook=init_hook, weight_decay=config.l2)

@@ -111,52 +111,63 @@ class BiaffinePointer(Module):
         self.biaffine = Biaffine(mlp_dim, mlp_dim, rng)
         self.dropout = dropout
 
-    def prepare(self, matrix: Tensor, training=False, rng=None) -> Tensor:
-        """Precompute the encoder-side MLP for all positions of one sentence."""
-        return ad.dropout(self.g2(matrix), self.dropout, training, rng)
+    def prepare(self, matrix: Tensor, training=False, rng=None, keep=None) -> Tensor:
+        """Precompute the encoder-side MLP for all positions of a sentence,
+        or of every sentence of a batch.  ``keep``, a mask from
+        ``draw_keep`` with one row per position, replaces the draw."""
+        return ad.dropout(self.g2(matrix), self.dropout, training, rng, keep)
 
     def draw_keep(self, training, rng, rows=()):
         """The dropout mask ``attend`` applies to ``g1``'s output for one
-        decoder state, or for ``rows`` states; None when no dropout applies."""
+        decoder state, or for ``rows`` states (``prepare``'s for ``rows``
+        positions); None when no dropout applies."""
         if not training or self.dropout == 0.0:
             return None
         return ad.keep_mask((*rows, self.g1.output_dim), self.dropout, rng)
 
     def attend(self, d: Tensor, prepared: Tensor, mask, training=False, rng=None,
-               keep=None) -> AttentionResult:
+               keep=None, index=None) -> AttentionResult:
         """Attention from decoder state ``d`` over the prepared positions.
 
         Row form: a (k, state) matrix ``d`` with a (k, positions) ``mask``
-        attends from each row under its own mask row.  ``keep``, masks from
-        ``draw_keep`` drawn beforehand, replaces the draw.
+        attends from each row under its own mask row.  ``index``, a (k, c)
+        array of prepared rows, gives each row its own c candidates (its
+        sentence's positions within a batch, padded), and ``mask`` is then
+        (k, c) over them.  ``keep``, masks from ``draw_keep`` drawn
+        beforehand, replaces the draw.
         """
         if keep is None:
             keep = self.draw_keep(training, rng, d.data.shape[:-1])
         g1 = ad.dropout(self.g1(d), self.dropout, training, rng, keep)
-        scores = self.biaffine.score_rows(g1, prepared)
+        scores = self.biaffine.score_rows(g1, _candidates(prepared, index))
         probs = ad.softmax(scores, mask)
         return AttentionResult(scores, probs, offset=0, mask=mask)
 
-    def score_pair(self, d: Tensor, h: Tensor) -> Tensor:
-        """Raw biaffine score for one decoder-state / encoder-state pair."""
-        return self.biaffine.score(self.g1(d), self.g2(h))
+
+def _candidates(matrix: Tensor, index) -> Tensor:
+    """``matrix`` itself, or its rows at a (k, c) ``index`` as a (k, c, dim) stack."""
+    if index is None:
+        return matrix
+    index = np.asarray(index, dtype=np.intp)
+    return ad.reshape(ad.gather(matrix, index.ravel()), index.shape + (-1,))
 
 
 def dot_attend(matrix: Tensor, d: Tensor, row_start: int = 0, row_stop: int = None,
-               position_offset: int = 0, mask=None) -> AttentionResult:
+               position_offset: int = 0, mask=None, index=None) -> AttentionResult:
     """Dot-product attention of ``d`` against rows [row_start, row_stop) of
     ``matrix`` (all rows when ``row_stop`` is None).
 
-    Row form: an (S, dim) matrix ``d`` of decoder states with an (S,
-    candidates) boolean ``mask`` scores every state against the same rows,
-    ``d · rowsᵀ``, and normalizes each row under its own mask row.
+    Row form: an (S, dim) matrix ``d`` of decoder states with an (S, c)
+    array ``index`` of rows of ``matrix`` scores each state against its own
+    c rows (its sentence's EDUs within a batch, padded), and normalizes
+    each row under its own (S, c) ``mask`` row.
     """
-    if row_stop is not None:
-        matrix = ad.rows(matrix, row_start, row_stop)
-    if d.data.ndim == 1:
-        scores = ad.matmul(matrix, d)
+    if index is not None:
+        scores = ad.matvec_rows(_candidates(matrix, index), d)
     else:
-        scores = ad.matmul(d, ad.transpose(matrix))
+        if row_stop is not None:
+            matrix = ad.rows(matrix, row_start, row_stop)
+        scores = ad.matmul(matrix, d)
     probs = ad.softmax(scores, mask)
     return AttentionResult(scores, probs, offset=position_offset, mask=mask)
 

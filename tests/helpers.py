@@ -1,7 +1,8 @@
-"""Shared test utilities: finite-difference gradient checking and a scalar
-reduction of any tensor for it."""
+"""Shared test utilities: finite-difference gradient checking, a scalar
+reduction of any tensor for it, and the training loop's divergence check."""
 
 import numpy as np
+import pytest
 
 from ptrparse import autodiff as ad
 from ptrparse.autodiff import Tensor
@@ -58,3 +59,29 @@ def weighted(out, weights=None):
 def total(out):
     """Sum of every entry of ``out``: ``weighted`` with unit weights."""
     return weighted(out, np.ones(out.data.size))
+
+
+def assert_divergence_moves_nothing(monkeypatch, train):
+    """Run ``train(init_hook)``, which must raise ``TrainingError`` for a
+    non-finite loss, and check that the failing batch moved no parameter:
+    the model is as the last Adam step left it (as built, when none ran)."""
+    from ptrparse.errors import TrainingError
+    from ptrparse.optim import Adam
+
+    models, states = [], []
+    step = Adam.step
+
+    def recording_step(self):
+        step(self)
+        states.append(models[0].snapshot())
+
+    def hook(model):
+        models.append(model)
+        states.append(model.snapshot())
+
+    monkeypatch.setattr(Adam, "step", recording_step)
+    with np.errstate(all="ignore"), pytest.raises(TrainingError, match="loss is not finite"):
+        train(hook)
+    assert len(states) > 1  # a step ran before the loss diverged
+    for name, value in models[0].snapshot().items():
+        assert np.array_equal(value, states[-1][name], equal_nan=True), name

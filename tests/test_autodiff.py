@@ -11,7 +11,7 @@ from ptrparse.autodiff import Tensor, no_grad
 from ptrparse.errors import ConfigError, MaskError, ShapeError
 from ptrparse.nn import linear
 
-from helpers import check_gradients, total, weighted
+from helpers import check_gradients, relative_error, total, weighted
 
 RNG = np.random.default_rng(20240811)
 
@@ -592,10 +592,10 @@ def test_grad_narrow_rows():
 # checked against finite differences and against the per-step or per-op
 # graph it replaces: forward values bit for bit, gradients within 1e-10.
 
-def grads_of(make, tensors):
+def grads_of(make, tensors, weights=None):
     for t in tensors:
         t.zero_grad()
-    ad.backward(weighted(make()))
+    ad.backward(weighted(make(), weights))
     return [t.grad.copy() for t in tensors]
 
 
@@ -677,6 +677,142 @@ def test_seq_op_shape_and_order_checks():
         ad.gru_seq(leaf((3, 4)), leaf((2, 2)), leaf((4, 2)), leaf((2, 2)), range(3))
     with pytest.raises(ShapeError):
         ad.gru_seq(leaf((3, 4)), leaf((3, 2)), leaf((4, 2)), leaf((2, 2)), range(2))
+    # A batch's orders visit every row once between them, and a mask is
+    # one row for all sequences or one row per sequence.
+    xw, w_h = leaf((4, 8)), leaf((8, 2))
+    ad.lstm_seq(xw, w_h, [[0, 1], [3, 2]], np.ones((2, 2)))
+    for order in ([[0, 1], [1, 2, 3]], [[0, 1], [2]], [[0, 1], [2, 4]]):
+        with pytest.raises(ShapeError):
+            ad.lstm_seq(xw, w_h, order)
+    for mask in (np.ones(3), np.ones((3, 2))):
+        with pytest.raises(ShapeError):
+            ad.lstm_seq(xw, w_h, [[0, 1], [3, 2]], mask)
+
+
+# The batch axis of the sequence ops.  A batch names one visiting order per
+# sequence; the references below are the one-sequence ops as they were
+# before it, on arrays, so a batch of one is held to them bit for bit.
+
+def lstm_seq_reference(xw, w_h, order, mask, grad):
+    """One LSTM direction step by step on vectors, then backpropagation
+    through time: (states, gradient of xw, gradient of w_h) for ``grad``."""
+    steps, n = xw.shape[0], w_h.shape[1]
+    out, saved = np.empty((steps, n)), [None] * steps
+    h = c = np.zeros(n)
+    for t in order:
+        h, c, saved[t] = ad._lstm_cell(xw[t], w_h, h, c, mask)
+        out[t] = h
+    dpre, dh, dc = np.empty((steps, 4 * n)), np.zeros(n), np.zeros(n)
+    for t in reversed(order):
+        dpre[t], dc = ad._lstm_cell_back(grad[t] + dh, dc, saved[t])
+        dh = w_h.T @ dpre[t]
+        if mask is not None:
+            dh = dh * mask
+    return out, dpre, dpre.T @ np.stack([cell[0] for cell in saved])
+
+
+def gru_seq_reference(x_rz, x_n, u_rz, u_n, order, mask, grad):
+    """One GRU direction step by step on vectors, then backpropagation
+    through time: (states, gradients of x_rz, x_n, u_rz, u_n)."""
+    steps, n = x_n.shape
+    out, saved = np.empty((steps, n)), [None] * steps
+    h = np.zeros(n)
+    for t in order:
+        h, saved[t] = ad._gru_cell(x_rz[t], x_n[t], u_rz, u_n, h, mask)
+        out[t] = h
+    drz, dn, dh = np.empty((steps, 2 * n)), np.empty((steps, n)), np.zeros(n)
+    for t in reversed(order):
+        drz[t], dn[t], dh = ad._gru_cell_back(grad[t] + dh, u_rz, u_n, saved[t], mask)
+    return (out, drz, dn, drz.T @ np.stack([cell[1] for cell in saved]),
+            dn.T @ np.stack([cell[3] for cell in saved]))
+
+
+# Sequence lengths of a batch: the longest is not first, one has length 1.
+LENGTHS = [3, 1, 5, 2]
+
+
+def batch_orders(lengths, reverse=False):
+    """One visiting order per sequence over consecutive rows."""
+    starts = np.cumsum(lengths) - lengths
+    return [range(a + n - 1, a - 1, -1) if reverse else range(a, a + n)
+            for a, n in zip(starts, lengths)]
+
+
+def batch_masks(lengths, n):
+    rng = np.random.default_rng(len(lengths))
+    return (rng.random((len(lengths), n)) >= 0.4) / 0.6
+
+
+def seq_cases(n):
+    """(order, mask) pairs: forward, reversed and scrambled orders of a
+    batch, each without masks and with one mask row per sequence."""
+    scrambled = [[2, 0, 1], [3], [8, 4, 6, 5, 7], [10, 9]]
+    return [(order, mask) for order in (batch_orders(LENGTHS), batch_orders(LENGTHS, True),
+                                        scrambled)
+            for mask in (None, batch_masks(LENGTHS, n))]
+
+
+def test_grad_seq_ops_batch():
+    n, steps = 3, sum(LENGTHS)
+    xw, w_h = leaf((steps, 4 * n)), leaf((4 * n, n))
+    x_rz, x_n, u_rz, u_n = leaf((steps, 2 * n)), leaf((steps, n)), leaf((2 * n, n)), leaf((n, n))
+    for order, mask in seq_cases(n):
+        check_gradients(lambda: weighted(ad.lstm_seq(xw, w_h, order, mask)), [xw, w_h])
+        check_gradients(lambda: weighted(ad.gru_seq(x_rz, x_n, u_rz, u_n, order, mask)),
+                        [x_rz, x_n, u_rz, u_n])
+
+
+@pytest.mark.parametrize("steps", [1, 5])
+def test_seq_ops_one_sequence_match_reference_bitwise(steps):
+    # A batch of one, given as one order or as a list of one, gives the
+    # pre-batch op's states and gradients bit for bit.
+    n = 3
+    grad = RNG.standard_normal((steps, n))
+    xw, w_h = leaf((steps, 4 * n)), leaf((4 * n, n))
+    x_rz, x_n, u_rz, u_n = leaf((steps, 2 * n)), leaf((steps, n)), leaf((2 * n, n)), leaf((n, n))
+    gru = [x_rz, x_n, u_rz, u_n]
+    for mask in (None, keep_mask(n)):
+        for order in orders(steps):
+            for given in (order, [order]):
+                want = lstm_seq_reference(xw.data, w_h.data, list(order), mask, grad)
+                out = ad.lstm_seq(xw, w_h, given, mask)
+                got = [out.data] + grads_of(lambda: out, [xw, w_h], grad)
+                assert all(np.array_equal(g, w) for g, w in zip(got, want))
+                want = gru_seq_reference(*[t.data for t in gru], list(order), mask, grad)
+                out = ad.gru_seq(*gru, given, mask)
+                got = [out.data] + grads_of(lambda: out, gru, grad)
+                assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_seq_ops_batch_invariance():
+    # The bit policy: step t of every sequence is one stacked product, so
+    # each sequence's states in a batch are bit-equal to its run alone.
+    # Gradients are sums over the batch's rows and agree within rounding.
+    n, steps = 3, sum(LENGTHS)
+    starts = np.cumsum(LENGTHS) - LENGTHS
+    grad = RNG.standard_normal((steps, n))
+    xw, w_h = leaf((steps, 4 * n)), leaf((4 * n, n))
+    x_rz, x_n, u_rz, u_n = leaf((steps, 2 * n)), leaf((steps, n)), leaf((2 * n, n)), leaf((n, n))
+    ops = [(lambda x, order, mask: ad.lstm_seq(*x, w_h, order, mask), [xw], [w_h]),
+           (lambda x, order, mask: ad.gru_seq(*x, u_rz, u_n, order, mask), [x_rz, x_n],
+            [u_rz, u_n])]
+    for op, inputs, weights in ops:
+        for order, mask in seq_cases(n):
+            out = op(inputs, order, mask)
+            got = grads_of(lambda: out, inputs + weights, grad)
+            want = [np.zeros_like(t.data) for t in inputs + weights]
+            for b, (a, length) in enumerate(zip(starts, LENGTHS)):
+                rows = slice(a, a + length)
+                alone = [Tensor(t.data[rows], requires_grad=True) for t in inputs]
+                one = op(alone, [np.asarray(order[b]) - a], None if mask is None else mask[b])
+                assert np.array_equal(out.data[rows], one.data)
+                grads = grads_of(lambda: one, alone + weights, grad[rows])
+                for w, g in zip(want, grads[: len(inputs)]):
+                    w[rows] = g
+                for w, g in zip(want[len(inputs) :], grads[len(inputs) :]):
+                    w += g
+            for g, w in zip(got, want):
+                assert relative_error(g, w) <= 1e-12
 
 
 def fusion_weights(h):
@@ -839,8 +975,176 @@ def test_hier_lstm_seq_checks():
         ad.hier_seq(x, cell, cells, weights, "gate", rows, keep=np.ones((3, components, n)))
     with pytest.raises(ConfigError):
         ad.hier_seq(x, "rnn", cells, weights, "gate", rows)
+    # In a batch each schedule names its own rows: the second schedule's
+    # first step may read only the zero row, and lengths must cover the steps.
+    x, cells = leaf((4, 4)), decoder_cells(1, n, 4)
+    batch = [[0, 0, 0], [1, 1, 0], [0, 0, 0], [1, 0, 0]]
+    ad.hier_seq(x, "lstm", cells, weights, "gate", batch, lengths=[2, 2])
+    with pytest.raises(IndexError):
+        ad.hier_seq(x, "lstm", cells, weights, "gate", batch[:2] + [[1, 0, 0]] * 2, lengths=[2, 2])
+    for lengths in ([2, 1], [5, -1], [[4]]):
+        with pytest.raises(ShapeError):
+            ad.hier_seq(x, "lstm", cells, weights, "gate", batch, lengths=lengths)
     with pytest.raises(ShapeError):  # GRU layers handed to the LSTM form
         ad.hier_seq(x, "lstm", cells, weights, "gate", rows)
+
+
+def hier_seq_reference(x, cell, cells, weights, fusion, rows, keep, grad):
+    """``hier_seq`` for one schedule as it was before the batch axis, on
+    arrays: each step fuses one (C, h) block and runs the layers on
+    vectors, then backpropagation through the tree.  Returns the top
+    states and the gradients of ``x``, of every layer weight and of every
+    fusion weight, for upstream ``grad``."""
+    fw = tuple(t.data for t in weights)
+    h, depth = fw[0].shape[0], len(cells)
+    width, parts = (2, 1) if cell == "lstm" else (1, 2)
+    components = width * depth
+    arrays = [[t.data for t in layer] for layer in cells]
+    steps = len(rows)
+
+    def project(l, inp):
+        return ad._project(arrays[l][:parts], arrays[l][parts : 2 * parts], inp)
+
+    xp = project(0, x.data)
+    bank, fused = np.zeros((steps + 1, components, h)), np.empty((steps, components, h))
+    saved, extra = [], [[None] * steps for _ in cells]
+    for t in range(steps):
+        p, q, s = bank[rows[t]]
+        fused[t], fuse_saved = ad._fuse(p, q, s, fw, fusion)
+        if keep is not None:
+            fused[t] *= keep[t]
+        inp, cell_saved = xp[t], []
+        for l in range(depth):
+            if l:
+                inp = project(l, inp)
+            if cell == "lstm":
+                hn, cn, kept = ad._lstm_cell(inp, arrays[l][2], fused[t, 2 * l],
+                                             fused[t, 2 * l + 1], None)
+                bank[t + 1, 2 * l], bank[t + 1, 2 * l + 1] = hn, cn
+            else:
+                hn, kept = ad._gru_cell(inp[: 2 * h], inp[2 * h :], arrays[l][4], arrays[l][5],
+                                        fused[t, l], None)
+                bank[t + 1, l], extra[l][t] = hn, kept[3]
+            inp = hn
+            cell_saved.append(kept)
+        saved.append((p, q, s, fuse_saved, cell_saved))
+
+    d_bank = np.zeros_like(bank)
+    d_bank[1:, components - width] = grad
+    dproj = np.empty((depth, steps, (4 if cell == "lstm" else 3) * h))
+    pairs, d_gates = {}, []
+    for t in reversed(range(steps)):
+        p, q, s, fuse_saved, cell_saved = saved[t]
+        d_fused, d_below = np.empty((components, h)), 0.0
+        for l in reversed(range(depth)):
+            first = width * l
+            d_h = d_bank[t + 1, first] + d_below
+            if cell == "lstm":
+                dproj[l, t], dc = ad._lstm_cell_back(d_h, d_bank[t + 1, first + 1], cell_saved[l])
+                d_fused[first] = ad._input_grad(arrays[l][2], dproj[l, t])
+                d_fused[first + 1] = dc
+            else:
+                drz, dn, d_fused[first] = ad._gru_cell_back(d_h, arrays[l][4], arrays[l][5],
+                                                            cell_saved[l], None)
+                dproj[l, t] = np.concatenate([drz, dn])
+            if l:
+                d_below = ad._project_back(arrays[l][:parts], dproj[l, t])
+        if keep is not None:
+            d_fused *= keep[t]
+        *dx, step_pairs, d_gate = ad._fuse_back(d_fused, p, q, s, fw, fusion, fuse_saved)
+        for row, d in zip(rows[t], dx):
+            d_bank[row] += d
+        for i, inp, d in step_pairs:
+            pairs.setdefault(i, []).append((inp, d))
+        if d_gate is not None:
+            d_gates.append(d_gate)
+    grads = {id(weights[i]): np.concatenate([d for _, d in terms]).T
+             @ np.concatenate([inp for inp, _ in terms]) for i, terms in pairs.items()}
+    if d_gates:
+        grads[id(weights[6])] = np.concatenate(d_gates).sum(axis=0)
+    for l, layer in enumerate(cells):
+        below = x.data if l == 0 else bank[1:, width * (l - 1)]
+        recurrent = [fused[:, width * l]] + ([] if cell == "lstm" else [np.stack(extra[l])])
+        bounds = [2 * h] if cell == "gru" else []
+        for k, d in enumerate(np.split(dproj[l], bounds, axis=1)):
+            grads[id(layer[k])] = d.T @ below
+            grads[id(layer[parts + k])] = d.sum(axis=0)
+            grads[id(layer[2 * parts + k])] = d.T @ recurrent[k]
+    grads[id(x)] = ad._project_back(arrays[0][:parts], dproj[0])
+    return bank[1:, components - width].copy(), grads
+
+
+# Schedules of a batch, in their own bank rows: 3 steps, 1 step and the
+# 6-step SCHEDULE, so the longest is not first and one has length 1.
+SCHEDULES = [np.array([[0, 0, 0], [1, 1, 0], [2, 1, 2]]), np.array([[0, 0, 0]]), SCHEDULE]
+
+
+def hier_batch(cell, fusion, layers, with_keep):
+    """Inputs, weights and keep masks of a hier_seq batch over SCHEDULES."""
+    n, in_dim = 3, 4
+    steps = sum(len(s) for s in SCHEDULES)
+    width = 2 if cell == "lstm" else 1
+    x = leaf((steps, in_dim))
+    cells = decoder_cells(layers, n, in_dim, cell)
+    weights = fusion_weights(n)
+    masks = np.random.default_rng(6).random((steps, width * layers, n))
+    keep = (masks >= 0.3) / 0.7 if with_keep else None
+    tensors = [x] + [t for layer in cells for t in layer] + list(ad._FUSION_WEIGHTS[fusion](weights))
+    return x, cells, weights, keep, tensors
+
+
+@pytest.mark.parametrize("with_keep", [False, True])
+@pytest.mark.parametrize("cell, fusion, layers", HIER_CASES)
+def test_grad_hier_seq_batch(cell, fusion, layers, with_keep):
+    x, cells, weights, keep, tensors = hier_batch(cell, fusion, layers, with_keep)
+    rows, lengths = np.concatenate(SCHEDULES), [len(s) for s in SCHEDULES]
+    check_gradients(lambda: weighted(ad.hier_seq(x, cell, cells, weights, fusion, rows, keep,
+                                                 lengths)), tensors)
+
+
+@pytest.mark.parametrize("cell, fusion, layers", HIER_CASES)
+def test_hier_seq_one_schedule_matches_reference_bitwise(cell, fusion, layers):
+    # A batch of one, with or without ``lengths``, gives the pre-batch op's
+    # states and gradients bit for bit.
+    for with_keep in (False, True):
+        x, cells, weights, keep, tensors = hier_batch(cell, fusion, layers, with_keep)
+        rows, steps = SCHEDULE, len(SCHEDULE)
+        x = Tensor(x.data[:steps], requires_grad=True)
+        keep = None if keep is None else keep[:steps]
+        tensors = [x] + tensors[1:]
+        grad = RNG.standard_normal((steps, 3))
+        want, want_grads = hier_seq_reference(x, cell, cells, weights, fusion, rows, keep, grad)
+        for lengths in (None, [steps]):
+            out = ad.hier_seq(x, cell, cells, weights, fusion, rows, keep, lengths)
+            assert np.array_equal(out.data, want)
+            for t, g in zip(tensors, grads_of(lambda: out, tensors, grad)):
+                assert np.array_equal(g, want_grads[id(t)])
+
+
+@pytest.mark.parametrize("cell, fusion, layers", HIER_CASES)
+def test_hier_seq_batch_invariance(cell, fusion, layers):
+    # Each schedule's states in a batch are bit-equal to its run alone (the
+    # bit policy); gradients are sums over the batch and agree within
+    # rounding with the sums of the runs alone.
+    x, cells, weights, keep, tensors = hier_batch(cell, fusion, layers, True)
+    rows, lengths = np.concatenate(SCHEDULES), [len(s) for s in SCHEDULES]
+    grad = RNG.standard_normal((len(rows), 3))
+    out = ad.hier_seq(x, cell, cells, weights, fusion, rows, keep, lengths)
+    got = grads_of(lambda: out, tensors, grad)
+    want = [np.zeros_like(t.data) for t in tensors]
+    start = 0
+    for schedule in SCHEDULES:
+        part = slice(start, start + len(schedule))
+        alone = Tensor(x.data[part], requires_grad=True)
+        one = ad.hier_seq(alone, cell, cells, weights, fusion, schedule, keep[part])
+        assert np.array_equal(out.data[part], one.data)
+        grads = grads_of(lambda: one, [alone] + tensors[1:], grad[part])
+        want[0][part] = grads[0]
+        for w, g in zip(want[1:], grads[1:]):
+            w += g
+        start += len(schedule)
+    for g, w in zip(got, want):
+        assert relative_error(g, w) <= 1e-12
 
 
 def test_grad_cross_entropy_rows():

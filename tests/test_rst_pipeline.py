@@ -12,9 +12,11 @@ from ptrparse.corpus import gen_synthetic_rst, segmented_from_texts
 from ptrparse.rst import (RstConfig, RstModel, RstTrainResult, build_rst_vocab,
                           corpus_label_set, decode_rst, example_losses,
                           forced_decode, oracle_splits, run_splits, train_rst)
-from ptrparse.errors import ConfigError, TrainingError, TreeError
+from ptrparse.errors import ConfigError, TreeError
 from ptrparse.scoring import LabelSet
 from ptrparse.trees import DiscTree, internal, leaf
+
+from helpers import assert_divergence_moves_nothing
 
 
 def tiny_config(**kw):
@@ -268,11 +270,13 @@ def test_train_rst_decays_lr_on_dev_plateau():
     assert result.history[-1]["lr"] < result.history[0]["lr"]
 
 
-def test_train_rst_raises_on_divergence():
+def test_train_rst_raises_on_divergence(monkeypatch):
+    # The failing batch is checked before its backward pass and moves nothing.
     raw = gen_synthetic_rst(4, 4, max_edus=4, label_count=3)
     items = [segmented_from_texts(texts) + (tree,) for texts, tree in raw]
-    with np.errstate(all="ignore"), pytest.raises(TrainingError, match="loss is not finite"):
-        train_rst(items, tiny_config(lr=1e100, batch_size=2))
+    assert_divergence_moves_nothing(
+        monkeypatch,
+        lambda hook: train_rst(items, tiny_config(lr=1e100, batch_size=2), init_hook=hook))
 
 
 def reachable_ops(losses):

@@ -90,7 +90,7 @@ def test_biaffine_pointer_scores_match_score_pair():
     d = Tensor(RNG.standard_normal(4))
     res = pointer.attend(d, prepared, np.ones(3, dtype=bool))
     for k in range(3):
-        pair = pointer.score_pair(d, Tensor(matrix.data[k]))
+        pair = pointer.biaffine.score(pointer.g1(d), pointer.g2(Tensor(matrix.data[k])))
         assert res.scores.data[k] == pytest.approx(pair.item(), abs=1e-12)
 
 
@@ -113,23 +113,26 @@ def test_dot_attend_zero_state_is_uniform():
 
 
 def test_dot_attend_row_form_matches_vector_form():
-    # A matrix of S decoder states scores every row of the matrix; row i
-    # under its mask row (a contiguous candidate range, as discourse spans
-    # have) gives the vector form's probabilities over that range, masked
-    # positions exactly zero, and the result carries the mask.
+    # A matrix of S decoder states, each with its own candidate rows of the
+    # matrix (here the first rows of one sentence and a second sentence's
+    # rows 3-5, padded with a repeated row); row i under its mask row gives
+    # the vector form's probabilities over its candidate range, masked
+    # positions and pads exactly zero, and the result carries the mask.
     matrix = Tensor(RNG.standard_normal((6, 3)))
     d = RNG.standard_normal((3, 3))
-    ranges = [(0, 6), (1, 4), (3, 5)]
-    mask = np.zeros((3, 6), dtype=bool)
+    index = np.array([[0, 1, 2, 2], [0, 1, 2, 2], [3, 4, 5, 5]])
+    ranges = [(0, 3), (1, 3), (3, 5)]
+    mask = np.zeros((3, 4), dtype=bool)
     for i, (start, stop) in enumerate(ranges):
-        mask[i, start:stop] = True
-    res = dot_attend(matrix, Tensor(d), mask=mask)
-    assert res.mask is mask and res.probs.shape == (3, 6)
+        mask[i, start - index[i, 0] : stop - index[i, 0]] = True
+    res = dot_attend(matrix, Tensor(d), mask=mask, index=index)
+    assert res.mask is mask and res.probs.shape == (3, 4)
     with pytest.raises(ShapeError):
         len(res)
     for i, (start, stop) in enumerate(ranges):
         one = dot_attend(matrix, Tensor(d[i]), start, stop, position_offset=start + 1)
-        assert np.abs(res.probs.data[i, start:stop] - one.probs.data).max() <= 1e-15
+        got = res.probs.data[i, start - index[i, 0] : stop - index[i, 0]]
+        assert np.abs(got - one.probs.data).max() <= 1e-15
         assert not res.probs.data[i, ~mask[i]].any()
 
 
@@ -139,8 +142,32 @@ def test_grad_dot_attend_row_form():
     mask = RNG.random((4, 5)) < 0.6
     mask[:, 1] = True
     targets = [int(np.flatnonzero(row)[-1]) for row in mask]
-    check_gradients(lambda: ad.cross_entropy(dot_attend(matrix, d, mask=mask).probs, targets),
-                    [matrix, d])
+    index = np.array([[0, 1, 2, 3, 4], [4, 3, 2, 1, 0], [1, 1, 2, 3, 4], [0, 2, 2, 3, 4]])
+    check_gradients(lambda: ad.cross_entropy(
+        dot_attend(matrix, d, mask=mask, index=index).probs, targets), [matrix, d])
+
+
+def test_grad_biaffine_pointer_index_form():
+    # Each decoder state scores only its own candidate rows of the prepared
+    # matrix (its sentence's positions within a batch, padded): the same
+    # probabilities as the vector form over those rows, and gradients that
+    # match finite differences.
+    pointer = BiaffinePointer(4, 6, 5, np.random.default_rng(6), dropout=0.0)
+    for p in (pointer.biaffine.u, pointer.biaffine.v, pointer.biaffine.b):
+        p.data[...] = RNG.standard_normal(p.data.shape)
+    matrix = Tensor(RNG.standard_normal((7, 6)), requires_grad=True)
+    d = Tensor(RNG.standard_normal((3, 4)), requires_grad=True)
+    index = np.array([[0, 1, 2, 2], [0, 1, 2, 2], [3, 4, 5, 6]])
+    mask = np.array([[True, True, True, False], [False, True, True, False], [True] * 4])
+    res = pointer.attend(d, pointer.prepare(matrix), mask, index=index)
+    for i in range(3):
+        one = pointer.attend(Tensor(d.data[i]), pointer.prepare(Tensor(matrix.data[index[i]])),
+                             mask[i])
+        assert np.abs(res.probs.data[i] - one.probs.data).max() <= 1e-15
+    biaffine = pointer.biaffine
+    check_gradients(lambda: ad.cross_entropy(
+        pointer.attend(d, pointer.prepare(matrix), mask, index=index).probs, [2, 1, 3]),
+        [d, matrix, biaffine.w, biaffine.u, biaffine.v, biaffine.b])
 
 
 def test_pair_labeler_distribution():
