@@ -5,13 +5,13 @@ parsing with hierarchical pointer-network decoders, built on a small
 reverse-mode automatic differentiation core.
 """
 
-from .dep import DepConfig, decode_beam, decode_greedy, train_dep
+from .dep import DepConfig, decode_beam, decode_greedy, decode_greedy_batch, train_dep
 from .errors import (ConfigError, DataError, LoadError, MaskError, NumericError,
                      ParseError, PtrParseError, SegmentationError, ShapeError,
                      TrainingError, TreeError)
 from .estimators import DependencyParser, DiscourseParser
 from .metrics import score_dep_corpus, score_parseval_corpus
-from .rst import RstConfig, decode_rst, train_rst
+from .rst import RstConfig, decode_rst, decode_rst_batch, train_rst
 from .scoring import LabelSet
 from .trees import DepTree, DiscTree, Token
 
@@ -22,6 +22,7 @@ __all__ = [
     "DiscTree", "DiscourseParser", "LabelSet", "LoadError", "MaskError",
     "NumericError", "ParseError", "PtrParseError", "RstConfig", "SegmentationError",
     "ShapeError", "Token", "TrainingError", "TreeError", "decode_beam",
-    "decode_greedy", "decode_rst", "score_dep_corpus", "score_parseval_corpus",
+    "decode_greedy", "decode_greedy_batch", "decode_rst", "decode_rst_batch",
+    "score_dep_corpus", "score_parseval_corpus",
     "train_dep", "train_rst", "__version__",
 ]

@@ -15,12 +15,12 @@ from .corpus import (gen_synthetic_dep, gen_synthetic_rst, load_embeddings, open
                      read_conllu, read_rst_brackets, segmented_from_texts, write_conllu,
                      write_rst_brackets)
 from .dep import (DepConfig, check_beam_size, config_from_dict, config_to_dict, decode_beam,
-                  decode_greedy, format_trace, train_dep)
+                  decode_greedy, decode_greedy_batch, format_trace, train_dep)
 from .errors import ConfigError, DataError, EncodingError, NumericError
 from .estimators import DependencyParser, DiscourseParser
 from .metrics import (bucket_csv, bucket_scores_dep, bucket_scores_rst, score_dep_corpus,
                       score_parseval_corpus)
-from .rst import RstConfig, decode_rst, train_rst
+from .rst import RstConfig, decode_rst_batch, train_rst
 from .scoring import LabelSet
 
 
@@ -197,21 +197,14 @@ def run_parse(args):
         model = DependencyParser.load(args.model).model_
         if args.trace_path and args.beam > 1:
             raise ConfigError("trace output requires greedy decoding (beam 1)")
-        sentences = read_conllu(args.input, lenient=True)
-
-        def decode(pair):
-            tokens, _ = pair
-            if args.trace_path:
-                tree, trace = decode_greedy(model, tokens, want_trace=True)
-                return tree, trace
-            if args.beam > 1:
-                tree, _ = decode_beam(model, tokens, beam_size=args.beam)
-            else:
-                tree = decode_greedy(model, tokens)
-            return tree, None
-
-        results = [decode(pair) for pair in sentences]
-        write_conllu(args.output, [(tokens, tree) for (tokens, _), (tree, _)
+        sentences = [tokens for tokens, _ in read_conllu(args.input, lenient=True)]
+        if args.trace_path:
+            results = [decode_greedy(model, tokens, want_trace=True) for tokens in sentences]
+        elif args.beam > 1:
+            results = [decode_beam(model, tokens, beam_size=args.beam) for tokens in sentences]
+        else:
+            results = [(tree, None) for tree in decode_greedy_batch(model, sentences)]
+        write_conllu(args.output, [(tokens, tree) for tokens, (tree, _)
                                    in zip(sentences, results)])
         if args.trace_path:
             with open(args.trace_path, "w", encoding="utf-8") as handle:
@@ -226,7 +219,7 @@ def run_parse(args):
             raise ConfigError("beam search is only available for dependency models")
         model = DiscourseParser.load(args.model).model_
         items = read_rst_brackets(args.input)
-        trees = [decode_rst(model, *segmented_from_texts(texts)) for texts, _ in items]
+        trees = decode_rst_batch(model, [segmented_from_texts(texts) for texts, _ in items])
         write_rst_brackets(args.output, [(texts, tree) for (texts, _), tree
                                          in zip(items, trees)])
         print(f"parsed {len(items)} sentences to {args.output}")

@@ -12,12 +12,15 @@ completion per head (including root).  Decisions with a single legal
 candidate are forced without invoking the pointer, which keeps pointer
 invocations at 2n or fewer per sentence.
 
-The decoder runs in two forms.  Decoding, greedy or beam, steps it once per
-decision through ``HierDecoder.fuse`` and ``step``, since each frame
-depends on the decision before it.  Training is teacher-forced: the gold
-tree's oracle order fixes every frame, target and label before the decoder
-runs, so one integer walk per sentence builds the schedule, and a batch of
-sentences records one tape: one encoder call, one decoder sequence op
+The decoder runs in two forms.  Decoding steps it once per decision round
+through ``HierDecoder.fuse`` and ``step``, since each frame depends on the
+decision before it: ``run_transition`` (and so ``decode_greedy``) steps
+one sentence's state vectors, ``decode_beam`` one row per live
+hypothesis, and ``decode_greedy_batch`` one row per live sentence of a
+whole corpus.  Training is teacher-forced: the gold tree's oracle order
+fixes every frame, target and label before the decoder runs, so one
+integer walk per sentence builds the schedule, and a batch of sentences
+records one tape: one encoder call, one decoder sequence op
 (``HierDecoder.run_schedule``) and one row-form call per head for every
 sentence of the batch.  ``fit_loop``, the training loop of both tasks,
 lives here too.
@@ -35,7 +38,7 @@ from . import autodiff as ad
 from .autodiff import Tensor, no_grad
 from .decoder import FUSIONS, HierDecoder, VARIANTS
 from .encoder import DepEncoder, PAD, ROOT, UNK, Vocab
-from .errors import ConfigError, TrainingError, TreeError
+from .errors import ConfigError, DataError, TrainingError, TreeError
 from .metrics import score_dep_corpus
 from .nn import Module
 from .optim import Adam, clip_by_global_norm
@@ -641,6 +644,25 @@ def decode_greedy(model: DepModel, tokens, want_trace: bool = False):
 _ELEMENT, _PARENT, _SIBLING, _PARENT_ROW, _SIBLING_ROW = range(5)
 
 
+def _push_attached(frames, depth, attached, heads, rows, head, child, state_row):
+    """Attach word ``child[i]`` to ``head[i]`` in row ``rows[i]`` of the
+    frame arrays, whose frame at ``depth`` was just popped.
+
+    The popped frame goes back with the child as its nearest sibling and
+    ``state_row`` (the bank row of the step that chose it) as the
+    sibling's state, then the child's own frame goes on top with that
+    state as its parent's: the two pushes of ``run_transition``.
+    """
+    at = depth[rows]
+    frames[rows, at, _SIBLING] = child
+    frames[rows, at, _SIBLING_ROW] = state_row
+    frames[rows, at + 1] = np.stack([child, head, np.full_like(child, -1), state_row,
+                                     np.zeros_like(child)], axis=1)
+    depth[rows] += 2
+    attached[rows, child] = True
+    heads[rows, child] = head
+
+
 def check_beam_size(beam_size):
     """Reject a beam size that is not an integer of at least 1."""
     if not isinstance(beam_size, int) or isinstance(beam_size, bool) or beam_size < 1:
@@ -717,20 +739,132 @@ def decode_beam(model: DepModel, tokens, beam_size: int = None):
             attached, heads, labels = attached[hyp], heads[hyp], labels[hyp]
             grown = np.flatnonzero(choice != head)
             if grown.size:
-                child, row, at = choice[grown], prev_row[grown], depth[grown]
-                frames[grown, at, _SIBLING] = child
-                frames[grown, at, _SIBLING_ROW] = row
-                frames[grown, at + 1] = np.stack([child, head[grown], np.full_like(child, -1),
-                                                  row, np.zeros_like(child)], axis=1)
-                depth[grown] += 2
-                attached[grown, child] = True
-                heads[grown, child] = head[grown]
+                child = choice[grown]
+                _push_attached(frames, depth, attached, heads, grown, head[grown], child,
+                               prev_row[grown])
                 dist = model.labeler.distribution(ad.gather(d, hyp[grown]),
                                                   ad.gather(reps, child))
                 labels[grown, child] = np.argmax(dist.data, axis=1)
 
     tree = DepTree(heads[0, 1:].tolist(), [model.labels.name(i) for i in labels[0, 1:].tolist()])
     return tree, float(log_prob[0])
+
+
+# Most encoder rows (words plus root) that one ``decode_greedy_batch`` pass
+# encodes and decodes together; a longer corpus is cut into consecutive
+# chunks, so the pass's arrays stay bounded on large dev sets.
+BATCH_ROWS = 2048
+
+
+def _chunks(sizes) -> list:
+    """Consecutive ranges of item indices whose ``sizes`` sum to at most
+    ``BATCH_ROWS``; an item larger than that gets a range of its own."""
+    chunks, start, total = [], 0, 0
+    for i, size in enumerate(sizes):
+        if i > start and total + size > BATCH_ROWS:
+            chunks.append(range(start, i))
+            start, total = i, 0
+        total += size
+    if start < len(sizes):
+        chunks.append(range(start, len(sizes)))
+    return chunks
+
+
+def decode_greedy_batch(model: DepModel, sentences) -> list:
+    """Greedy decode of many sentences; returns their DepTrees in input order.
+
+    Every sentence is checked first (``max_len``, then emptiness), so a bad
+    one raises the one-sentence path's error before anything is decoded.
+    The sentences then go in consecutive chunks of at most ``BATCH_ROWS``
+    encoder rows; a chunk of one sentence goes to ``decode_greedy``, and a
+    larger one to ``_greedy_rounds``.  On the tested corpora the trees
+    equal ``decode_greedy``'s sentence by sentence.
+    """
+    for tokens in sentences:
+        _check_length(model.config, len(tokens))
+        if not tokens:
+            raise DataError("cannot encode an empty sentence")
+    trees = []
+    for chunk in _chunks([len(tokens) + 1 for tokens in sentences]):
+        batch = [sentences[i] for i in chunk]
+        trees += ([decode_greedy(model, batch[0])] if len(batch) == 1
+                  else _greedy_rounds(model, batch))
+    return trees
+
+
+def _greedy_rounds(model: DepModel, sentences) -> list:
+    """Greedy decoding of several sentences as the rows of one pass.
+
+    One batch-form ``encoder.encode`` and one ``pointer.prepare`` cover
+    every sentence.  Each sentence has its own row of the frame arrays of
+    ``decode_beam`` (pad columns past its words count as attached, so they
+    are never candidates) and its own block of 2n+1 bank rows, its step t
+    writing the block's row t.  Round t pops one frame per sentence that
+    has not yet made its 2n+1 decisions and runs those rows as one k-row
+    ``fuse`` and ``step``, one row-form ``pointer.attend`` over the rows
+    with more than one candidate (each scoring its own sentence's
+    positions through ``index``), and one ``labeler.distribution`` over
+    the rows that attach.
+    """
+    decoder = model.decoder
+    count = len(sentences)
+    sizes = np.array([len(tokens) + 1 for tokens in sentences])
+    row0 = np.cumsum(sizes) - sizes
+    steps = 2 * sizes - 1
+    base = 1 + np.cumsum(steps) - steps
+    width = np.arange(sizes.max())
+    with no_grad():
+        encoded = model.encoder.encode(sentences)
+        prepared = model.pointer.prepare(encoded)
+        bank = np.zeros((decoder.components, 1 + steps.sum(), decoder.hidden_dim))
+        frames = np.full((count, len(width), 5), -1, dtype=np.intp)
+        frames[:, 0] = (0, -1, -1, 0, 0)
+        depth = np.ones(count, dtype=np.intp)
+        attached = width >= sizes[:, None]
+        attached[:, 0] = True
+        heads = np.zeros((count, len(width)), dtype=np.intp)
+        labels = np.zeros((count, len(width)), dtype=np.intp)
+        prev_row = np.zeros(count, dtype=np.intp)
+
+        def states(bank_rows):
+            return tuple(Tensor(component[bank_rows]) for component in bank)
+
+        for t in range(steps.max()):
+            live = np.flatnonzero(steps > t)
+            depth[live] -= 1
+            top = frames[live, depth[live]]
+            element = top[:, _ELEMENT]
+            words = top[:, _ELEMENT : _SIBLING + 1]
+            fused = decoder.fuse(states(prev_row[live]), states(top[:, _PARENT_ROW]),
+                                 states(top[:, _SIBLING_ROW]))
+            state, d = decoder.step(
+                ad.gather_sum(encoded, np.where(words >= 0, words + row0[live, None], -1)), fused)
+            state_row = base[live] + t
+            for component, part in zip(bank, state):
+                component[state_row] = part.data
+            prev_row[live] = state_row
+
+            mask = _candidate_mask(element, attached[live])
+            choice = np.argmax(mask, axis=1)  # the only candidate, where there is one
+            pointed = np.flatnonzero(mask.sum(axis=1) > 1)
+            if pointed.size:
+                size = sizes[live[pointed], None]
+                c = size.max()
+                index = row0[live[pointed], None] + np.minimum(width[:c], size - 1)
+                probs = model.pointer.attend(ad.gather(d, pointed), prepared, mask[pointed, :c],
+                                             index=index).probs.data
+                choice[pointed] = np.argmax(probs, axis=1)
+            grown = np.flatnonzero(choice != element)
+            if grown.size:
+                rows, child = live[grown], choice[grown]
+                _push_attached(frames, depth, attached, heads, rows, element[grown], child,
+                               state_row[grown])
+                dist = model.labeler.distribution(ad.gather(d, grown),
+                                                  ad.gather(encoded, row0[rows] + child))
+                labels[rows, child] = np.argmax(dist.data, axis=1)
+
+    return [DepTree(heads[b, 1:n].tolist(), [model.labels.name(i) for i in labels[b, 1:n].tolist()])
+            for b, n in enumerate(sizes)]
 
 
 def build_dep_vocabs(items):
@@ -774,8 +908,8 @@ def train_dep(items, config: DepConfig, dev_items=None, log=None, init_hook=None
 
 
 def _evaluate_dep(model, items):
-    agg = score_dep_corpus([(tokens, gold, decode_greedy(model, tokens))
-                            for tokens, gold in items])
+    trees = decode_greedy_batch(model, [tokens for tokens, _ in items])
+    agg = score_dep_corpus([(tokens, gold, tree) for (tokens, gold), tree in zip(items, trees)])
     return {"uas": agg.uas, "las": agg.las}
 
 

@@ -16,11 +16,11 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .dep import (DepConfig, DepModel, check_beam_size, config_from_dict, config_to_dict,
-                  decode_beam, decode_greedy, train_dep)
+                  decode_beam, decode_greedy_batch, train_dep)
 from .encoder import Vocab, check_segmentation
 from .errors import ConfigError, DataError, LoadError
 from .metrics import score_dep_corpus, score_parseval_corpus
-from .rst import RstConfig, RstModel, decode_rst, train_rst
+from .rst import RstConfig, RstModel, decode_rst_batch, train_rst
 from .scoring import LabelSet
 from .trees import Token
 
@@ -196,20 +196,17 @@ class DependencyParser(BaseEstimator):
         return self
 
     def predict(self, X, beam_size: int = None):
-        """Parse sentences; defaults to the configured beam size (1 = greedy)."""
+        """Parse sentences; defaults to the configured beam size.  Beam size 1
+        decodes greedily, all sentences together (``decode_greedy_batch``);
+        a larger beam decodes one sentence at a time."""
         model = self._require_fitted()
         if beam_size is None:
             beam_size = self.beam_size
         check_beam_size(beam_size)
-        trees = []
-        for sentence in X:
-            tokens = _as_tokens(sentence)
-            if beam_size > 1:
-                tree, _ = decode_beam(model, tokens, beam_size=beam_size)
-            else:
-                tree = decode_greedy(model, tokens)
-            trees.append(tree)
-        return trees
+        sentences = [_as_tokens(sentence) for sentence in X]
+        if beam_size == 1:
+            return decode_greedy_batch(model, sentences)
+        return [decode_beam(model, tokens, beam_size=beam_size)[0] for tokens in sentences]
 
     def evaluate(self, X, y, beam_size: int = None, exclude_punct: bool = True):
         """Full attachment scores (UAS and LAS) against gold trees."""
@@ -259,13 +256,10 @@ class DiscourseParser(BaseEstimator):
         return self
 
     def predict(self, X):
-        """Parse segmented sentences into discourse trees."""
+        """Parse segmented sentences into discourse trees, all sentences
+        together (``decode_rst_batch``)."""
         model = self._require_fitted()
-        trees = []
-        for sentence in X:
-            words, ends = _as_segmented(sentence)
-            trees.append(decode_rst(model, words, ends))
-        return trees
+        return decode_rst_batch(model, [_as_segmented(sentence) for sentence in X])
 
     def evaluate(self, X, y):
         """Span, nuclearity, and relation F1 against gold trees."""

@@ -61,27 +61,41 @@ class Adam:
         self.step_count = 0
         self._m = {name: np.zeros_like(p.data) for name, p in self.params}
         self._v = {name: np.zeros_like(p.data) for name, p in self.params}
+        # Two scratch arrays as large as the largest parameter, shared by all
+        # parameters in turn, so a step allocates no parameter-sized array.
+        largest = max((p.data.size for _, p in self.params), default=0)
+        self._scratch = (np.empty(largest), np.empty(largest))
 
     def step(self):
-        """Apply one update from the gradients currently stored on the params."""
+        """Apply one update from the gradients currently stored on the params.
+
+        Every gradient is checked before anything moves: a non-finite one
+        raises ``NumericError`` with every parameter, moment and the step
+        count as they were.  The update runs in place, in the operation
+        order of ``m = β1·m + (1-β1)·g``, ``v = β2·v + (1-β2)·g·g`` and
+        ``p -= lr·(m/bc1) / (sqrt(v/bc2) + eps)``.
+        """
+        live = [(name, p) for name, p in self.params if p._grad is not None]
+        for name, p in live:
+            if not np.all(np.isfinite(p._grad)):
+                raise NumericError(f"non-finite gradient for parameter {name}")
         self.step_count += 1
         bc1 = 1.0 - self.beta1 ** self.step_count
         bc2 = 1.0 - self.beta2 ** self.step_count
-        for name, p in self.params:
+        for name, p in live:
             g = p._grad
-            if g is None:
-                continue
-            if not np.all(np.isfinite(g)):
-                raise NumericError(f"non-finite gradient for parameter {name}")
+            a, b = (buffer[: g.size].reshape(g.shape) for buffer in self._scratch)
             if self.weight_decay:
-                g = g + self.weight_decay * p.data
+                g = np.add(g, np.multiply(self.weight_decay, p.data, out=a), out=a)
             m = self._m[name]
             v = self._v[name]
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(1.0 - self.beta1, g, out=b)
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            v += np.multiply(np.multiply(1.0 - self.beta2, g, out=b), g, out=b)
+            step = np.multiply(self.lr, np.divide(m, bc1, out=a), out=a)
+            denom = np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), self.eps, out=b)
+            p.data -= np.divide(step, denom, out=a)
 
     def decay_lr(self):
         self.lr *= self.decay

@@ -6,6 +6,11 @@ two-EDU span splits without any decoder involvement (its only freedom is
 the label); single EDUs are leaves.  Each split is labeled by a biaffine
 classifier over the last-EDU representations of the two child spans.
 
+``decode_rst`` decodes one sentence span by span; ``decode_rst_batch``
+decodes many as the rows of one pass, one popped span per sentence per
+round, with one decoder step, one row-form pointer call and one labeler
+call per round.
+
 Frames are popped in preorder, so the gold event sequence from
 ``oracle_splits`` lines up with the stack discipline exactly.  Teacher
 forcing uses that to build the whole pass before the decoder runs: one
@@ -24,9 +29,10 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, no_grad
 from .decoder import FUSIONS, HierDecoder, VARIANTS
-from .dep import _Batch, _Walk, _check_common, _finite, _head_loss, fit_loop
-from .encoder import RstEncoder, UNK, Vocab
-from .errors import ConfigError, TreeError
+from .dep import (_Batch, _Walk, _check_common, _check_length, _chunks, _finite, _head_loss,
+                  fit_loop)
+from .encoder import RstEncoder, UNK, Vocab, check_segmentation
+from .errors import ConfigError, DataError, TreeError
 from .metrics import score_parseval_corpus
 from .nn import Module
 # Not called here (``fit_loop`` clips), but kept as a module attribute that
@@ -158,9 +164,7 @@ def run_splits(model: RstModel, words, ends, gold: DiscTree = None, training: bo
     a gold tree every frame is known in advance, and the pass is a batch
     of one of ``batch_losses``: a fixed number of tape ops per batch.
     """
-    config = model.config
-    if len(words) > config.max_len:
-        raise ConfigError(f"sentence length {len(words)} exceeds max_len {config.max_len}")
+    _check_length(model.config, len(words))
     if gold is not None:
         structure, label, _, (walk,) = _teacher_forced(model, [(words, ends, gold)], training,
                                                        rng)
@@ -323,6 +327,93 @@ def decode_rst(model: RstModel, words, ends) -> DiscTree:
     return result.tree
 
 
+def decode_rst_batch(model: RstModel, items) -> list:
+    """Greedy decode of many (words, ends) sentences; returns their
+    DiscTrees in input order.
+
+    Every sentence is checked first (``max_len``, emptiness, then its
+    segmentation), so a bad one raises the one-sentence path's error before
+    anything is decoded.  The sentences then go in consecutive chunks of at
+    most ``dep.BATCH_ROWS`` words; a chunk of one sentence goes to
+    ``decode_rst``, and a larger one to ``_split_rounds``.  On the tested
+    corpora the trees equal ``decode_rst``'s sentence by sentence.
+    """
+    for words, ends in items:
+        _check_length(model.config, len(words))
+        if not words:
+            raise DataError("cannot encode an empty sentence")
+        check_segmentation(len(words), ends)
+    trees = []
+    for chunk in _chunks([len(words) for words, _ in items]):
+        batch = [items[i] for i in chunk]
+        trees += [decode_rst(model, *batch[0])] if len(batch) == 1 else _split_rounds(model, batch)
+    return trees
+
+
+def _split_rounds(model: RstModel, items) -> list:
+    """Greedy decoding of several segmented sentences as the rows of one pass.
+
+    One batch-form ``encoder.encode`` covers every sentence.  Each sentence
+    keeps its own stack of ``run_splits`` frames, whose bank rows stay its
+    own: sentence b's m EDUs give it a block of m bank rows from
+    ``base[b]``, and its local row r > 0 is bank row ``base[b] + r - 1``.
+    Round after round, every sentence with frames left pops one; the
+    popped spans of three or more EDUs run as one k-row ``fuse`` and
+    ``step`` and one row-form ``dot_attend`` (each row scoring its own
+    span's split points through ``index``, masked past ``j - i``), and
+    every popped span gets its label from one ``labeler.distribution``.
+    """
+    decoder = model.decoder
+    sizes = np.array([len(ends) for _, ends in items])
+    row0 = np.cumsum(sizes) - sizes
+    base = 1 + row0
+    stacks = [[((1, m), -1, -1, 0, 0)] if m >= 2 else [] for m in sizes]
+    steps = np.zeros(len(items), dtype=np.intp)  # each sentence's latest local bank row
+    splits = [{} for _ in items]
+    with no_grad():
+        edus = model.encoder.encode([words for words, _ in items], [ends for _, ends in items])
+        bank = np.zeros((decoder.components, 1 + sizes.sum(), decoder.hidden_dim))
+
+        def states(b, local_rows):
+            rows = np.where(local_rows > 0, base[b] + local_rows - 1, 0)
+            return tuple(Tensor(component[rows]) for component in bank)
+
+        while True:
+            live = np.array([b for b, stack in enumerate(stacks) if stack], dtype=np.intp)
+            if not live.size:
+                break
+            frames = [stacks[b].pop() for b in live]
+            spans, parent, sibling, parent_row, sibling_row = (
+                np.array(column, dtype=np.intp) for column in zip(*frames))
+            i, j = spans.T
+            k = i.copy()
+            pointed = np.flatnonzero(j - i >= 2)
+            if pointed.size:
+                b = live[pointed]
+                inputs = np.stack([j[pointed] - 1, parent[pointed], sibling[pointed]], axis=1)
+                fused = decoder.fuse(states(b, steps[b]), states(b, parent_row[pointed]),
+                                     states(b, sibling_row[pointed]))
+                state, d = decoder.step(
+                    ad.gather_sum(edus, np.where(inputs >= 0, inputs + row0[b, None], -1)), fused)
+                for component, part in zip(bank, state):
+                    component[base[b] + steps[b]] = part.data
+                steps[b] += 1
+                span = (j - i)[pointed, None]
+                cols = np.arange(span.max())
+                index = row0[b, None] + i[pointed, None] - 1 + np.minimum(cols, span - 1)
+                probs = dot_attend(edus, d, mask=cols < span, index=index).probs.data
+                k[pointed] = i[pointed] + np.argmax(probs, axis=1)
+            dist = model.labeler.distribution(ad.gather(edus, row0[live] + k - 1),
+                                              ad.gather(edus, row0[live] + j - 1))
+            labels = np.argmax(dist.data, axis=1)
+            for s, i_, j_, k_, label in zip(live.tolist(), i.tolist(), j.tolist(), k.tolist(),
+                                            labels.tolist()):
+                splits[s][(i_, j_)] = (k_, *split_label(model.labels.name(label)))
+                _push_children(stacks[s], i_, j_, k_, int(steps[s]))
+
+    return [DiscTree(_assemble(table, 1, m)) for table, m in zip(splits, sizes.tolist())]
+
+
 def build_rst_vocab(items) -> Vocab:
     words = set()
     for tokens, _, _ in items:
@@ -377,7 +468,8 @@ def train_rst(items, config: RstConfig, dev_items=None, label_set: LabelSet = No
 
 
 def _evaluate_rst(model, items):
-    pairs = [(tree, decode_rst(model, words, ends)) for words, ends, tree in items]
+    trees = decode_rst_batch(model, [(words, ends) for words, ends, _ in items])
+    pairs = [(gold, tree) for (_, _, gold), tree in zip(items, trees)]
     agg = score_parseval_corpus(pairs, include_root=model.config.include_root)
     return {"span": agg.span_f1, "nuclearity": agg.nuclearity_f1,
             "relation": agg.relation_f1}

@@ -1,0 +1,196 @@
+"""Batched greedy decoding across sentences: ``dep.decode_greedy_batch`` and
+``rst.decode_rst_batch`` give the trees of the one-sentence loops, in input
+order, on trained and held-out corpora, across chunk boundaries, and with
+the one-sentence path's errors for bad input."""
+
+import numpy as np
+import pytest
+
+from ptrparse import dep, rst
+from ptrparse.corpus import gen_synthetic_dep, gen_synthetic_rst, segmented_from_texts
+from ptrparse.errors import ConfigError, DataError, SegmentationError
+from ptrparse.metrics import score_dep_corpus, score_parseval_corpus
+from ptrparse.trees import Token
+
+
+@pytest.fixture(scope="module")
+def dep_trained():
+    """The criterion-3 corpus and configuration, trained for three epochs."""
+    items = gen_synthetic_dep(7, 64, max_len=12, vocab_size=200, label_count=8)
+    config = dep.DepConfig(variant="pst", fusion="sgate", encoder_hidden=64, decoder_hidden=64,
+                           arc_mlp=64, label_mlp=16, batch_size=8, epochs=3, seed=7)
+    model, _ = dep.train_dep(items, config)
+    return model, items
+
+
+@pytest.fixture(scope="module")
+def rst_trained():
+    """The criterion-4 corpus and configuration, trained for three epochs."""
+    items = [segmented_from_texts(texts) + (tree,)
+             for texts, tree in gen_synthetic_rst(7, 64, max_edus=8, label_count=8)]
+    config = rst.RstConfig(word_dim=64, encoder_hidden=64, encoder_layers=2, decoder_layers=2,
+                           rel_mlp=64, fusion="plain", embed_dropout=0.0, encoder_dropout=0.0,
+                           decoder_dropout=0.0, classifier_dropout=0.0, l2=0.0, batch_size=8,
+                           epochs=3, seed=7)
+    return rst.train_rst(items, config).model, items
+
+
+def dep_held_out():
+    """128 held-out sentences of 1 to 40 words."""
+    sentences = [tokens for tokens, _ in gen_synthetic_dep(11, 128, max_len=40, vocab_size=200,
+                                                           label_count=8)]
+    assert min(map(len, sentences)) == 1 and max(map(len, sentences)) == 40
+    return sentences
+
+
+def rst_held_out():
+    """64 held-out segmented sentences of 1 to 16 EDUs."""
+    items = [segmented_from_texts(texts)
+             for texts, _ in gen_synthetic_rst(11, 64, max_edus=16, label_count=8)]
+    assert min(len(ends) for _, ends in items) == 1
+    assert max(len(ends) for _, ends in items) == 16
+    return items
+
+
+def dep_equal(batched, one_by_one):
+    return [(t.heads, t.labels) for t in batched] == [(t.heads, t.labels) for t in one_by_one]
+
+
+def rst_equal(batched, one_by_one):
+    return [t.spans() for t in batched] == [t.spans() for t in one_by_one]
+
+
+def test_dep_batch_matches_one_sentence_decode(dep_trained):
+    model, items = dep_trained
+    for sentences in ([tokens for tokens, _ in items], dep_held_out()):
+        batched = dep.decode_greedy_batch(model, sentences)
+        assert dep_equal(batched, [dep.decode_greedy(model, tokens) for tokens in sentences])
+
+
+def test_rst_batch_matches_one_sentence_decode(rst_trained):
+    model, items = rst_trained
+    for pairs in ([(words, ends) for words, ends, _ in items], rst_held_out()):
+        batched = rst.decode_rst_batch(model, pairs)
+        assert rst_equal(batched, [rst.decode_rst(model, *pair) for pair in pairs])
+        for tree, (_, ends) in zip(batched, pairs):
+            tree.validate()
+            assert tree.m == len(ends)
+
+
+def test_dep_batch_counts_rounds_not_sentence_steps(dep_trained, monkeypatch):
+    """One encoder call and one k-row decoder step per round: 2n+1 rounds
+    for the longest sentence."""
+    model, items = dep_trained
+    sentences = [tokens for tokens, _ in items[:16]]
+    calls = {"encode": 0, "step": 0}
+    for name, owner in (("encode", model.encoder), ("step", model.decoder)):
+        original = getattr(owner, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    dep.decode_greedy_batch(model, sentences)
+    assert calls == {"encode": 1, "step": 2 * max(map(len, sentences)) + 1}
+
+
+@pytest.mark.parametrize("task", ["dep", "rst"])
+def test_one_sentence_batch_runs_the_loop(task, dep_trained, rst_trained, monkeypatch):
+    if task == "dep":
+        model, items = dep_trained
+        module, loop, batch = dep, "decode_greedy", dep.decode_greedy_batch
+        arg = items[5][0]
+        args = (arg,)
+    else:
+        model, items = rst_trained
+        module, loop, batch = rst, "decode_rst", rst.decode_rst_batch
+        arg = tuple(items[5][:2])
+        args = arg
+    seen = []
+    original = getattr(module, loop)
+    monkeypatch.setattr(module, loop, lambda m, *a: seen.append(a) or original(m, *a))
+    (tree,) = batch(model, [arg])
+    assert seen == [args]
+    assert tree == original(model, *args)
+    assert batch(model, []) == []
+
+
+@pytest.mark.parametrize("limit", [1, 12, 40])
+def test_chunk_boundaries_keep_input_order(limit, dep_trained, rst_trained, monkeypatch):
+    """A lowered ``BATCH_ROWS`` cuts the corpus into consecutive chunks,
+    single-sentence ones and ones larger than the limit included."""
+    dep_model, dep_items = dep_trained
+    rst_model, rst_items = rst_trained
+    sentences = [tokens for tokens, _ in dep_items[:20]]
+    pairs = [(words, ends) for words, ends, _ in rst_items[:20]]
+    whole_dep = dep.decode_greedy_batch(dep_model, sentences)
+    whole_rst = rst.decode_rst_batch(rst_model, pairs)
+    monkeypatch.setattr(dep, "BATCH_ROWS", limit)
+    chunks = dep._chunks([len(tokens) + 1 for tokens in sentences])
+    assert [i for chunk in chunks for i in chunk] == list(range(len(sentences)))
+    assert len(chunks) > 1
+    assert dep_equal(dep.decode_greedy_batch(dep_model, sentences), whole_dep)
+    assert rst_equal(rst.decode_rst_batch(rst_model, pairs), whole_rst)
+
+
+def test_chunks_split_on_rows(monkeypatch):
+    monkeypatch.setattr(dep, "BATCH_ROWS", 10)
+    assert dep._chunks([4, 6, 1, 12, 3, 3, 3, 2]) == [range(0, 2), range(2, 3), range(3, 4),
+                                                       range(4, 7), range(7, 8)]
+    assert dep._chunks([]) == []
+
+
+def forbid_encode(model, monkeypatch):
+    def encode(*args, **kwargs):
+        raise AssertionError("decoding started before the batch was checked")
+
+    monkeypatch.setattr(model.encoder, "encode", encode)
+
+
+def test_dep_batch_rejects_bad_sentence_before_decoding(dep_trained, monkeypatch):
+    model, items = dep_trained
+    good = [tokens for tokens, _ in items[:4]]
+    too_long = [Token(f"w{i}") for i in range(model.config.max_len + 1)]
+    for bad, error in ((too_long, ConfigError), ([], DataError)):
+        with pytest.raises(error) as one:
+            dep.decode_greedy(model, bad)
+        with monkeypatch.context() as patch:
+            forbid_encode(model, patch)
+            with pytest.raises(error) as batched:
+                dep.decode_greedy_batch(model, good + [bad] + good)
+        assert one.type is batched.type is error
+
+
+def test_rst_batch_rejects_bad_sentence_before_decoding(rst_trained, monkeypatch):
+    model, items = rst_trained
+    good = [(words, ends) for words, ends, _ in items[:4]]
+    too_long = (["w"] * (model.config.max_len + 1), [model.config.max_len + 1])
+    for bad, error in ((too_long, ConfigError), (([], [1]), DataError),
+                       ((["a", "b", "c"], [2, 1, 3]), SegmentationError),
+                       ((["a", "b"], [1]), SegmentationError)):
+        with pytest.raises(error) as one:
+            rst.decode_rst(model, *bad)
+        with monkeypatch.context() as patch:
+            forbid_encode(model, patch)
+            with pytest.raises(error) as batched:
+                rst.decode_rst_batch(model, good + [bad] + good)
+        assert one.type is batched.type is error
+
+
+def test_evaluate_dep_scores_the_per_sentence_trees(dep_trained):
+    model, items = dep_trained
+    agg = score_dep_corpus([(tokens, gold, dep.decode_greedy(model, tokens))
+                            for tokens, gold in items])
+    assert dep._evaluate_dep(model, items) == {"uas": agg.uas, "las": agg.las}
+
+
+def test_evaluate_rst_scores_the_per_sentence_trees(rst_trained):
+    model, items = rst_trained
+    agg = score_parseval_corpus([(gold, rst.decode_rst(model, words, ends))
+                                 for words, ends, gold in items],
+                                include_root=model.config.include_root)
+    assert rst._evaluate_rst(model, items) == {"span": agg.span_f1,
+                                               "nuclearity": agg.nuclearity_f1,
+                                               "relation": agg.relation_f1}
+

@@ -6,8 +6,10 @@ import warnings
 
 import pytest
 
+from ptrparse import DependencyParser, DiscourseParser, decode_greedy, decode_rst
 from ptrparse.cli import main
-from ptrparse.corpus import read_conllu, read_rst_brackets
+from ptrparse.corpus import (read_conllu, read_rst_brackets, segmented_from_texts,
+                             write_conllu, write_rst_brackets)
 from ptrparse.scoring import LabelSet
 
 DEP_CFG = """\
@@ -193,6 +195,29 @@ def test_parse_and_eval_dep(dep_run, tmp_path):
         assert tree.n == len(tokens)
     assert run(["eval", "--task", "dep", "--gold", str(dep_run["data"]),
                 "--pred", str(pred)]) == 0
+
+
+@pytest.mark.parametrize("task", ["dep", "rst"])
+def test_parse_output_matches_per_sentence_decode(task, dep_run, rst_run, tmp_path):
+    """``parse`` decodes a multi-sentence file as one batch; its output bytes
+    equal those of a decode one sentence at a time."""
+    fixture = dep_run if task == "dep" else rst_run
+    data = tmp_path / "input"
+    size = ["--max-len", "9", "--vocab-size", "30"] if task == "dep" else ["--max-edus", "7"]
+    assert run(["gen-data", "--kind", task, "--seed", "11", "--count", "12", "--labels", "4",
+                "--out", str(data)] + size) == 0
+    pred, expected = tmp_path / "pred", tmp_path / "expected"
+    assert run(["parse", "--model", str(fixture["model"]), "--input", str(data),
+                "--output", str(pred)]) == 0
+    if task == "dep":
+        model = DependencyParser.load(fixture["model"]).model_
+        write_conllu(expected, [(tokens, decode_greedy(model, tokens))
+                                for tokens, _ in read_conllu(data, lenient=True)])
+    else:
+        model = DiscourseParser.load(fixture["model"]).model_
+        write_rst_brackets(expected, [(texts, decode_rst(model, *segmented_from_texts(texts)))
+                                      for texts, _ in read_rst_brackets(data)])
+    assert pred.read_bytes() == expected.read_bytes()
 
 
 def test_parse_beam_matches_greedy_shape(dep_run, tmp_path):

@@ -147,3 +147,72 @@ def test_adam_matches_reference_trajectory():
         vhat = v / (1 - b2 ** t)
         ref = ref - lr * mhat / (np.sqrt(vhat) + eps)
         assert np.allclose(p.data, ref, atol=1e-14)
+
+
+def reference_adam_step(opt):
+    """``Adam.step`` as it was before its in-place rewrite, on ``opt``'s
+    own state: one update, with fresh temporaries for every expression."""
+    opt.step_count += 1
+    bc1 = 1.0 - opt.beta1 ** opt.step_count
+    bc2 = 1.0 - opt.beta2 ** opt.step_count
+    for name, p in opt.params:
+        g = p._grad
+        if g is None:
+            continue
+        if not np.all(np.isfinite(g)):
+            raise NumericError(f"non-finite gradient for parameter {name}")
+        if opt.weight_decay:
+            g = g + opt.weight_decay * p.data
+        m = opt._m[name]
+        v = opt._v[name]
+        m *= opt.beta1
+        m += (1.0 - opt.beta1) * g
+        v *= opt.beta2
+        v += (1.0 - opt.beta2) * g * g
+        p.data -= opt.lr * (m / bc1) / (np.sqrt(v / bc2) + opt.eps)
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
+def test_adam_in_place_step_is_bit_identical(weight_decay):
+    rng = np.random.default_rng(17)
+    shapes = [(3, 4), (5,), (), (2, 3, 2)]
+    arrays = [rng.standard_normal(shape) for shape in shapes]
+
+    def make():
+        params = [(f"p{i}", Tensor(a.copy(), requires_grad=True)) for i, a in enumerate(arrays)]
+        return params, Adam(params, lr=0.01, betas=(0.9, 0.95), eps=1e-8,
+                            weight_decay=weight_decay)
+
+    (new_params, new), (old_params, old) = make(), make()
+    for step in range(6):
+        grads = [rng.standard_normal(shape) * 10.0 ** (step - 3) for shape in shapes]
+        for params in (new_params, old_params):
+            for (_, p), g in zip(params, grads):
+                p.grad = None if step == 2 and g.ndim == 1 else g.copy()  # one skipped grad
+        new.step()
+        reference_adam_step(old)
+        assert new.step_count == old.step_count == step + 1
+        for (name, p), (_, q) in zip(new_params, old_params):
+            assert np.array_equal(p.data, q.data), name
+            assert np.array_equal(new._m[name], old._m[name]), name
+            assert np.array_equal(new._v[name], old._v[name]), name
+            assert p.data.shape == q.data.shape
+
+
+def test_adam_nonfinite_last_gradient_moves_nothing():
+    a = Tensor(np.array([1.0]), requires_grad=True)
+    b = Tensor(np.array([2.0, 3.0]), requires_grad=True)
+    opt = Adam([("a", a), ("b", b)], lr=0.1)
+    a.grad, b.grad = np.array([0.5]), np.array([0.25, -0.5])
+    opt.step()
+    before = {name: (p.data.copy(), opt._m[name].copy(), opt._v[name].copy())
+              for name, p in opt.params}
+    a.grad, b.grad = np.array([1.0]), np.array([0.0, np.inf])
+    with pytest.raises(NumericError, match="parameter b"):
+        opt.step()
+    assert opt.step_count == 1
+    for name, p in opt.params:
+        data, m, v = before[name]
+        assert np.array_equal(p.data, data), name
+        assert np.array_equal(opt._m[name], m), name
+        assert np.array_equal(opt._v[name], v), name
