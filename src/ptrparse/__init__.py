@@ -5,7 +5,7 @@ parsing with hierarchical pointer-network decoders, built on a small
 reverse-mode automatic differentiation core.
 """
 
-from .dep import DepConfig, decode_beam, decode_greedy, decode_greedy_batch, train_dep
+from .dep import DepConfig, decode_batch, decode_beam, decode_greedy, train_dep
 from .errors import (ConfigError, DataError, LoadError, MaskError, NumericError,
                      ParseError, PtrParseError, SegmentationError, ShapeError,
                      TrainingError, TreeError)
@@ -22,7 +22,7 @@ __all__ = [
     "DiscTree", "DiscourseParser", "LabelSet", "LoadError", "MaskError",
     "NumericError", "ParseError", "PtrParseError", "RstConfig", "SegmentationError",
     "ShapeError", "Token", "TrainingError", "TreeError", "decode_beam",
-    "decode_greedy", "decode_greedy_batch", "decode_rst", "decode_rst_batch",
+    "decode_batch", "decode_greedy", "decode_rst", "decode_rst_batch",
     "score_dep_corpus", "score_parseval_corpus",
     "train_dep", "train_rst", "__version__",
 ]

@@ -14,8 +14,8 @@ from .checkpoint import load_checkpoint
 from .corpus import (gen_synthetic_dep, gen_synthetic_rst, load_embeddings, open_text,
                      read_conllu, read_rst_brackets, segmented_from_texts, write_conllu,
                      write_rst_brackets)
-from .dep import (DepConfig, check_beam_size, config_from_dict, config_to_dict, decode_beam,
-                  decode_greedy, decode_greedy_batch, format_trace, train_dep)
+from .dep import (DepConfig, check_beam_size, config_from_dict, config_to_dict, decode_batch,
+                  decode_greedy, format_trace, train_dep)
 from .errors import ConfigError, DataError, EncodingError, NumericError
 from .estimators import DependencyParser, DiscourseParser
 from .metrics import (bucket_csv, bucket_scores_dep, bucket_scores_rst, score_dep_corpus,
@@ -200,17 +200,14 @@ def run_parse(args):
         sentences = [tokens for tokens, _ in read_conllu(args.input, lenient=True)]
         if args.trace_path:
             results = [decode_greedy(model, tokens, want_trace=True) for tokens in sentences]
-        elif args.beam > 1:
-            results = [decode_beam(model, tokens, beam_size=args.beam) for tokens in sentences]
-        else:
-            results = [(tree, None) for tree in decode_greedy_batch(model, sentences)]
-        write_conllu(args.output, [(tokens, tree) for tokens, (tree, _)
-                                   in zip(sentences, results)])
-        if args.trace_path:
+            trees = [tree for tree, _ in results]
             with open(args.trace_path, "w", encoding="utf-8") as handle:
                 for i, (_, trace) in enumerate(results, start=1):
                     handle.write(f"# sentence {i}\n")
                     handle.write(format_trace(trace))
+        else:
+            trees = decode_batch(model, sentences, beam_size=args.beam)
+        write_conllu(args.output, list(zip(sentences, trees)))
         print(f"parsed {len(sentences)} sentences to {args.output}")
     elif task == "rst":
         if args.trace_path:

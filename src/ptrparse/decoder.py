@@ -10,9 +10,9 @@ generated.  The bank is a sentence's list of decoder states in step
 order; row 0 is the zero state, which stands for an absent parent or
 sibling, and each step appends its own state.  A frame's decoder input is
 ``autodiff.gather_sum`` of the encoder matrix at (element, parent,
-sibling).  ``dep.decode_beam`` and ``dep.decode_greedy_batch`` keep the
-five fields as integer columns, one row per hypothesis or per sentence,
-so one ``gather_sum`` serves all their rows.
+sibling).  ``dep._rounds``, the driver of beam search and batched
+decoding, keeps the five fields as integer columns, one row per
+hypothesis of each sentence, so one ``gather_sum`` serves all its rows.
 
 Before every step, the parent and sibling states and the temporal
 predecessor (the bank's latest row) are fused into the hidden state that
@@ -30,9 +30,8 @@ of the temporal state with the parent and sibling states.
 The decoder runs in two forms over the same weights and numpy kernels.
 Decoding calls ``fuse`` and ``step`` once per decision round, because
 each step's frame depends on the decision before it; they take one
-decoder state, or k states stacked as rows (one per beam hypothesis, or
-one per sentence of a batched greedy decode, whose sentences each own a
-block of bank rows) and advance each row on its own.  Teacher forcing
+decoder state, or k states stacked as rows (one per hypothesis of each
+sentence of a batched or beam decode) and advance each row on its own.  Teacher forcing
 knows every frame before the decoder runs, so
 ``run_schedule`` takes the frames of every step at once (2n+1 for a
 dependency sentence, one per pointed span for a discourse sentence), for

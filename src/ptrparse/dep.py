@@ -15,12 +15,12 @@ invocations at 2n or fewer per sentence.
 The decoder runs in two forms.  Decoding steps it once per decision round
 through ``HierDecoder.fuse`` and ``step``, since each frame depends on the
 decision before it: ``run_transition`` (and so ``decode_greedy``) steps
-one sentence's state vectors, ``decode_beam`` one row per live
-hypothesis, and ``decode_greedy_batch`` one row per live sentence of a
-whole corpus.  Training is teacher-forced: the gold tree's oracle order
-fixes every frame, target and label before the decoder runs, so one
-integer walk per sentence builds the schedule, and a batch of sentences
-records one tape: one encoder call, one decoder sequence op
+one sentence's state vectors, and ``_rounds`` (``decode_beam`` and
+``decode_batch``) one row per live hypothesis of every sentence of a
+batch.  Training is teacher-forced: the gold tree's oracle order fixes
+every frame, target and label before the decoder runs, so one integer
+walk per sentence builds the schedule, and a batch of sentences records
+one tape: one encoder call, one decoder sequence op
 (``HierDecoder.run_schedule``) and one row-form call per head for every
 sentence of the batch.  ``fit_loop``, the training loop of both tasks,
 lives here too.
@@ -333,6 +333,9 @@ def _candidate_mask(element, attached: np.ndarray) -> np.ndarray:
 
 
 def _check_length(config: DepConfig, n: int):
+    """Reject an empty sentence, or one longer than ``max_len``."""
+    if n == 0:
+        raise DataError("cannot encode an empty sentence")
     if n > config.max_len:
         raise ConfigError(f"sentence length {n} exceeds max_len {config.max_len}")
 
@@ -353,12 +356,14 @@ def run_transition(model: DepModel, tokens, gold: DepTree = None, training: bool
     ``step``), because each frame depends on the decision before it, and
     follows the pointer and label argmax; ``want_trace`` records its
     steps.  With a gold tree the pass is a batch of one of
-    ``batch_losses``, which records a fixed number of tape ops per batch
-    and no trace (asking for one is a ``ConfigError``).
+    ``batch_losses``, a fixed number of tape ops, and ``training``/``rng``
+    set its dropout; a trace with a gold tree, or training without one, is
+    a ``ConfigError``.
     """
     n = len(tokens)
-    config = model.config
-    _check_length(config, n)
+    _check_length(model.config, n)
+    if training and gold is None:
+        raise ConfigError("training runs teacher forcing only and needs a gold tree")
     if gold is not None:
         if want_trace:
             raise ConfigError("want_trace records greedy decoding only, not teacher forcing")
@@ -367,8 +372,8 @@ def run_transition(model: DepModel, tokens, gold: DepTree = None, training: bool
                          structure_loss=structure, label_loss=label, trace=[],
                          pointer_calls=len(walk.pointed), score_evaluations=walk.evaluations)
 
-    encoded = model.encoder.encode(tokens, training=training, rng=rng)
-    prepared = model.pointer.prepare(encoded, training=training, rng=rng)
+    encoded = model.encoder.encode(tokens)
+    prepared = model.pointer.prepare(encoded)
 
     stack = [(0, -1, -1, 0, 0)]
     bank = [model.decoder.zero_state()]
@@ -384,8 +389,7 @@ def run_transition(model: DepModel, tokens, gold: DepTree = None, training: bool
     while stack:
         element, parent, sibling, parent_row, sibling_row = stack.pop()
         x = ad.gather_sum(encoded, (element, parent, sibling))
-        fused = model.decoder.fuse(bank[-1], bank[parent_row], bank[sibling_row],
-                                   training=training, rng=rng)
+        fused = model.decoder.fuse(bank[-1], bank[parent_row], bank[sibling_row])
         state, d = model.decoder.step(x, fused)
         bank.append(state)
         step = len(bank) - 1
@@ -395,7 +399,7 @@ def run_transition(model: DepModel, tokens, gold: DepTree = None, training: bool
         result = None
         log_prob = 0.0
         if n_candidates > 1:
-            result = model.pointer.attend(d, prepared, mask, training=training, rng=rng)
+            result = model.pointer.attend(d, prepared, mask)
             pointer_calls += 1
             score_evaluations += n_candidates
             choice = result.best()
@@ -409,8 +413,7 @@ def run_transition(model: DepModel, tokens, gold: DepTree = None, training: bool
         if choice != element:
             attached[choice] = True
             heads[choice - 1] = element
-            dist = model.labeler.distribution(d, ad.row(encoded, choice),
-                                              training=training, rng=rng)
+            dist = model.labeler.distribution(d, ad.row(encoded, choice))
             label_name = model.labels.name(int(np.argmax(dist.data)))
             labels[choice - 1] = label_name
             stack.append((element, parent, choice, parent_row, step))
@@ -637,30 +640,8 @@ def decode_greedy(model: DepModel, tokens, want_trace: bool = False):
     return tree
 
 
-# Columns of the beam's frame arrays, the fields of a frame tuple (see the
-# ``decoder`` module): the frame's element, the words of its parent and of
-# its nearest generated sibling (-1 when absent), and the bank rows of the
-# decoder states captured when those two were generated.
+# Columns of ``_rounds``' frame arrays: a frame tuple's fields (``decoder`` module).
 _ELEMENT, _PARENT, _SIBLING, _PARENT_ROW, _SIBLING_ROW = range(5)
-
-
-def _push_attached(frames, depth, attached, heads, rows, head, child, state_row):
-    """Attach word ``child[i]`` to ``head[i]`` in row ``rows[i]`` of the
-    frame arrays, whose frame at ``depth`` was just popped.
-
-    The popped frame goes back with the child as its nearest sibling and
-    ``state_row`` (the bank row of the step that chose it) as the
-    sibling's state, then the child's own frame goes on top with that
-    state as its parent's: the two pushes of ``run_transition``.
-    """
-    at = depth[rows]
-    frames[rows, at, _SIBLING] = child
-    frames[rows, at, _SIBLING_ROW] = state_row
-    frames[rows, at + 1] = np.stack([child, head, np.full_like(child, -1), state_row,
-                                     np.zeros_like(child)], axis=1)
-    depth[rows] += 2
-    attached[rows, child] = True
-    heads[rows, child] = head
 
 
 def check_beam_size(beam_size):
@@ -669,90 +650,28 @@ def check_beam_size(beam_size):
         raise ConfigError(f"beam size must be an integer of at least 1, got {beam_size!r}")
 
 
+def _checked_beam_size(model: DepModel, sentences, beam_size) -> int:
+    """The beam size (the config's when None), once it and every sentence are checked."""
+    if beam_size is None:
+        beam_size = model.config.beam_size
+    check_beam_size(beam_size)
+    for tokens in sentences:
+        _check_length(model.config, len(tokens))
+    return beam_size
+
+
 def decode_beam(model: DepModel, tokens, beam_size: int = None):
     """Beam search over pointing decisions; returns (DepTree, log-probability).
 
-    All hypotheses advance one decision per round, so every complete parse
-    takes exactly 2n+1 rounds and the beam stays in lockstep.  A round runs
-    its k live hypotheses as one k-row pass through the decoder's ``fuse``
-    and ``step``, the pointer and the labeler.  Each hypothesis is one row
-    of a set of arrays: its stack of frames and their depth, attachments,
-    heads, label ids, the bank row of its latest decoder state, and its
-    log-probability.  The decoder states of every round go into one bank
-    whose row 0 is the zero state, which stands for an absent parent or
-    sibling.  One stable sort ranks all candidates, so ties keep
-    hypothesis order, then candidate order.  Beam size 1 reproduces greedy
-    decoding bit-for-bit.
+    A one-sentence call of ``_rounds``.  The beam size defaults to the
+    config's; beam size 1 reproduces greedy decoding bit-for-bit.
     """
-    config = model.config
-    if beam_size is None:
-        beam_size = config.beam_size
-    check_beam_size(beam_size)
-    n = len(tokens)
-    _check_length(config, n)
-
-    with no_grad():
-        reps = model.encoder.encode(tokens)
-        prepared = model.pointer.prepare(reps)
-        decoder = model.decoder
-        # A round keeps at most beam_size hypotheses, so this is room for all.
-        bank = np.zeros((decoder.components, 1 + (2 * n + 1) * beam_size, decoder.hidden_dim))
-        used = 1
-        frames = np.full((1, n + 1, 5), -1, dtype=np.intp)
-        frames[0, 0] = (0, -1, -1, 0, 0)
-        depth = np.ones(1, dtype=np.intp)
-        attached = np.zeros((1, n + 1), dtype=bool)
-        attached[:, 0] = True
-        heads = np.zeros((1, n + 1), dtype=np.intp)
-        labels = np.zeros((1, n + 1), dtype=np.intp)
-        prev_row = np.zeros(1, dtype=np.intp)
-        log_prob = np.zeros(1)
-
-        def states(bank_rows):
-            return tuple(Tensor(component[bank_rows]) for component in bank)
-
-        for _ in range(2 * n + 1):
-            k = len(depth)
-            top = frames[np.arange(k), depth - 1]
-            element = top[:, _ELEMENT]
-            fused = decoder.fuse(states(prev_row), states(top[:, _PARENT_ROW]),
-                                 states(top[:, _SIBLING_ROW]))
-            state, d = decoder.step(ad.gather_sum(reps, top[:, _ELEMENT : _SIBLING + 1]), fused)
-            for component, part in zip(bank, state):
-                component[used : used + k] = part.data
-            state_row = np.arange(used, used + k)
-            used += k
-
-            mask = _candidate_mask(element, attached)
-            candidates = np.flatnonzero(mask)
-            totals = log_prob[candidates // (n + 1)]
-            if len(candidates) > k:  # some hypothesis has a real choice to make
-                probs = model.pointer.attend(d, prepared, mask).probs.data
-                totals = totals + np.log(probs.ravel()[candidates])
-            order = np.argsort(-totals, kind="stable")[:beam_size]
-            hyp, choice = np.divmod(candidates[order], n + 1)
-            log_prob = totals[order]
-
-            head = element[hyp]
-            prev_row = state_row[hyp]
-            frames, depth = frames[hyp], depth[hyp] - 1
-            attached, heads, labels = attached[hyp], heads[hyp], labels[hyp]
-            grown = np.flatnonzero(choice != head)
-            if grown.size:
-                child = choice[grown]
-                _push_attached(frames, depth, attached, heads, grown, head[grown], child,
-                               prev_row[grown])
-                dist = model.labeler.distribution(ad.gather(d, hyp[grown]),
-                                                  ad.gather(reps, child))
-                labels[grown, child] = np.argmax(dist.data, axis=1)
-
-    tree = DepTree(heads[0, 1:].tolist(), [model.labels.name(i) for i in labels[0, 1:].tolist()])
-    return tree, float(log_prob[0])
+    return _rounds(model, [tokens], _checked_beam_size(model, [tokens], beam_size))[0]
 
 
-# Most encoder rows (words plus root) that one ``decode_greedy_batch`` pass
-# encodes and decodes together; a longer corpus is cut into consecutive
-# chunks, so the pass's arrays stay bounded on large dev sets.
+# Most rows that one ``_rounds`` pass decodes together, a sentence of n
+# words counting (n+1) x beam size; a longer corpus is cut into
+# consecutive chunks, so the pass's arrays stay bounded on large dev sets.
 BATCH_ROWS = 2048
 
 
@@ -770,101 +689,141 @@ def _chunks(sizes) -> list:
     return chunks
 
 
-def decode_greedy_batch(model: DepModel, sentences) -> list:
-    """Greedy decode of many sentences; returns their DepTrees in input order.
+def decode_batch(model: DepModel, sentences, beam_size: int = None) -> list:
+    """Beam search over many sentences; returns their DepTrees in input order.
 
-    Every sentence is checked first (``max_len``, then emptiness), so a bad
-    one raises the one-sentence path's error before anything is decoded.
-    The sentences then go in consecutive chunks of at most ``BATCH_ROWS``
-    encoder rows; a chunk of one sentence goes to ``decode_greedy``, and a
-    larger one to ``_greedy_rounds``.  On the tested corpora the trees
-    equal ``decode_greedy``'s sentence by sentence.
+    The beam size defaults to the config's; it and every sentence are
+    checked before anything is decoded.  The sentences go to ``_rounds`` in
+    consecutive chunks of at most ``BATCH_ROWS`` rows, but a one-sentence
+    chunk at beam size 1 goes to ``decode_greedy``, faster for one
+    sentence.  On the tested corpora the trees equal ``decode_beam``'s
+    (``decode_greedy``'s at beam size 1) sentence by sentence.
     """
-    for tokens in sentences:
-        _check_length(model.config, len(tokens))
-        if not tokens:
-            raise DataError("cannot encode an empty sentence")
+    beam_size = _checked_beam_size(model, sentences, beam_size)
     trees = []
-    for chunk in _chunks([len(tokens) + 1 for tokens in sentences]):
+    for chunk in _chunks([(len(tokens) + 1) * beam_size for tokens in sentences]):
         batch = [sentences[i] for i in chunk]
-        trees += ([decode_greedy(model, batch[0])] if len(batch) == 1
-                  else _greedy_rounds(model, batch))
+        trees += ([decode_greedy(model, batch[0])] if len(batch) == 1 and beam_size == 1
+                  else [tree for tree, _ in _rounds(model, batch, beam_size)])
     return trees
 
 
-def _greedy_rounds(model: DepModel, sentences) -> list:
-    """Greedy decoding of several sentences as the rows of one pass.
+def _rounds(model: DepModel, sentences, beam_size: int) -> list:
+    """Beam search over sentences as the rows of one pass; returns each
+    sentence's best (DepTree, log-probability) in input order.
 
     One batch-form ``encoder.encode`` and one ``pointer.prepare`` cover
-    every sentence.  Each sentence has its own row of the frame arrays of
-    ``decode_beam`` (pad columns past its words count as attached, so they
-    are never candidates) and its own block of 2n+1 bank rows, its step t
-    writing the block's row t.  Round t pops one frame per sentence that
-    has not yet made its 2n+1 decisions and runs those rows as one k-row
-    ``fuse`` and ``step``, one row-form ``pointer.attend`` over the rows
-    with more than one candidate (each scoring its own sentence's
-    positions through ``index``), and one ``labeler.distribution`` over
-    the rows that attach.
+    every sentence.  A row is one hypothesis of one sentence: its stack of
+    frames and their depth, attachments (columns past the sentence's words
+    count as attached), heads, label ids, the bank row of its latest
+    decoder state, and its log-probability.  Rows are grouped by sentence,
+    longest first.  A round runs every row as one k-row ``fuse`` and
+    ``step``, one pointer call, and one ``labeler.distribution`` over the
+    rows that attach.  The states go into one bank (row 0 the zero state)
+    sized for min(beam_size, n+1) rows per round and grown when full.  One
+    stable ``np.lexsort`` on sentence, then on -log-probability, ranks
+    every candidate, so ties keep hypothesis order, then candidate order,
+    and each sentence keeps its first ``beam_size``.  After its 2n+1st
+    decision a sentence's best row is recorded and its rows, the last
+    ones, are dropped.
+
+    Bit policy: one sentence attends from every row against the 2-D
+    prepared matrix whenever any row has a real choice; several sentences
+    attend from the rows with a real choice only, each over its own
+    sentence's positions through ``index``.
     """
-    decoder = model.decoder
-    count = len(sentences)
-    sizes = np.array([len(tokens) + 1 for tokens in sentences])
-    row0 = np.cumsum(sizes) - sizes
-    steps = 2 * sizes - 1
-    base = 1 + np.cumsum(steps) - steps
-    width = np.arange(sizes.max())
+    decoder, count = model.decoder, len(sentences)
+    lengths = np.array([len(tokens) + 1 for tokens in sentences])
+    order = np.argsort(-lengths, kind="stable")
+    sizes, row0 = lengths[order], (np.cumsum(lengths) - lengths)[order]
+    steps, width = 2 * sizes - 1, np.arange(sizes[0])
+    results = [None] * count
     with no_grad():
         encoded = model.encoder.encode(sentences)
         prepared = model.pointer.prepare(encoded)
-        bank = np.zeros((decoder.components, 1 + steps.sum(), decoder.hidden_dim))
+        bank = np.zeros((decoder.components, 1 + steps.sum() * min(beam_size, sizes[0]),
+                         decoder.hidden_dim))
+        used = 1
         frames = np.full((count, len(width), 5), -1, dtype=np.intp)
         frames[:, 0] = (0, -1, -1, 0, 0)
-        depth = np.ones(count, dtype=np.intp)
         attached = width >= sizes[:, None]
         attached[:, 0] = True
-        heads = np.zeros((count, len(width)), dtype=np.intp)
-        labels = np.zeros((count, len(width)), dtype=np.intp)
-        prev_row = np.zeros(count, dtype=np.intp)
+        heads, labels = np.zeros((2, count, len(width)), dtype=np.intp)
+        group, depth, prev_row = np.arange(count), np.ones(count, np.intp), np.zeros(count, np.intp)
+        log_prob = np.zeros(count)
 
         def states(bank_rows):
             return tuple(Tensor(component[bank_rows]) for component in bank)
 
-        for t in range(steps.max()):
-            live = np.flatnonzero(steps > t)
-            depth[live] -= 1
-            top = frames[live, depth[live]]
-            element = top[:, _ELEMENT]
-            words = top[:, _ELEMENT : _SIBLING + 1]
-            fused = decoder.fuse(states(prev_row[live]), states(top[:, _PARENT_ROW]),
+        for t in range(steps[0]):
+            k = len(group)
+            top = frames[np.arange(k), depth - 1]
+            element, words = top[:, _ELEMENT], top[:, _ELEMENT : _SIBLING + 1]
+            fused = decoder.fuse(states(prev_row), states(top[:, _PARENT_ROW]),
                                  states(top[:, _SIBLING_ROW]))
             state, d = decoder.step(
-                ad.gather_sum(encoded, np.where(words >= 0, words + row0[live, None], -1)), fused)
-            state_row = base[live] + t
+                ad.gather_sum(encoded, np.where(words >= 0, words + row0[group, None], -1)), fused)
+            if used + k > bank.shape[1]:
+                bank = np.pad(bank, ((0, 0), (0, max(used, k)), (0, 0)))
             for component, part in zip(bank, state):
-                component[state_row] = part.data
-            prev_row[live] = state_row
+                component[used : used + k] = part.data
+            state_row = np.arange(used, used + k)
+            used += k
 
-            mask = _candidate_mask(element, attached[live])
-            choice = np.argmax(mask, axis=1)  # the only candidate, where there is one
-            pointed = np.flatnonzero(mask.sum(axis=1) > 1)
-            if pointed.size:
-                size = sizes[live[pointed], None]
-                c = size.max()
-                index = row0[live[pointed], None] + np.minimum(width[:c], size - 1)
-                probs = model.pointer.attend(ad.gather(d, pointed), prepared, mask[pointed, :c],
-                                             index=index).probs.data
-                choice[pointed] = np.argmax(probs, axis=1)
-            grown = np.flatnonzero(choice != element)
+            mask = _candidate_mask(element, attached)
+            candidates = np.flatnonzero(mask)
+            hyp = candidates // len(width)
+            totals = log_prob[hyp]
+            if len(candidates) > k:  # some row has a real choice to make
+                if count == 1:
+                    probs = model.pointer.attend(d, prepared, mask).probs.data
+                else:
+                    pointed = np.flatnonzero(mask.sum(axis=1) > 1)
+                    size = sizes[group[pointed], None]
+                    c = size.max()
+                    index = row0[group[pointed], None] + np.minimum(width[:c], size - 1)
+                    probs = np.ones(mask.shape)
+                    probs[pointed, :c] = model.pointer.attend(
+                        ad.gather(d, pointed), prepared, mask[pointed, :c], index=index).probs.data
+                totals = totals + np.log(probs.ravel()[candidates])
+            ranked = np.lexsort((-totals, group[hyp]))
+            sentence = group[hyp[ranked]]
+            # A sentence's candidates are contiguous: one is past its first
+            # beam_size when the one beam_size places before it shares it.
+            first = np.ones(len(ranked), dtype=bool)
+            first[beam_size:] = sentence[beam_size:] != sentence[:-beam_size]
+            ranked, group = ranked[first], sentence[first]
+            hyp, choice, log_prob = hyp[ranked], candidates[ranked] % len(width), totals[ranked]
+            if steps[group[-1]] == t + 1:  # the last rows' sentences made their last decision
+                live = np.count_nonzero(steps[group] > t + 1)
+                for b, i in zip(*np.unique(group[live:], return_index=True)):
+                    row, end = hyp[live + i], sizes[b]
+                    results[order[b]] = (DepTree(heads[row, 1:end].tolist(), [
+                        model.labels.name(j) for j in labels[row, 1:end].tolist()]),
+                        float(log_prob[live + i]))
+                hyp, choice, log_prob, group = (a[:live] for a in (hyp, choice, log_prob, group))
+
+            # Pop each kept row's frame.  At beam size 1 every row keeps its
+            # place, so slicing off finished rows stands in for a copy.
+            pick = slice(len(hyp)) if beam_size == 1 else hyp
+            frames, attached, heads, labels = (a[pick] for a in (frames, attached, heads, labels))
+            depth = depth[pick] - 1
+            head, prev_row = element[hyp], state_row[hyp]
+            grown = np.flatnonzero(choice != head)
             if grown.size:
-                rows, child = live[grown], choice[grown]
-                _push_attached(frames, depth, attached, heads, rows, element[grown], child,
-                               state_row[grown])
-                dist = model.labeler.distribution(ad.gather(d, grown),
-                                                  ad.gather(encoded, row0[rows] + child))
-                labels[rows, child] = np.argmax(dist.data, axis=1)
-
-    return [DepTree(heads[b, 1:n].tolist(), [model.labels.name(i) for i in labels[b, 1:n].tolist()])
-            for b, n in enumerate(sizes)]
+                # ``run_transition``'s pushes: the popped frame with the child as
+                # its sibling, then the child's frame, both with this step's state.
+                child, at, row = choice[grown], depth[grown], prev_row[grown]
+                frames[grown, at, _SIBLING], frames[grown, at, _SIBLING_ROW] = child, row
+                frames[grown, at + 1] = np.stack([child, head[grown], np.full_like(child, -1),
+                                                  row, np.zeros_like(child)], axis=1)
+                depth[grown] += 2
+                attached[grown, child] = True
+                heads[grown, child] = head[grown]
+                dist = model.labeler.distribution(ad.gather(d, hyp[grown]),
+                                                  ad.gather(encoded, row0[group[grown]] + child))
+                labels[grown, child] = np.argmax(dist.data, axis=1)
+    return results
 
 
 def build_dep_vocabs(items):
@@ -908,7 +867,7 @@ def train_dep(items, config: DepConfig, dev_items=None, log=None, init_hook=None
 
 
 def _evaluate_dep(model, items):
-    trees = decode_greedy_batch(model, [tokens for tokens, _ in items])
+    trees = decode_batch(model, [tokens for tokens, _ in items], beam_size=1)
     agg = score_dep_corpus([(tokens, gold, tree) for (tokens, gold), tree in zip(items, trees)])
     return {"uas": agg.uas, "las": agg.las}
 

@@ -15,8 +15,7 @@ from dataclasses import fields
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .dep import (DepConfig, DepModel, check_beam_size, config_from_dict, config_to_dict,
-                  decode_beam, decode_greedy_batch, train_dep)
+from .dep import DepConfig, DepModel, config_from_dict, config_to_dict, decode_batch, train_dep
 from .encoder import Vocab, check_segmentation
 from .errors import ConfigError, DataError, LoadError
 from .metrics import score_dep_corpus, score_parseval_corpus
@@ -196,17 +195,13 @@ class DependencyParser(BaseEstimator):
         return self
 
     def predict(self, X, beam_size: int = None):
-        """Parse sentences; defaults to the configured beam size.  Beam size 1
-        decodes greedily, all sentences together (``decode_greedy_batch``);
-        a larger beam decodes one sentence at a time."""
+        """Parse sentences with beam search, all of them together
+        (``decode_batch``); the beam size defaults to the configured one, and
+        beam size 1 decodes greedily."""
         model = self._require_fitted()
         if beam_size is None:
             beam_size = self.beam_size
-        check_beam_size(beam_size)
-        sentences = [_as_tokens(sentence) for sentence in X]
-        if beam_size == 1:
-            return decode_greedy_batch(model, sentences)
-        return [decode_beam(model, tokens, beam_size=beam_size)[0] for tokens in sentences]
+        return decode_batch(model, [_as_tokens(sentence) for sentence in X], beam_size=beam_size)
 
     def evaluate(self, X, y, beam_size: int = None, exclude_punct: bool = True):
         """Full attachment scores (UAS and LAS) against gold trees."""

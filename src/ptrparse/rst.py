@@ -32,7 +32,7 @@ from .decoder import FUSIONS, HierDecoder, VARIANTS
 from .dep import (_Batch, _Walk, _check_common, _check_length, _chunks, _finite, _head_loss,
                   fit_loop)
 from .encoder import RstEncoder, UNK, Vocab, check_segmentation
-from .errors import ConfigError, DataError, TreeError
+from .errors import ConfigError, TreeError
 from .metrics import score_parseval_corpus
 from .nn import Module
 # Not called here (``fit_loop`` clips), but kept as a module attribute that
@@ -162,9 +162,12 @@ def run_splits(model: RstModel, words, ends, gold: DiscTree = None, training: bo
     Greedy decoding steps the decoder, the dot pointer and the labeler one
     span at a time, because each split decides the frames after it.  With
     a gold tree every frame is known in advance, and the pass is a batch
-    of one of ``batch_losses``: a fixed number of tape ops per batch.
+    of one of ``batch_losses`` (a fixed number of tape ops) whose dropout
+    ``training``/``rng`` set; training without one is a ``ConfigError``.
     """
     _check_length(model.config, len(words))
+    if training and gold is None:
+        raise ConfigError("training runs teacher forcing only and needs a gold tree")
     if gold is not None:
         structure, label, _, (walk,) = _teacher_forced(model, [(words, ends, gold)], training,
                                                        rng)
@@ -173,7 +176,7 @@ def run_splits(model: RstModel, words, ends, gold: DiscTree = None, training: bo
                             pointer_calls=len(walk.pointed),
                             score_evaluations=walk.evaluations)
 
-    edus = model.encoder.encode(words, ends, training=training, rng=rng)
+    edus = model.encoder.encode(words, ends)
     m = edus.data.shape[0]
     splits = {}
     pointer_calls = 0
@@ -185,15 +188,13 @@ def run_splits(model: RstModel, words, ends, gold: DiscTree = None, training: bo
         k = i
         if j - i >= 2:
             x = ad.gather_sum(edus, (j - 1, parent, sibling))
-            fused = model.decoder.fuse(bank[-1], bank[parent_row], bank[sibling_row],
-                                       training=training, rng=rng)
+            fused = model.decoder.fuse(bank[-1], bank[parent_row], bank[sibling_row])
             state, d = model.decoder.step(x, fused)
             bank.append(state)
             k = dot_attend(edus, d, i - 1, j - 1, position_offset=i).best()
             pointer_calls += 1
             score_evaluations += j - i
-        dist = model.labeler.distribution(ad.row(edus, k - 1), ad.row(edus, j - 1),
-                                          training=training, rng=rng)
+        dist = model.labeler.distribution(ad.row(edus, k - 1), ad.row(edus, j - 1))
         label = model.labels.name(int(np.argmax(dist.data)))
         splits[(i, j)] = (k, *split_label(label))
         _push_children(stack, i, j, k, len(bank) - 1)
@@ -340,8 +341,6 @@ def decode_rst_batch(model: RstModel, items) -> list:
     """
     for words, ends in items:
         _check_length(model.config, len(words))
-        if not words:
-            raise DataError("cannot encode an empty sentence")
         check_segmentation(len(words), ends)
     trees = []
     for chunk in _chunks([len(words) for words, _ in items]):

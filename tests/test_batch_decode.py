@@ -1,7 +1,10 @@
-"""Batched greedy decoding across sentences: ``dep.decode_greedy_batch`` and
-``rst.decode_rst_batch`` give the trees of the one-sentence loops, in input
-order, on trained and held-out corpora, across chunk boundaries, and with
-the one-sentence path's errors for bad input."""
+"""Batched decoding across sentences: ``dep.decode_batch`` (greedy at beam
+size 1, beam search above) and ``rst.decode_rst_batch`` give the trees of
+the one-sentence paths, in input order, on trained and held-out corpora,
+across chunk boundaries, and with the one-sentence path's errors for bad
+input."""
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -63,8 +66,25 @@ def rst_equal(batched, one_by_one):
 def test_dep_batch_matches_one_sentence_decode(dep_trained):
     model, items = dep_trained
     for sentences in ([tokens for tokens, _ in items], dep_held_out()):
-        batched = dep.decode_greedy_batch(model, sentences)
+        batched = dep.decode_batch(model, sentences, beam_size=1)
         assert dep_equal(batched, [dep.decode_greedy(model, tokens) for tokens in sentences])
+
+
+def test_dep_beam_batch_matches_one_sentence_beam(dep_trained):
+    """A batched beam gives ``decode_beam``'s trees, and log-probabilities
+    within 1e-9: rows of several sentences score through ``index``, whose
+    last bits can differ from the one-sentence product's."""
+    model, items = dep_trained
+    for sentences in ([tokens for tokens, _ in items], dep_held_out()):
+        one = [dep.decode_beam(model, tokens, beam_size=4) for tokens in sentences]
+        assert dep_equal(dep.decode_batch(model, sentences, beam_size=4), [t for t, _ in one])
+        rounds = dep._rounds(model, sentences, 4)
+        assert dep_equal([t for t, _ in rounds], [t for t, _ in one])
+        assert max(abs(got - want) for (_, got), (_, want) in zip(rounds, one)) <= 1e-9
+    # The beam size defaults to the config's, as in ``decode_beam``.
+    sentences = sentences[:3]
+    assert dep_equal(dep.decode_batch(model, sentences),
+                     [dep.decode_beam(model, tokens)[0] for tokens in sentences])
 
 
 def test_rst_batch_matches_one_sentence_decode(rst_trained):
@@ -78,12 +98,13 @@ def test_rst_batch_matches_one_sentence_decode(rst_trained):
 
 
 def test_dep_batch_counts_rounds_not_sentence_steps(dep_trained, monkeypatch):
-    """One encoder call and one k-row decoder step per round: 2n+1 rounds
-    for the longest sentence."""
+    """One encoder call and one k-row decoder fuse and step per round, for
+    greedy and beam decoding alike: 2n+1 rounds for the longest sentence."""
     model, items = dep_trained
     sentences = [tokens for tokens, _ in items[:16]]
-    calls = {"encode": 0, "step": 0}
-    for name, owner in (("encode", model.encoder), ("step", model.decoder)):
+    calls = {}
+    for name, owner in (("encode", model.encoder), ("fuse", model.decoder),
+                        ("step", model.decoder)):
         original = getattr(owner, name)
 
         def counted(*args, _original=original, _name=name, **kwargs):
@@ -91,15 +112,18 @@ def test_dep_batch_counts_rounds_not_sentence_steps(dep_trained, monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counted)
-    dep.decode_greedy_batch(model, sentences)
-    assert calls == {"encode": 1, "step": 2 * max(map(len, sentences)) + 1}
+    rounds = 2 * max(map(len, sentences)) + 1
+    for beam_size in (1, 4):
+        calls.update(encode=0, fuse=0, step=0)
+        dep.decode_batch(model, sentences, beam_size=beam_size)
+        assert calls == {"encode": 1, "fuse": rounds, "step": rounds}
 
 
 @pytest.mark.parametrize("task", ["dep", "rst"])
 def test_one_sentence_batch_runs_the_loop(task, dep_trained, rst_trained, monkeypatch):
     if task == "dep":
         model, items = dep_trained
-        module, loop, batch = dep, "decode_greedy", dep.decode_greedy_batch
+        module, loop, batch = dep, "decode_greedy", partial(dep.decode_batch, beam_size=1)
         arg = items[5][0]
         args = (arg,)
     else:
@@ -119,18 +143,22 @@ def test_one_sentence_batch_runs_the_loop(task, dep_trained, rst_trained, monkey
 @pytest.mark.parametrize("limit", [1, 12, 40])
 def test_chunk_boundaries_keep_input_order(limit, dep_trained, rst_trained, monkeypatch):
     """A lowered ``BATCH_ROWS`` cuts the corpus into consecutive chunks,
-    single-sentence ones and ones larger than the limit included."""
+    single-sentence ones and ones larger than the limit included; a beam
+    counts (n+1) x beam size rows per sentence."""
     dep_model, dep_items = dep_trained
     rst_model, rst_items = rst_trained
     sentences = [tokens for tokens, _ in dep_items[:20]]
     pairs = [(words, ends) for words, ends, _ in rst_items[:20]]
-    whole_dep = dep.decode_greedy_batch(dep_model, sentences)
+    whole = {beam_size: dep.decode_batch(dep_model, sentences, beam_size=beam_size)
+             for beam_size in (1, 3)}
     whole_rst = rst.decode_rst_batch(rst_model, pairs)
     monkeypatch.setattr(dep, "BATCH_ROWS", limit)
-    chunks = dep._chunks([len(tokens) + 1 for tokens in sentences])
-    assert [i for chunk in chunks for i in chunk] == list(range(len(sentences)))
-    assert len(chunks) > 1
-    assert dep_equal(dep.decode_greedy_batch(dep_model, sentences), whole_dep)
+    for beam_size in (1, 3):
+        chunks = dep._chunks([(len(tokens) + 1) * beam_size for tokens in sentences])
+        assert [i for chunk in chunks for i in chunk] == list(range(len(sentences)))
+        assert len(chunks) > 1
+        assert dep_equal(dep.decode_batch(dep_model, sentences, beam_size=beam_size),
+                         whole[beam_size])
     assert rst_equal(rst.decode_rst_batch(rst_model, pairs), whole_rst)
 
 
@@ -155,11 +183,16 @@ def test_dep_batch_rejects_bad_sentence_before_decoding(dep_trained, monkeypatch
     for bad, error in ((too_long, ConfigError), ([], DataError)):
         with pytest.raises(error) as one:
             dep.decode_greedy(model, bad)
-        with monkeypatch.context() as patch:
-            forbid_encode(model, patch)
-            with pytest.raises(error) as batched:
-                dep.decode_greedy_batch(model, good + [bad] + good)
-        assert one.type is batched.type is error
+        for beam_size in (1, 4):
+            with monkeypatch.context() as patch:
+                forbid_encode(model, patch)
+                with pytest.raises(error) as batched:
+                    dep.decode_batch(model, good + [bad] + good, beam_size=beam_size)
+            assert one.type is batched.type is error
+    with monkeypatch.context() as patch:
+        forbid_encode(model, patch)
+        with pytest.raises(ConfigError, match="beam size"):
+            dep.decode_batch(model, good, beam_size=0)
 
 
 def test_rst_batch_rejects_bad_sentence_before_decoding(rst_trained, monkeypatch):

@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from ptrparse import DependencyParser, DiscourseParser, decode_greedy, decode_rst
+from ptrparse import DependencyParser, DiscourseParser, decode_beam, decode_greedy, decode_rst
 from ptrparse.cli import main
 from ptrparse.corpus import (read_conllu, read_rst_brackets, segmented_from_texts,
                              write_conllu, write_rst_brackets)
@@ -197,10 +197,12 @@ def test_parse_and_eval_dep(dep_run, tmp_path):
                 "--pred", str(pred)]) == 0
 
 
-@pytest.mark.parametrize("task", ["dep", "rst"])
-def test_parse_output_matches_per_sentence_decode(task, dep_run, rst_run, tmp_path):
+@pytest.mark.parametrize("task,beam", [pytest.param("dep", 1, id="dep"),
+                                       pytest.param("dep", 3, id="dep-beam3"),
+                                       pytest.param("rst", 1, id="rst")])
+def test_parse_output_matches_per_sentence_decode(task, beam, dep_run, rst_run, tmp_path):
     """``parse`` decodes a multi-sentence file as one batch; its output bytes
-    equal those of a decode one sentence at a time."""
+    equal those of a decode one sentence at a time, greedy or beam."""
     fixture = dep_run if task == "dep" else rst_run
     data = tmp_path / "input"
     size = ["--max-len", "9", "--vocab-size", "30"] if task == "dep" else ["--max-edus", "7"]
@@ -208,10 +210,11 @@ def test_parse_output_matches_per_sentence_decode(task, dep_run, rst_run, tmp_pa
                 "--out", str(data)] + size) == 0
     pred, expected = tmp_path / "pred", tmp_path / "expected"
     assert run(["parse", "--model", str(fixture["model"]), "--input", str(data),
-                "--output", str(pred)]) == 0
+                "--output", str(pred), "--beam", str(beam)]) == 0
     if task == "dep":
         model = DependencyParser.load(fixture["model"]).model_
-        write_conllu(expected, [(tokens, decode_greedy(model, tokens))
+        write_conllu(expected, [(tokens, decode_greedy(model, tokens) if beam == 1
+                                 else decode_beam(model, tokens, beam_size=beam)[0])
                                 for tokens, _ in read_conllu(data, lenient=True)])
     else:
         model = DiscourseParser.load(fixture["model"]).model_

@@ -121,9 +121,11 @@ def test_run_transition_teacher_forcing_matches_oracle():
     assert result.labels == list(gold.labels)
     assert result.trace == []
     assert result.pointer_calls <= 2 * gold.n
-    # A trace records greedy decoding only.
+    # A trace records greedy decoding only, and training needs a gold tree.
     with pytest.raises(ConfigError, match="want_trace"):
         run_transition(model, tokens, gold=gold, want_trace=True)
+    with pytest.raises(ConfigError, match="gold tree"):
+        run_transition(model, tokens, training=True, rng=np.random.default_rng(0))
 
 
 def test_zero_params_uniform_loss_closed_form():
@@ -593,6 +595,15 @@ def test_decode_beam_breaks_ties_like_the_reference():
         p.data[...] = 0.0
     for n in (3, 6, 8):
         assert decode_beam(model, sentence(n), beam_size=5) == reference_beam(model, sentence(n), 5)
+
+
+def test_decode_beam_grows_its_state_bank():
+    # A beam far wider than any round's hypotheses allocates only the rows
+    # its rounds write, growing the state bank as they come.
+    items = gen_synthetic_dep(31, 12, max_len=8, vocab_size=30, label_count=4)
+    model, _ = tiny_model(items)
+    assert decode_beam(model, sentence(3), beam_size=10**13) == reference_beam(
+        model, sentence(3), 10**13)
 
 
 def count_nograd_ops(monkeypatch, fn):

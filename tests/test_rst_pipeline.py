@@ -111,6 +111,13 @@ def test_single_edu_tree_trivial():
     assert result.pointer_calls == 0
 
 
+def test_training_needs_a_gold_tree():
+    model, _ = model_for()
+    words, ends = edus_for(3)
+    with pytest.raises(ConfigError, match="gold tree"):
+        run_splits(model, words, ends, training=True, rng=np.random.default_rng(0))
+
+
 def test_zero_params_uniform_loss_closed_form():
     # Zero GRU weights keep every decoder state at zero, so dot-product
     # scores vanish and each pointed span is uniform over its j - i splits.
