@@ -31,14 +31,17 @@ its batch, and a batch of one is the one-sequence op.  The backward pass
 forms every weight's gradient as one product over all rows of the batch.
 
 The hierarchical decoder has two forms.  Decoding advances it one step at
-a time, one ``fuse_state`` per state component and one ``lstm_step`` or
-``gru_step`` per layer, because each step's input depends on the last
-decision.  Teacher forcing knows every step in advance, so the whole
-decoder pass of a batch is one ``hier_seq`` op over schedules of bank
-rows, for either cell kind: only the per-layer cell arithmetic differs
-between LSTM and GRU, and the op shares the rest.  Both forms call the
-same numpy kernels (``_fuse``, ``_lstm_cell``, ``_gru_cell`` and their
-backward halves), so the gate math exists once.
+a time, one ``fuse_state`` over the block of all state components and one
+``lstm_step`` or ``gru_step`` per layer, because each step's input
+depends on the last decision.  Teacher forcing knows every step in
+advance, so the whole decoder pass of a batch is one ``hier_seq`` op over
+schedules of bank rows, for either cell kind: only the per-layer cell
+arithmetic differs between LSTM and GRU, and the op shares the rest.
+Both forms call the same numpy kernels (``_fuse``, ``_lstm_cell``,
+``_gru_cell`` and their backward halves), so the gate math exists once.
+The two forms stack the fusion's products differently: decoding by state
+component (``(C, k, h) @ Wᵀ``, each component with the bits of its own
+vector or row product), ``hier_seq`` by sentence (``(B, C, h) @ Wᵀ``).
 
 Each loss term is one node: ``cross_entropy`` picks ``-log p[target]``
 in a single op, or sums the picks of every row of a matrix, and
@@ -298,19 +301,20 @@ def stack(rows: list) -> Tensor:
 
 
 def row(a: Tensor, index: int) -> Tensor:
-    """Select one row of a 2-D tensor."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"row expects a 2-D tensor, got shape {a.data.shape}")
+    """Select one row of a 2-D tensor, or row ``index`` of every matrix of
+    a 3-D stack."""
+    if a.data.ndim not in (2, 3):
+        raise ShapeError(f"row expects a 2-D or 3-D tensor, got shape {a.data.shape}")
     if index < 0:
         raise IndexError(f"negative row index {index}")
-    data = a.data[index]
+    data = a.data[..., index, :]
     if not _tracked(a):
         return _const(data)
 
     def bwd(g):
         if a._grad is None:
             a._grad = np.zeros_like(a.data)
-        a._grad[index] += g
+        a._grad[..., index, :] += g
 
     return _node(data, (a,), bwd)
 
@@ -503,8 +507,13 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _weight_grad(d: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Gradient of ``w`` in ``_linear(w, x)`` for upstream ``d``."""
-    return _outer(d, x) if d.ndim == 1 else d.T @ x
+    """Gradient of ``w`` in ``_linear(w, x)`` for upstream ``d``: one
+    product over every row of a stack."""
+    if d.ndim == 1:
+        return _outer(d, x)
+    if d.ndim > 2:
+        d, x = d.reshape(-1, d.shape[-1]), x.reshape(-1, x.shape[-1])
+    return d.T @ x
 
 
 def _input_grad(w: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -518,7 +527,14 @@ def _lstm_cell(xw, w_h, h, c, mask):
     n = h.shape[-1]
     hm = h if mask is None else h * mask
     pre = xw + _linear(w_h, hm)
-    i, f, o = _sig(pre[..., :n]), _sig(pre[..., n : 2 * n]), _sig(pre[..., 3 * n :])
+    # One logistic pass over all four gates (g's slice goes unused): an
+    # elementwise result does not depend on the slice it is computed in.
+    # Contiguous gate copies keep the elementwise passes here and in
+    # ``_lstm_cell_back`` as fast as on the per-gate results.
+    gates = _sig(pre)
+    i = np.ascontiguousarray(gates[..., :n])
+    f = np.ascontiguousarray(gates[..., n : 2 * n])
+    o = np.ascontiguousarray(gates[..., 3 * n :])
     g = np.tanh(pre[..., 2 * n : 3 * n])
     c_new = f * c + i * g
     tc = np.tanh(c_new)
@@ -818,7 +834,8 @@ def _fuse(p, q, s, w, fusion: str):
 
     ``w`` holds the arrays ``(w_d, w_p, w_s, w_gd, w_gp, w_gs, b_g)``; ``p``,
     ``q`` and ``s`` are the temporal, parent and sibling states, each a
-    vector or one state per row.  ``fuse_state`` documents the arithmetic.
+    vector or a stack of rows, broadcasting against each other.
+    ``fuse_state`` documents the arithmetic.
     """
     w_d, w_p, w_s, w_gd, w_gp, w_gs, b_g = w
     combined = np.tanh(_linear(w_d, p) + _linear(w_p, q) + _linear(w_s, s))
@@ -840,8 +857,9 @@ def _fuse_back(grad, p, q, s, w, fusion: str, saved):
     Returns ``(d_prev, d_parent, d_sibling, pairs, d_gate)``: the input
     gradients, the ``(weight index, input, upstream)`` triples whose
     ``_weight_grad`` is each weight's gradient (a weight in two triples sums
-    both), and the gate bias's upstream gradient (None under "plain").  A
-    vector input among row inputs has its upstream summed over the rows.
+    both), and the gate bias's upstream gradient (None under "plain").  An
+    input broadcast against the others has its upstream summed back to its
+    own shape.
     """
     combined, gate, pq, ps = saved
     if fusion == "plain":
@@ -854,7 +872,7 @@ def _fuse_back(grad, p, q, s, w, fusion: str, saved):
         pairs += [(3, p, d_gate), (4, q, d_gate), (5, s, d_gate)]
     elif fusion == "sgate":
         pairs += [(4, pq, d_gate), (5, ps, d_gate)]
-    pairs = [(i, x, d.sum(axis=0) if d.ndim > x.ndim else d) for i, x, d in pairs]
+    pairs = [(i, x, _unbroadcast(d, x.shape)) for i, x, d in pairs]
     dx = [_input_grad(w[i], d) for i, _, d in pairs]
     d_prev, d_parent, d_sibling = dx[:3]
     if fusion == "gate":
@@ -891,10 +909,21 @@ def _fusion_weights(fusion: str, weights: tuple) -> tuple:
     return used(weights)
 
 
+def _by_component(block: np.ndarray) -> np.ndarray:
+    """A (C, h) or (k, C, h) state block as the (C, 1, h) or (C, k, h) view
+    with the components on the leading axis."""
+    return block[:, None] if block.ndim == 2 else block.swapaxes(0, 1)
+
+
+def _by_state(stacked: np.ndarray, ndim: int) -> np.ndarray:
+    """Inverse of ``_by_component`` for a block of ``ndim`` axes."""
+    return stacked[:, 0] if ndim == 2 else stacked.swapaxes(0, 1)
+
+
 def fuse_state(prev: Tensor, parent: Tensor, sibling: Tensor, w_d: Tensor, w_p: Tensor,
                w_s: Tensor, w_gd: Tensor, w_gp: Tensor, w_gs: Tensor, b_g: Tensor,
                fusion: str) -> Tensor:
-    """Hierarchical fusion of one decoder state component as one op.
+    """Hierarchical fusion of decoder state blocks as one op.
 
     The combined state is ``tanh(W_d·prev + W_p·parent + W_s·sibling)``.
     Fusion "plain" returns it as is; "gate" multiplies it by
@@ -902,26 +931,38 @@ def fuse_state(prev: Tensor, parent: Tensor, sibling: Tensor, w_d: Tensor, w_p: 
     ``σ(W_gp·(prev∘parent) + W_gs·(prev∘sibling) + b_g)``.  ``w_gd`` is
     unused except under "gate", and no gate weight under "plain".
 
-    Each of ``prev``, ``parent`` and ``sibling`` is a vector or a (k, h)
-    matrix with one state per row (products ``w·x`` or ``x·wᵀ``); a vector,
-    such as the zero state, broadcasts against the rows of the others.
+    Each of ``prev``, ``parent`` and ``sibling`` is a block of the C
+    components of a decoder state: (C, h) for one state, or (k, C, h) for
+    k states, one per row.  Every component goes through the same weights.
+    A one-state block, such as the zero state, broadcasts against the rows
+    of the others.  The products run on the blocks with their components
+    stacked on a leading axis, ``(C, 1, h) @ Wᵀ`` for one state and
+    ``(C, k, h) @ Wᵀ`` for k, so each component has the bits of its own
+    product: the vector product ``W·x`` for one state, the row product
+    ``X·Wᵀ`` of its k rows for k states.  The result is a block of the
+    broadcast shape.
     """
     all_weights = (w_d, w_p, w_s, w_gd, w_gp, w_gs, b_g)
     weights = _fusion_weights(fusion, all_weights)
     h = w_d.data.shape[0]
     inputs = (prev, parent, sibling)
-    if (any(x.data.ndim not in (1, 2) or x.data.shape[-1] != h for x in inputs)
-            or len({x.data.shape[0] for x in inputs if x.data.ndim == 2}) > 1):
+    p, q, s = prev.data, parent.data, sibling.data
+    # Three equal well-formed shapes, as decoding passes, skip the full check.
+    if ((p.shape != q.shape or q.shape != s.shape or p.ndim not in (2, 3) or p.shape[-1] != h)
+            and (any(x.ndim not in (2, 3) or x.shape[-2:] != p.shape[-2:] for x in (p, q, s))
+                 or p.shape[-1] != h or len({x.shape[0] for x in (p, q, s) if x.ndim == 3}) > 1)):
         raise ShapeError(f"fuse_state shapes disagree: states {[x.data.shape for x in inputs]}, "
                          f"weights {[w.data.shape for w in weights]}")
+    ndim = max(p.ndim, q.ndim, s.ndim)
     w = (w_d.data, w_p.data, w_s.data, w_gd.data, w_gp.data, w_gs.data, b_g.data)
-    p, q, s = prev.data, parent.data, sibling.data
+    p, q, s = _by_component(p), _by_component(q), _by_component(s)
     data, saved = _fuse(p, q, s, w, fusion)
+    data = _by_state(data, ndim)
     if not _tracked(*inputs, *weights):
         return _const(data)
 
     def bwd(grad):
-        *dx, pairs, d_gate = _fuse_back(grad, p, q, s, w, fusion, saved)
+        *dx, pairs, d_gate = _fuse_back(_by_component(grad), p, q, s, w, fusion, saved)
         for i, x, d in pairs:
             if all_weights[i].requires_grad:
                 all_weights[i]._accum(_weight_grad(d, x))
@@ -929,7 +970,7 @@ def fuse_state(prev: Tensor, parent: Tensor, sibling: Tensor, w_d: Tensor, w_p: 
             b_g._accum(_unbroadcast(d_gate, b_g.data.shape))
         for x, d in zip(inputs, dx):
             if x.requires_grad:
-                x._accum(d)
+                x._accum(_by_state(d, x.data.ndim))
 
     return _node(data, inputs + weights, bwd)
 

@@ -6,12 +6,13 @@ the element to expand (a word index for dependencies, an EDU span for
 discourse), the encoder indices of its parent and of its nearest
 generated sibling (-1 when absent), and the rows of a state bank that
 hold the decoder states produced when that parent and that sibling were
-generated.  The bank is a sentence's list of decoder states in step
-order; row 0 is the zero state, which stands for an absent parent or
-sibling, and each step appends its own state.  A frame's decoder input is
-``autodiff.gather_sum`` of the encoder matrix at (element, parent,
-sibling).  ``dep._rounds``, the driver of beam search and batched
-decoding, keeps the five fields as integer columns, one row per
+generated.  The bank is one float array of shape (rows, C, hidden)
+holding a sentence's decoder states in step order, C state components
+each; row 0 is the zero state, which stands for an absent parent or
+sibling, and each step writes its own state to the next row.  A frame's
+decoder input is ``autodiff.gather_sum`` of the encoder matrix at
+(element, parent, sibling).  ``dep._rounds``, which runs beam search and
+batched decoding, keeps the five fields as integer columns, one row per
 hypothesis of each sentence, so one ``gather_sum`` serves all its rows.
 
 Before every step, the parent and sibling states and the temporal
@@ -29,14 +30,17 @@ of the temporal state with the parent and sibling states.
 
 The decoder runs in two forms over the same weights and numpy kernels.
 Decoding calls ``fuse`` and ``step`` once per decision round, because
-each step's frame depends on the decision before it; they take one
-decoder state, or k states stacked as rows (one per hypothesis of each
-sentence of a batched or beam decode) and advance each row on its own.  Teacher forcing
-knows every frame before the decoder runs, so
-``run_schedule`` takes the frames of every step at once (2n+1 for a
-dependency sentence, one per pointed span for a discourse sentence), for
-one sentence or for every sentence of a training batch, and runs the
-whole pass as one ``autodiff.hier_seq`` op, for LSTM and GRU cells alike.
+each step's frame depends on the decision before it.  They take state
+blocks read straight from the bank, one state (C, hidden) or k states
+(k, C, hidden), one per hypothesis of each sentence of a batched or beam
+decode, and advance each row on its own: ``fuse`` runs one
+``autodiff.fuse_state`` op over all C components, and ``step`` returns
+the new state as a block to be written back.  Teacher forcing knows
+every frame before the decoder runs, so ``run_schedule`` takes the
+frames of every step at once (2n+1 for a dependency sentence, one per
+pointed span for a discourse sentence), for one sentence or for every
+sentence of a training batch, and runs the whole pass as one
+``autodiff.hier_seq`` op, for LSTM and GRU cells alike.
 In a batch each sentence keeps its own bank rows; the op offsets them into
 one bank whose zero row all sentences share, and advances step t of every
 sentence together.
@@ -58,11 +62,13 @@ FUSIONS = ("gate", "sgate", "plain")
 class HierDecoder(Module):
     """Stacked recurrent decoder cell with hierarchical state fusion.
 
-    The decoder state is a flat tuple of vectors: (h, c) per layer for LSTM
-    cells, (h,) per layer for GRU cells.  Fusion is applied to every
-    component with one shared set of weights, as one ``fuse_state`` tape
-    op per component.  In the row form each component is a (k, hidden)
-    matrix holding k states, one per row.
+    A decoder state has C components: (h, c) per layer for LSTM cells, h
+    per layer for GRU cells.  ``fuse`` and ``step`` take and return a
+    state as a block, (C, hidden) for one state or (k, C, hidden) for k
+    states, one per row.  Fusion applies one shared set of weights to
+    every component, as one ``fuse_state`` tape op over the block.  The
+    tuple form, a tuple of C component tensors, is a thin adapter onto the
+    block form.
     """
 
     def __init__(self, cell: str, layers: int, input_dim: int, hidden_dim: int,
@@ -94,48 +100,51 @@ class HierDecoder(Module):
         self.variant = variant
         self.fusion = fusion
         self.state_dropout = state_dropout
-        self._zero = Tensor(np.zeros(h))
+        self._zero = Tensor(np.zeros((self.components, h)))
 
     @property
     def components(self) -> int:
         return self.layers * (2 if self.cell == "lstm" else 1)
 
     def zero_state(self) -> tuple:
-        return (self._zero,) * self.components
+        """The zero state in tuple form (see ``fuse``)."""
+        return tuple(ad.row(self._zero, i) for i in range(self.components))
 
-    def fuse(self, prev_state, parent_state, sibling_state, training=False, rng=None) -> tuple:
+    def fuse(self, prev, parent, sibling, training=False, rng=None):
         """Combine temporal, parent, and sibling states per the active variant.
 
-        Each state is a tuple of component vectors; an absent parent or
-        sibling (None) counts as the zero state.  Each component is fused
-        by one ``autodiff.fuse_state`` op and then goes through state
-        dropout.  Row form: components are (k, hidden) matrices and row i
-        of the result fuses row i of each input; a zero row, or the zero
-        vector, stands for an absent state.
+        Each state is a block: (components, hidden) for one state, or
+        (k, components, hidden) for k states, one per row, as read from a
+        state bank.  An absent parent or sibling (None) counts as the zero
+        state.  All components are fused by one ``autodiff.fuse_state`` op
+        and then go through state dropout.  Row i of the result fuses row i
+        of each input; a one-state block, such as the zero state, serves
+        every row.
+
+        Tuple form: states given as tuples of component vectors (or of
+        (k, hidden) matrices) are joined into blocks, and the fused block
+        is split back into such a tuple.
         """
-        zeros = self.zero_state()
-        prev = prev_state if self.variant == "pst" else zeros
-        parent = parent_state if parent_state is not None else zeros
-        if self.variant == "p" or sibling_state is None:
-            sibling = zeros
-        else:
-            sibling = sibling_state
-        fused = [ad.fuse_state(prev[i], parent[i], sibling[i], self.w_d, self.w_p, self.w_s,
-                               self.w_gd, self.w_gp, self.w_gs, self.b_g, self.fusion)
-                 for i in range(self.components)]
-        keep = self.draw_keep(training, rng, fused[0].data.shape[:-1])
-        if keep is None:
-            return tuple(fused)
-        return tuple(ad.dropout(component, self.state_dropout, training, rng, mask)
-                     for component, mask in zip(fused, keep))
+        if isinstance(prev, tuple):
+            blocks = (None if state is None else self._block(state)
+                      for state in (prev, parent, sibling))
+            return self._split(self.fuse(*blocks, training, rng))
+        zero = self._zero
+        prev = prev if self.variant == "pst" else zero
+        parent = zero if parent is None else parent
+        sibling = zero if self.variant == "p" or sibling is None else sibling
+        fused = ad.fuse_state(prev, parent, sibling, self.w_d, self.w_p, self.w_s,
+                              self.w_gd, self.w_gp, self.w_gs, self.b_g, self.fusion)
+        keep = self.draw_keep(training, rng, fused.data.shape[:-2])
+        return fused if keep is None else ad.dropout(fused, self.state_dropout, training, rng, keep)
 
     def draw_keep(self, training, rng, rows=()):
-        """The state dropout masks ``fuse`` applies, (components, hidden)
-        for one state or (components, *rows, hidden) for ``rows`` states;
-        None when no dropout applies."""
+        """The state dropout mask ``fuse`` applies, (components, hidden) for
+        one state or (*rows, components, hidden) for ``rows`` states; None
+        when no dropout applies."""
         if not training or self.state_dropout == 0.0:
             return None
-        return ad.keep_mask((self.components, *rows, self.hidden_dim), self.state_dropout, rng)
+        return ad.keep_mask((*rows, self.components, self.hidden_dim), self.state_dropout, rng)
 
     def run_schedule(self, x: Tensor, frames: np.ndarray, keep=None, lengths=None) -> Tensor:
         """Every step of a teacher-forced pass as one op; returns the (S,
@@ -165,23 +174,36 @@ class HierDecoder(Module):
         return ad.hier_seq(x, self.cell, layers, weights, self.fusion,
                            np.stack([prev, frames[:, 3], sibling], axis=1), keep, lengths)
 
-    def step(self, x: Tensor, fused_state: tuple):
-        """Run the cell stack from a fused state; returns (new_state, top_hidden).
+    def step(self, x: Tensor, fused):
+        """Run the cell stack from a fused state block; returns (new_state,
+        top_hidden).
 
-        Row form: a (k, input) matrix ``x`` with a row-form fused state
-        steps k states at once; the new state and the top hidden state
-        then hold one row per state.
+        ``x`` is a vector for a one-state block, or a (k, input) matrix for
+        k rows, each row stepping on its own.  The new state is a block of
+        the fused block's shape, the layers' outputs side by side: (h, c)
+        per layer for LSTM cells, h per layer for GRU cells.  Tuple form: a
+        fused tuple (see ``fuse``) gives the new state as a tuple.
         """
-        new_state = []
-        inp = x
-        if self.cell == "lstm":
-            for layer, cell in enumerate(self.cells):
-                h, c = cell.step(inp, fused_state[2 * layer], fused_state[2 * layer + 1])
-                new_state.extend((h, c))
-                inp = h
-        else:
-            for layer, cell in enumerate(self.cells):
-                h = cell.step(inp, fused_state[layer])
-                new_state.append(h)
-                inp = h
-        return tuple(new_state), inp
+        if isinstance(fused, tuple):
+            state, top = self.step(x, self._block(fused))
+            return self._split(state), top
+        outputs, inp = [], x
+        for layer, cell in enumerate(self.cells):
+            if self.cell == "lstm":
+                out = ad.lstm_step(cell.project(inp)[0], cell.w_h, ad.row(fused, 2 * layer),
+                                   ad.row(fused, 2 * layer + 1))
+                inp = ad.narrow(out, 0, self.hidden_dim)
+            else:
+                out = inp = cell.step(inp, ad.row(fused, layer))
+            outputs.append(out)
+        joined = outputs[0] if len(outputs) == 1 else ad.hconcat(outputs)
+        return ad.reshape(joined, fused.data.shape), inp
+
+    def _block(self, state: tuple) -> Tensor:
+        """A tuple of components as one block."""
+        lead = state[0].data.shape[:-1]
+        return ad.reshape(ad.hconcat(list(state)), (*lead, self.components, self.hidden_dim))
+
+    def _split(self, block: Tensor) -> tuple:
+        """A block as a tuple of components."""
+        return tuple(ad.row(block, i) for i in range(self.components))

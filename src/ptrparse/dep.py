@@ -15,9 +15,9 @@ invocations at 2n or fewer per sentence.
 The decoder runs in two forms.  Decoding steps it once per decision round
 through ``HierDecoder.fuse`` and ``step``, since each frame depends on the
 decision before it: ``run_transition`` (and so ``decode_greedy``) steps
-one sentence's state vectors, and ``_rounds`` (``decode_beam`` and
+one sentence's state, and ``_rounds`` (``decode_beam`` and
 ``decode_batch``) one row per live hypothesis of every sentence of a
-batch.  Training is teacher-forced: the gold tree's oracle order fixes
+batch, both reading and writing state blocks of one array bank.  Training is teacher-forced: the gold tree's oracle order fixes
 every frame, target and label before the decoder runs, so one integer
 walk per sentence builds the schedule, and a batch of sentences records
 one tape: one encoder call, one decoder sequence op
@@ -346,7 +346,7 @@ def run_transition(model: DepModel, tokens, gold: DepTree = None, training: bool
     greedy decoding otherwise.
 
     Frames and the state bank are those of ``decoder``'s module docstring:
-    step t appends its state as bank row t, and attaching a word pushes
+    step t writes its state to bank row t, and attaching a word pushes
     the popped frame back with that word as its sibling, then the word's
     own frame with step t's state as its parent.  The same candidate
     masking applies in both forms, so a forced pass scores exactly the
@@ -375,8 +375,10 @@ def run_transition(model: DepModel, tokens, gold: DepTree = None, training: bool
     encoded = model.encoder.encode(tokens)
     prepared = model.pointer.prepare(encoded)
 
+    decoder = model.decoder
     stack = [(0, -1, -1, 0, 0)]
-    bank = [model.decoder.zero_state()]
+    bank = np.zeros((2 * n + 2, decoder.components, decoder.hidden_dim))
+    step = 0
     attached = np.zeros(n + 1, dtype=bool)
     attached[0] = True
     heads = [None] * n
@@ -389,10 +391,11 @@ def run_transition(model: DepModel, tokens, gold: DepTree = None, training: bool
     while stack:
         element, parent, sibling, parent_row, sibling_row = stack.pop()
         x = ad.gather_sum(encoded, (element, parent, sibling))
-        fused = model.decoder.fuse(bank[-1], bank[parent_row], bank[sibling_row])
-        state, d = model.decoder.step(x, fused)
-        bank.append(state)
-        step = len(bank) - 1
+        fused = decoder.fuse(Tensor(bank[step]), Tensor(bank[parent_row]),
+                             Tensor(bank[sibling_row]))
+        state, d = decoder.step(x, fused)
+        step += 1
+        bank[step] = state.data
 
         mask = _candidate_mask(element, attached)
         n_candidates = int(mask.sum())
@@ -741,7 +744,7 @@ def _rounds(model: DepModel, sentences, beam_size: int) -> list:
     with no_grad():
         encoded = model.encoder.encode(sentences)
         prepared = model.pointer.prepare(encoded)
-        bank = np.zeros((decoder.components, 1 + steps.sum() * min(beam_size, sizes[0]),
+        bank = np.zeros((1 + steps.sum() * min(beam_size, sizes[0]), decoder.components,
                          decoder.hidden_dim))
         used = 1
         frames = np.full((count, len(width), 5), -1, dtype=np.intp)
@@ -752,21 +755,17 @@ def _rounds(model: DepModel, sentences, beam_size: int) -> list:
         group, depth, prev_row = np.arange(count), np.ones(count, np.intp), np.zeros(count, np.intp)
         log_prob = np.zeros(count)
 
-        def states(bank_rows):
-            return tuple(Tensor(component[bank_rows]) for component in bank)
-
         for t in range(steps[0]):
             k = len(group)
             top = frames[np.arange(k), depth - 1]
             element, words = top[:, _ELEMENT], top[:, _ELEMENT : _SIBLING + 1]
-            fused = decoder.fuse(states(prev_row), states(top[:, _PARENT_ROW]),
-                                 states(top[:, _SIBLING_ROW]))
+            blocks = bank[np.stack([prev_row, top[:, _PARENT_ROW], top[:, _SIBLING_ROW]])]
+            fused = decoder.fuse(*map(Tensor, blocks))
             state, d = decoder.step(
                 ad.gather_sum(encoded, np.where(words >= 0, words + row0[group, None], -1)), fused)
-            if used + k > bank.shape[1]:
-                bank = np.pad(bank, ((0, 0), (0, max(used, k)), (0, 0)))
-            for component, part in zip(bank, state):
-                component[used : used + k] = part.data
+            if used + k > len(bank):
+                bank = np.pad(bank, ((0, max(used, k)), (0, 0), (0, 0)))
+            bank[used : used + k] = state.data
             state_row = np.arange(used, used + k)
             used += k
 

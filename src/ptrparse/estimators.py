@@ -118,8 +118,12 @@ def _as_tokens(sentence):
     """Coerce one sentence to a list of Token objects.
 
     Accepts Token instances, plain strings (POS defaults to "_"), or
-    (form, upos) pairs.
+    (form, upos) pairs.  A sentence given as one string is a ``DataError``,
+    not a sequence of one-character words.
     """
+    if isinstance(sentence, str):
+        raise DataError(f"sentence {sentence!r} is a string; pass its tokens as a list, "
+                        f"such as {sentence.split()!r}")
     tokens = []
     for item in sentence:
         if isinstance(item, Token):
@@ -138,11 +142,13 @@ def _as_tokens(sentence):
 def _as_segmented(sentence):
     """Coerce one segmented sentence to (words, ends).
 
-    Accepts a (words, ends) pair or a list of EDUs, each a list of word
-    strings; boundaries are validated either way.
+    Accepts a (words, ends) pair, whose ends may be a list or an integer
+    array, or a list of EDUs, each a list of word strings; boundaries are
+    validated either way.
     """
     if (isinstance(sentence, tuple) and len(sentence) == 2
-            and sentence[1] and all(isinstance(e, (int, np.integer)) for e in sentence[1])):
+            and isinstance(sentence[1], (list, tuple, np.ndarray)) and len(sentence[1])
+            and all(isinstance(e, (int, np.integer)) for e in sentence[1])):
         words, ends = list(sentence[0]), list(sentence[1])
     elif all(isinstance(edu, (list, tuple)) for edu in sentence) and sentence:
         words, ends = [], []

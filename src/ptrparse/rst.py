@@ -181,23 +181,27 @@ def run_splits(model: RstModel, words, ends, gold: DiscTree = None, training: bo
     splits = {}
     pointer_calls = 0
     score_evaluations = 0
-    bank = [model.decoder.zero_state()]
+    decoder = model.decoder
+    bank = np.zeros((max(m, 1), decoder.components, decoder.hidden_dim))
+    step = 0
     stack = [((1, m), -1, -1, 0, 0)] if m >= 2 else []
     while stack:
         (i, j), parent, sibling, parent_row, sibling_row = stack.pop()
         k = i
         if j - i >= 2:
             x = ad.gather_sum(edus, (j - 1, parent, sibling))
-            fused = model.decoder.fuse(bank[-1], bank[parent_row], bank[sibling_row])
-            state, d = model.decoder.step(x, fused)
-            bank.append(state)
+            fused = decoder.fuse(Tensor(bank[step]), Tensor(bank[parent_row]),
+                                 Tensor(bank[sibling_row]))
+            state, d = decoder.step(x, fused)
+            step += 1
+            bank[step] = state.data
             k = dot_attend(edus, d, i - 1, j - 1, position_offset=i).best()
             pointer_calls += 1
             score_evaluations += j - i
         dist = model.labeler.distribution(ad.row(edus, k - 1), ad.row(edus, j - 1))
         label = model.labels.name(int(np.argmax(dist.data)))
         splits[(i, j)] = (k, *split_label(label))
-        _push_children(stack, i, j, k, len(bank) - 1)
+        _push_children(stack, i, j, k, step)
 
     return RstRunResult(tree=DiscTree(_assemble(splits, 1, m)), structure_loss=Tensor(0.0),
                         label_loss=Tensor(0.0), pointer_calls=pointer_calls,
@@ -371,11 +375,7 @@ def _split_rounds(model: RstModel, items) -> list:
     splits = [{} for _ in items]
     with no_grad():
         edus = model.encoder.encode([words for words, _ in items], [ends for _, ends in items])
-        bank = np.zeros((decoder.components, 1 + sizes.sum(), decoder.hidden_dim))
-
-        def states(b, local_rows):
-            rows = np.where(local_rows > 0, base[b] + local_rows - 1, 0)
-            return tuple(Tensor(component[rows]) for component in bank)
+        bank = np.zeros((1 + sizes.sum(), decoder.components, decoder.hidden_dim))
 
         while True:
             live = np.array([b for b, stack in enumerate(stacks) if stack], dtype=np.intp)
@@ -390,12 +390,12 @@ def _split_rounds(model: RstModel, items) -> list:
             if pointed.size:
                 b = live[pointed]
                 inputs = np.stack([j[pointed] - 1, parent[pointed], sibling[pointed]], axis=1)
-                fused = decoder.fuse(states(b, steps[b]), states(b, parent_row[pointed]),
-                                     states(b, sibling_row[pointed]))
+                local = np.stack([steps[b], parent_row[pointed], sibling_row[pointed]])
+                blocks = bank[np.where(local > 0, base[b] + local - 1, 0)]
+                fused = decoder.fuse(*map(Tensor, blocks))
                 state, d = decoder.step(
                     ad.gather_sum(edus, np.where(inputs >= 0, inputs + row0[b, None], -1)), fused)
-                for component, part in zip(bank, state):
-                    component[base[b] + steps[b]] = part.data
+                bank[base[b] + steps[b]] = state.data
                 steps[b] += 1
                 span = (j - i)[pointed, None]
                 cols = np.arange(span.max())

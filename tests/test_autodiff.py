@@ -11,7 +11,7 @@ from ptrparse.autodiff import Tensor, no_grad
 from ptrparse.errors import ConfigError, MaskError, ShapeError
 from ptrparse.nn import linear
 
-from helpers import check_gradients, relative_error, total, weighted
+from helpers import check_gradients, lstm_cell_three_logistics, relative_error, total, weighted
 
 RNG = np.random.default_rng(20240811)
 
@@ -388,6 +388,20 @@ def test_gru_step_matches_per_gate_ops():
     want = z * h.data + (1.0 - z) * cand
     got = ad.gru_step(x_rz, x_n, u_rz, u_n, h, mask)
     assert np.allclose(got.data, want, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("lead", [(), (4,), (4, 1)])
+def test_lstm_cell_one_logistic_matches_three(lead):
+    # One logistic pass over all four gates gives the bits of one per gate
+    # slice, for a vector, rows, and the (k, 1, h) stacks of the batch ops.
+    rng = np.random.default_rng(len(lead))
+    for n in (1, 3, 8, 64):
+        xw, h, c = (rng.standard_normal(lead + (width,)) * 4 for width in (4 * n, n, n))
+        w_h = rng.standard_normal((4 * n, n))
+        for mask in (None, (rng.random(n) >= 0.25) / 0.75):
+            got = ad._lstm_cell(xw, w_h, h, c, mask)
+            want = lstm_cell_three_logistics(xw, w_h, h, c, mask)
+            assert all(np.array_equal(a, b) for a, b in zip(got[:2] + got[2], want[:2] + want[2]))
 
 
 def test_fused_step_shape_checks():
@@ -846,27 +860,40 @@ def fuse_chain(prev, parent, sibling, weights, fusion):
     return ad.mul(sigmoid_op(ad.add(raw, b_g)), combined)
 
 
-def fusion_inputs(h):
-    """(prev, parent, sibling) triples in vector and row form, with the zero
-    vector standing in for absent states, also against rows, and one
-    vector broadcast against rows."""
-    zero = Tensor(np.zeros(h))
-    vec = [leaf((h,)) for _ in range(3)]
-    mat = [leaf((2, h)) for _ in range(3)]
-    return [tuple(vec), (vec[0], zero, zero), (zero, vec[1], zero),
-            tuple(mat), (mat[0], zero, zero), (zero, mat[1], mat[2]), (mat[0], mat[1], zero),
-            (vec[0], mat[1], mat[2])]
+def fusion_inputs(h, components=2):
+    """(prev, parent, sibling) block triples: one state (C, h) and two
+    states as rows (2, C, h), with the zero block standing in for absent
+    states, also against rows, and one state broadcast against rows."""
+    zero = Tensor(np.zeros((components, h)))
+    one = [leaf((components, h)) for _ in range(3)]
+    two = [leaf((2, components, h)) for _ in range(3)]
+    return [tuple(one), (one[0], zero, zero), (zero, one[1], zero),
+            tuple(two), (two[0], zero, zero), (zero, two[1], two[2]), (two[0], two[1], zero),
+            (one[0], two[1], two[2])]
+
+
+def fuse_by_component(states, weights, fusion):
+    """``fuse_chain`` on each state component on its own, joined back into
+    a block: the decoder's fusion before it took blocks."""
+    components, h = states[0].data.shape[-2:]
+    fused = [fuse_chain(*(ad.row(x, i) for x in states), weights, fusion)
+             for i in range(components)]
+    return ad.reshape(ad.hconcat(fused), fused[0].data.shape[:-1] + (components, h))
 
 
 @pytest.mark.parametrize("fusion", ["plain", "gate", "sgate"])
 def test_grad_fuse_state(fusion):
+    # Block form: each component fused by one op over all of them has the
+    # bits of the per-component chain, vector products for one state and
+    # row products for several.
     h = 3
     weights = fusion_weights(h)
     for states in fusion_inputs(h):
         tensors = [x for x in states if x.requires_grad] + weights
         make = lambda: ad.fuse_state(*states, *weights, fusion)
         check_gradients(lambda: weighted(make()), tensors)
-        assert_same_values_and_grads(make, lambda: fuse_chain(*states, weights, fusion), tensors)
+        assert_same_values_and_grads(make, lambda: fuse_by_component(states, weights, fusion),
+                                     tensors)
 
 
 def test_fuse_state_checks():
@@ -877,6 +904,10 @@ def test_fuse_state_checks():
         ad.fuse_state(leaf((2, 3)), leaf((4, 3)), leaf((3,)), *weights, "gate")
     with pytest.raises(ShapeError):
         ad.fuse_state(leaf((4,)), leaf((4,)), leaf((4,)), *weights, "plain")
+    with pytest.raises(ShapeError):  # a vector is not a block
+        ad.fuse_state(leaf((3,)), leaf((3,)), leaf((3,)), *weights, "plain")
+    with pytest.raises(ShapeError):  # two and three rows
+        ad.fuse_state(leaf((2, 2, 3)), leaf((3, 2, 3)), leaf((2, 3)), *weights, "plain")
 
 
 # The teacher-forced decoder pass as one op, against the per-step graph of
@@ -898,19 +929,20 @@ def decoder_cells(layers, n, in_dim, cell="lstm"):
 
 
 def hier_loop(x, cell, cells, weights, fusion, rows, keep):
-    """The per-step decoder: one ``fuse_state`` and keep product per state
-    component, then one ``lstm_step`` or ``gru_step`` per layer; the top
-    states as rows."""
+    """The per-step decoder: one ``fuse_state`` and keep product per step
+    on the (C, h) block of state components, then one ``lstm_step`` or
+    ``gru_step`` per layer; the top states as rows."""
     n = weights[0].data.shape[0]
     width = 2 if cell == "lstm" else 1
     components = width * len(cells)
     bank = [(Tensor(np.zeros(n)),) * components]
     top = []
     for t, (prev, parent, sibling) in enumerate(rows):
-        fused = [ad.fuse_state(bank[prev][i], bank[parent][i], bank[sibling][i], *weights, fusion)
-                 for i in range(components)]
+        block = ad.fuse_state(*(ad.stack(list(bank[r])) for r in (prev, parent, sibling)),
+                              *weights, fusion)
         if keep is not None:
-            fused = [ad.mul(f, Tensor(keep[t, i])) for i, f in enumerate(fused)]
+            block = ad.mul(block, Tensor(keep[t]))
+        fused = [ad.row(block, i) for i in range(components)]
         inp, state = ad.row(x, t), []
         for l, layer in enumerate(cells):
             if cell == "lstm":

@@ -119,6 +119,46 @@ def test_dep_batch_counts_rounds_not_sentence_steps(dep_trained, monkeypatch):
         assert calls == {"encode": 1, "fuse": rounds, "step": rounds}
 
 
+def count_decoder_calls(model, monkeypatch) -> dict:
+    """Counts of the calls made to ``model.decoder``'s ``fuse`` and
+    ``step`` through the instance, where a tracer wraps them."""
+    calls = {"fuse": 0, "step": 0}
+    for name in calls:
+        original = getattr(model.decoder, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(model.decoder, name, counted)
+    return calls
+
+
+def test_one_sentence_decoders_fuse_and_step_once_per_decoder_step(dep_trained, rst_trained,
+                                                                   monkeypatch):
+    """``decode_greedy``, ``decode_beam`` and ``decode_rst`` call the
+    decoder's ``fuse`` and ``step`` once per decoder step: 2n+1 times for
+    an n-word sentence, greedy or beam, and once per pointed span (three
+    or more EDUs) for a discourse sentence."""
+    model, items = dep_trained
+    calls = count_decoder_calls(model, monkeypatch)
+    for tokens, _ in items[:6]:
+        for decode in (dep.decode_greedy, partial(dep.decode_beam, beam_size=4)):
+            calls.update(fuse=0, step=0)
+            decode(model, tokens)
+            steps = 2 * len(tokens) + 1
+            assert calls == {"fuse": steps, "step": steps}
+    model, items = rst_trained
+    calls, total = count_decoder_calls(model, monkeypatch), 0
+    for words, ends, _ in items[:6]:
+        calls.update(fuse=0, step=0)
+        tree = rst.decode_rst(model, words, ends)
+        pointed = sum(node.end - node.start >= 2 for node in tree.internal_nodes())
+        assert calls == {"fuse": pointed, "step": pointed}
+        total += pointed
+    assert total > 0
+
+
 @pytest.mark.parametrize("task", ["dep", "rst"])
 def test_one_sentence_batch_runs_the_loop(task, dep_trained, rst_trained, monkeypatch):
     if task == "dep":

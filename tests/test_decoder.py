@@ -9,7 +9,7 @@ from ptrparse.autodiff import Tensor
 from ptrparse.decoder import FUSIONS, VARIANTS, HierDecoder
 from ptrparse.errors import ConfigError
 
-from helpers import check_gradients, weighted
+from helpers import check_gradients, lstm_cell_three_logistics, weighted
 
 RNG = np.random.default_rng(20240813)
 
@@ -269,3 +269,87 @@ def test_fuse_and_step_row_form_match_vector_form(cell, variant, fusion):
             assert_rows_match([t.data[i] for t in fused + state + (top,)],
                               [t.data for t in want_fused + want_state + (want_top,)],
                               exact=k == 1)
+
+
+def reference_round(dec, prev, parent, sibling, x):
+    """One decoding round as the decoder ran it before state blocks, on
+    arrays: one fusion per state component (vectors for one state,
+    contiguous (k, hidden) matrices for k rows), then one cell step per
+    layer with one logistic call per LSTM gate.  Returns the fused
+    components, the new state's components and the top hidden state."""
+    weights = tuple(t.data for t in (dec.w_d, dec.w_p, dec.w_s, dec.w_gd, dec.w_gp, dec.w_gs,
+                                     dec.b_g))
+    zero = np.zeros(dec.hidden_dim)
+
+    def components(block, used=True):
+        if block is None or not used:
+            return [zero] * dec.components
+        return [np.ascontiguousarray(block[..., i, :]) for i in range(dec.components)]
+
+    fused = [ad._fuse(p, q, s, weights, dec.fusion)[0]
+             for p, q, s in zip(components(prev, dec.variant == "pst"), components(parent),
+                                components(sibling, dec.variant != "p"))]
+    state, inp = [], x
+    for layer, cell in enumerate(dec.cells):
+        if dec.cell == "lstm":
+            xw = ad._linear(cell.w_x.data, inp) + cell.bias.data
+            h, c, _ = lstm_cell_three_logistics(xw, cell.w_h.data, fused[2 * layer],
+                                                fused[2 * layer + 1])
+            state += [h, c]
+        else:
+            x_rz = ad._linear(cell.w_rz.data, inp) + cell.b_rz.data
+            x_n = ad._linear(cell.w_n.data, inp) + cell.b_n.data
+            h, _ = ad._gru_cell(x_rz, x_n, cell.u_rz.data, cell.u_n.data, fused[layer], None)
+            state.append(h)
+        inp = h
+    return fused, state, inp
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("cell", ["lstm", "gru"])
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("fusion", FUSIONS)
+def test_block_round_matches_per_component_round_bit_for_bit(fusion, variant, cell, layers):
+    # Blocks read from a state bank, as the decoders read them: one state
+    # (components, hidden) and k states (k, components, hidden), with the
+    # zero row among them and an absent (None) parent or sibling.
+    hidden, k = 16, 5
+    dec = make_decoder(variant, fusion, cell=cell, layers=layers, hidden=hidden, input_dim=7,
+                       seed=21)
+    rng = np.random.default_rng(22)
+    bank = rng.standard_normal((9, dec.components, hidden))
+    bank[0] = 0.0
+    cases = [(bank[3], bank[1], bank[2], rng.standard_normal(7)),
+             (bank[4], bank[0], bank[0], rng.standard_normal(7)),
+             (bank[5], None, bank[2], rng.standard_normal(7)),
+             (bank[5], bank[3], None, rng.standard_normal(7))]
+    rows = rng.integers(0, len(bank), (3, k))
+    rows[1:, 0] = 0
+    cases.append((*bank[rows], rng.standard_normal((k, 7))))
+    for prev, parent, sibling, x in cases:
+        fused = dec.fuse(*(None if b is None else Tensor(b) for b in (prev, parent, sibling)))
+        state, top = dec.step(Tensor(x), fused)
+        want_fused, want_state, want_top = reference_round(dec, prev, parent, sibling, x)
+        assert fused.data.shape == state.data.shape == prev.shape
+        assert np.array_equal(fused.data, np.stack(want_fused, axis=-2))
+        assert np.array_equal(state.data, np.stack(want_state, axis=-2))
+        assert np.array_equal(top.data, want_top)
+
+
+def test_tuple_form_is_the_block_form():
+    # The tuple API joins components into a block and splits the results.
+    dec = make_decoder("pst", "sgate", cell="lstm", layers=2, hidden=4, seed=23)
+    rng = np.random.default_rng(24)
+    prev, parent, sibling = (rng.standard_normal((3, dec.components, 4)) for _ in range(3))
+    x = Tensor(rng.standard_normal((3, 6)))
+    block = dec.fuse(Tensor(prev), Tensor(parent), Tensor(sibling))
+    block_state, block_top = dec.step(x, block)
+
+    def split(b):
+        return tuple(Tensor(b[:, i]) for i in range(dec.components))
+
+    fused = dec.fuse(split(prev), split(parent), split(sibling))
+    state, top = dec.step(x, fused)
+    assert np.array_equal(np.stack([f.data for f in fused], axis=1), block.data)
+    assert np.array_equal(np.stack([s.data for s in state], axis=1), block_state.data)
+    assert np.array_equal(top.data, block_top.data)

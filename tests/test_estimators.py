@@ -104,6 +104,9 @@ def test_dep_input_coercions():
         parser.predict([[]])
     with pytest.raises(DataError):
         parser.predict([[3.14]])
+    # One string is not split into one-character words.
+    with pytest.raises(DataError, match="'a b c' is a string"):
+        parser.predict(["a b c"])
 
 
 def test_dep_predict_rejects_empty_form():
@@ -211,6 +214,11 @@ def test_rst_accepts_words_ends_pairs():
     assert pair_form[0].m == nested_form[0].m == 2
     with pytest.raises(DataError):
         parser.predict([(words, "bad")])
+    # Integer arrays of ends are accepted like lists of ints.
+    for ends in (np.array([2, 4]), np.array([2, 4], dtype=np.int32)):
+        assert parser.predict([(words, ends)])[0].m == 2
+    with pytest.raises(DataError):
+        parser.predict([(words, np.array([], dtype=np.intp))])
 
 
 def test_rst_fixed_label_set():
