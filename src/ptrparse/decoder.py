@@ -35,7 +35,12 @@ blocks read straight from the bank, one state (C, hidden) or k states
 (k, C, hidden), one per hypothesis of each sentence of a batched or beam
 decode, and advance each row on its own: ``fuse`` runs one
 ``autodiff.fuse_state`` op over all C components, and ``step`` returns
-the new state as a block to be written back.  Teacher forcing knows
+the new state as a block to be written back, with its top hidden
+``d``, the vector the pointer reads.  ``d`` is bit for bit component
+``HierDecoder.top`` of that block (the top layer's h), so once the bank
+holds a step's state it also holds its ``d``: dependency decoding labels
+a finished tree from the bank rows of its attach steps, in one labeler
+call, instead of labeling inside the round loop.  Teacher forcing knows
 every frame before the decoder runs, so ``run_schedule`` takes the
 frames of every step at once (2n+1 for a dependency sentence, one per
 pointed span for a discourse sentence), for one sentence or for every
@@ -105,6 +110,12 @@ class HierDecoder(Module):
     @property
     def components(self) -> int:
         return self.layers * (2 if self.cell == "lstm" else 1)
+
+    @property
+    def top(self) -> int:
+        """The component holding the top layer's h: a state block's
+        ``[..., top, :]`` is bit for bit the top hidden ``step`` returns."""
+        return self.components - (2 if self.cell == "lstm" else 1)
 
     def zero_state(self) -> tuple:
         """The zero state in tuple form (see ``fuse``)."""

@@ -17,7 +17,12 @@ through ``HierDecoder.fuse`` and ``step``, since each frame depends on the
 decision before it: ``run_transition`` (and so ``decode_greedy``) steps
 one sentence's state, and ``_rounds`` (``decode_beam`` and
 ``decode_batch``) one row per live hypothesis of every sentence of a
-batch, both reading and writing state blocks of one array bank.  Training is teacher-forced: the gold tree's oracle order fixes
+batch, both reading and writing state blocks of one array bank.  No
+decision reads a label, so both label a tree only once its structure is
+fixed: each attachment remembers the bank row of its step, and one
+row-form labeler call per decoded sentence (per chunk in ``_rounds``)
+reads the top hidden of those rows against the children's encoder rows.
+Training is teacher-forced: the gold tree's oracle order fixes
 every frame, target and label before the decoder runs, so one integer
 walk per sentence builds the schedule, and a batch of sentences records
 one tape: one encoder call, one decoder sequence op
@@ -354,11 +359,18 @@ def run_transition(model: DepModel, tokens, gold: DepTree = None, training: bool
 
     Greedy decoding runs the decoder one step at a time (``fuse`` and
     ``step``), because each frame depends on the decision before it, and
-    follows the pointer and label argmax; ``want_trace`` records its
-    steps.  With a gold tree the pass is a batch of one of
-    ``batch_losses``, a fixed number of tape ops, and ``training``/``rng``
-    set its dropout; a trace with a gold tree, or training without one, is
-    a ``ConfigError``.
+    follows the pointer argmax; an attach step records its bank row.  No
+    later decision reads a label, so the labels come after the tree: one
+    row-form ``labeler.distribution`` call pairs the top hidden of each
+    attach step's bank row (``HierDecoder.top``, bit for bit the ``d``
+    the step pointed from) with its child's encoder row, and takes each
+    row's argmax.  That is one 2-D product over the sentence's
+    attachments, so a label can differ from the per-step vector form only
+    on a last-bit tie.  ``want_trace`` records the steps, with their
+    labels filled in after that call.  With a gold tree the pass is a
+    batch of one of ``batch_losses``, a fixed number of tape ops, and
+    ``training``/``rng`` set its dropout; a trace with a gold tree, or
+    training without one, is a ``ConfigError``.
     """
     n = len(tokens)
     _check_length(model.config, n)
@@ -382,7 +394,7 @@ def run_transition(model: DepModel, tokens, gold: DepTree = None, training: bool
     attached = np.zeros(n + 1, dtype=bool)
     attached[0] = True
     heads = [None] * n
-    labels = [None] * n
+    attaches = []  # (bank row, child) of each attach step
     structure_terms = []
     trace = []
     pointer_calls = 0
@@ -412,26 +424,40 @@ def run_transition(model: DepModel, tokens, gold: DepTree = None, training: bool
         else:
             choice = int(np.flatnonzero(mask)[0])
 
-        label_name = None
         if choice != element:
             attached[choice] = True
             heads[choice - 1] = element
-            dist = model.labeler.distribution(d, ad.row(encoded, choice))
-            label_name = model.labels.name(int(np.argmax(dist.data)))
-            labels[choice - 1] = label_name
+            attaches.append((step, choice))
             stack.append((element, parent, choice, parent_row, step))
             stack.append((choice, element, -1, step, 0))
 
         if want_trace:
             trace.append(TraceStep(step=step, head=element, target=choice, log_prob=log_prob,
-                                   candidates=n_candidates, label=label_name,
+                                   candidates=n_candidates,
                                    probabilities=result.probs.data.copy() if result else None))
+
+    rows, children = np.array(attaches, dtype=np.intp).T
+    labels = [None] * n
+    for child, name in zip(children.tolist(), _label_names(model, bank, rows, encoded, children)):
+        labels[child - 1] = name
+    for s in trace:
+        if s.head != s.target:
+            s.label = labels[s.target - 1]
 
     return RunResult(heads=heads, labels=labels,
                      structure_loss=ad.sum_terms(structure_terms),
                      label_loss=Tensor(0.0),
                      trace=trace, pointer_calls=pointer_calls,
                      score_evaluations=score_evaluations)
+
+
+def _label_names(model: DepModel, bank: np.ndarray, rows, encoded: Tensor, children) -> list:
+    """Label names of attachments, from one row-form ``labeler.distribution``
+    call: each pairs the top hidden of its step's state, bank row
+    ``rows[i]``, with encoder row ``children[i]``."""
+    dist = model.labeler.distribution(Tensor(bank[rows, model.decoder.top]),
+                                      ad.gather(encoded, children))
+    return [model.labels.name(i) for i in np.argmax(dist.data, axis=1).tolist()]
 
 
 def _stacked(masks):
@@ -718,22 +744,27 @@ def _rounds(model: DepModel, sentences, beam_size: int) -> list:
     One batch-form ``encoder.encode`` and one ``pointer.prepare`` cover
     every sentence.  A row is one hypothesis of one sentence: its stack of
     frames and their depth, attachments (columns past the sentence's words
-    count as attached), heads, label ids, the bank row of its latest
-    decoder state, and its log-probability.  Rows are grouped by sentence,
-    longest first.  A round runs every row as one k-row ``fuse`` and
-    ``step``, one pointer call, and one ``labeler.distribution`` over the
-    rows that attach.  The states go into one bank (row 0 the zero state)
+    count as attached), heads, for each attached word the bank row of the
+    step that attached it, the bank row of its latest decoder state, and
+    its log-probability.  Rows are grouped by sentence, longest first.  A
+    round runs every row as one k-row ``fuse`` and ``step`` and one
+    pointer call.  The states go into one bank (row 0 the zero state)
     sized for min(beam_size, n+1) rows per round and grown when full.  One
     stable ``np.lexsort`` on sentence, then on -log-probability, ranks
     every candidate, so ties keep hypothesis order, then candidate order,
     and each sentence keeps its first ``beam_size``.  After its 2n+1st
     decision a sentence's best row is recorded and its rows, the last
-    ones, are dropped.
+    ones, are dropped.  No later decision reads a label, so labels come
+    last: one ``labeler.distribution`` call pairs the top hidden of each
+    recorded attachment's bank row (``HierDecoder.top``) with its child's
+    encoder row, over the best trees of every sentence only.
 
     Bit policy: one sentence attends from every row against the 2-D
     prepared matrix whenever any row has a real choice; several sentences
     attend from the rows with a real choice only, each over its own
-    sentence's positions through ``index``.
+    sentence's positions through ``index``.  Each label comes from one 2-D
+    product over the chunk's attachments, so it can differ from the
+    per-step vector form only on a last-bit tie.
     """
     decoder, count = model.decoder, len(sentences)
     lengths = np.array([len(tokens) + 1 for tokens in sentences])
@@ -751,9 +782,10 @@ def _rounds(model: DepModel, sentences, beam_size: int) -> list:
         frames[:, 0] = (0, -1, -1, 0, 0)
         attached = width >= sizes[:, None]
         attached[:, 0] = True
-        heads, labels = np.zeros((2, count, len(width)), dtype=np.intp)
+        heads, label_rows = np.zeros((2, count, len(width)), dtype=np.intp)
         group, depth, prev_row = np.arange(count), np.ones(count, np.intp), np.zeros(count, np.intp)
         log_prob = np.zeros(count)
+        done = []  # (sentence, heads, label rows, log-probability) of each best row
 
         for t in range(steps[0]):
             k = len(group)
@@ -797,15 +829,15 @@ def _rounds(model: DepModel, sentences, beam_size: int) -> list:
                 live = np.count_nonzero(steps[group] > t + 1)
                 for b, i in zip(*np.unique(group[live:], return_index=True)):
                     row, end = hyp[live + i], sizes[b]
-                    results[order[b]] = (DepTree(heads[row, 1:end].tolist(), [
-                        model.labels.name(j) for j in labels[row, 1:end].tolist()]),
-                        float(log_prob[live + i]))
+                    done.append((b, heads[row, 1:end].tolist(), label_rows[row, 1:end].copy(),
+                                 float(log_prob[live + i])))
                 hyp, choice, log_prob, group = (a[:live] for a in (hyp, choice, log_prob, group))
 
             # Pop each kept row's frame.  At beam size 1 every row keeps its
             # place, so slicing off finished rows stands in for a copy.
             pick = slice(len(hyp)) if beam_size == 1 else hyp
-            frames, attached, heads, labels = (a[pick] for a in (frames, attached, heads, labels))
+            frames, attached, heads, label_rows = (
+                a[pick] for a in (frames, attached, heads, label_rows))
             depth = depth[pick] - 1
             head, prev_row = element[hyp], state_row[hyp]
             grown = np.flatnonzero(choice != head)
@@ -819,9 +851,15 @@ def _rounds(model: DepModel, sentences, beam_size: int) -> list:
                 depth[grown] += 2
                 attached[grown, child] = True
                 heads[grown, child] = head[grown]
-                dist = model.labeler.distribution(ad.gather(d, hyp[grown]),
-                                                  ad.gather(encoded, row0[group[grown]] + child))
-                labels[grown, child] = np.argmax(dist.data, axis=1)
+                label_rows[grown, child] = row
+
+        # One labeler call over the best rows' attachments; sentence b's
+        # word w is encoder row row0[b] + w.
+        names = iter(_label_names(model, bank, np.concatenate([rows for _, _, rows, _ in done]),
+                                  encoded, np.concatenate([row0[b] + np.arange(1, sizes[b])
+                                                           for b, *_ in done])))
+        for b, tree_heads, _, score in done:
+            results[order[b]] = (DepTree(tree_heads, [next(names) for _ in tree_heads]), score)
     return results
 
 

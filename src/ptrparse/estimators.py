@@ -92,14 +92,22 @@ class BaseEstimator:
         for key in ("config", "labels", "label_hash") + cls._vocab_names:
             if key not in meta:
                 raise LoadError(f"{path} metadata is missing {key!r}")
+        if not isinstance(meta["config"], dict):
+            raise LoadError(f"{path} metadata 'config' is not an object")
+        for key in ("labels",) + cls._vocab_names:
+            if not (isinstance(meta[key], list) and all(isinstance(s, str) for s in meta[key])):
+                raise LoadError(f"{path} metadata {key!r} is not a list of strings")
         try:
             config = config_from_dict(cls._config_cls, meta["config"]).validate()
         except ConfigError as err:
             raise LoadError(f"{path} holds an invalid config: {err}") from err
-        labels = LabelSet(meta["labels"])
+        try:
+            labels = LabelSet(meta["labels"])
+            vocabs = [Vocab(meta[name]) for name in cls._vocab_names]
+        except DataError as err:
+            raise LoadError(f"{path} holds an invalid inventory: {err}") from err
         if labels.hash != meta["label_hash"]:
             raise LoadError(f"{path} label inventory does not match its recorded hash")
-        vocabs = [Vocab(meta[name]) for name in cls._vocab_names]
         model = cls._model_cls(config, *vocabs, labels, np.random.default_rng(config.seed))
         for name, tensor in model.parameters():
             if name not in params:

@@ -5,11 +5,14 @@ one decoder step and one dot-product pointer call choosing its split; a
 two-EDU span splits without any decoder involvement (its only freedom is
 the label); single EDUs are leaves.  Each split is labeled by a biaffine
 classifier over the last-EDU representations of the two child spans.
+That pair needs no decoder state and no later decision reads a label, so
+decoding labels a tree once its structure is fixed.
 
 ``decode_rst`` decodes one sentence span by span; ``decode_rst_batch``
 decodes many as the rows of one pass, one popped span per sentence per
-round, with one decoder step, one row-form pointer call and one labeler
-call per round.
+round, with one decoder step and one row-form pointer call per round.
+Either way one row-form labeler call then labels every split of the
+sentence, or of the chunk.
 
 Frames are popped in preorder, so the gold event sequence from
 ``oracle_splits`` lines up with the stack discipline exactly.  Teacher
@@ -155,15 +158,20 @@ def run_splits(model: RstModel, words, ends, gold: DiscTree = None, training: bo
     encoder index.  Two-EDU frames are carried on the same stack to keep
     preorder, but they never touch the decoder: no step and no bank row,
     matching the push rule that only spans larger than two are processed
-    by the pointer.  Every split, forced or pointed, is then labeled the
-    same way.  When both children of a split will step, the left one is
-    popped next, so the right one's sibling state is the next bank row.
+    by the pointer.  Every split, forced or pointed, is labeled the same
+    way.  When both children of a split will step, the left one is popped
+    next, so the right one's sibling state is the next bank row.
 
-    Greedy decoding steps the decoder, the dot pointer and the labeler one
-    span at a time, because each split decides the frames after it.  With
-    a gold tree every frame is known in advance, and the pass is a batch
-    of one of ``batch_losses`` (a fixed number of tape ops) whose dropout
-    ``training``/``rng`` set; training without one is a ``ConfigError``.
+    Greedy decoding steps the decoder and the dot pointer one span at a
+    time, because each split decides the frames after it.  Once the splits
+    are fixed, one row-form ``labeler.distribution`` call labels them all
+    (``_label_splits``), as teacher forcing does; that is one 2-D product
+    over the sentence's splits, so a label can differ from the per-split
+    vector form only on a last-bit tie.  A one-EDU sentence makes no
+    labeler call.  With a gold tree every frame is known in advance, and
+    the pass is a batch of one of ``batch_losses`` (a fixed number of tape
+    ops) whose dropout ``training``/``rng`` set; training without one is a
+    ``ConfigError``.
     """
     _check_length(model.config, len(words))
     if training and gold is None:
@@ -178,7 +186,7 @@ def run_splits(model: RstModel, words, ends, gold: DiscTree = None, training: bo
 
     edus = model.encoder.encode(words, ends)
     m = edus.data.shape[0]
-    splits = {}
+    splits = {}  # (i, j) -> k, then -> (k, nuclearity, relation)
     pointer_calls = 0
     score_evaluations = 0
     decoder = model.decoder
@@ -198,14 +206,33 @@ def run_splits(model: RstModel, words, ends, gold: DiscTree = None, training: bo
             k = dot_attend(edus, d, i - 1, j - 1, position_offset=i).best()
             pointer_calls += 1
             score_evaluations += j - i
-        dist = model.labeler.distribution(ad.row(edus, k - 1), ad.row(edus, j - 1))
-        label = model.labels.name(int(np.argmax(dist.data)))
-        splits[(i, j)] = (k, *split_label(label))
+        splits[(i, j)] = k
         _push_children(stack, i, j, k, step)
+    _label_splits(model, edus, [splits], [0])
 
     return RstRunResult(tree=DiscTree(_assemble(splits, 1, m)), structure_loss=Tensor(0.0),
                         label_loss=Tensor(0.0), pointer_calls=pointer_calls,
                         score_evaluations=score_evaluations)
+
+
+def _label_splits(model: RstModel, edus: Tensor, tables, row0):
+    """Label every split of the sentences' split tables in place, with one
+    row-form ``labeler.distribution`` call (none when no sentence has a
+    split).
+
+    ``tables[b]`` maps sentence b's spans (i, j) to their split points k,
+    and becomes (k, nuclearity, relation); sentence b's EDU e is row
+    ``row0[b] + e - 1`` of ``edus``.  A split's pair is its EDU rows
+    (k-1, j-1), and it takes the argmax label.
+    """
+    pairs = [(b, span, k) for b, table in enumerate(tables) for span, k in table.items()]
+    if not pairs:
+        return
+    left, right = (np.array(column, dtype=np.intp) for column in zip(
+        *[(row0[b] + k - 1, row0[b] + j - 1) for b, (_, j), k in pairs]))
+    dist = model.labeler.distribution(ad.gather(edus, left), ad.gather(edus, right))
+    for (b, span, k), label in zip(pairs, np.argmax(dist.data, axis=1).tolist()):
+        tables[b][span] = (k, *split_label(model.labels.name(label)))
 
 
 def _push_children(stack, i: int, j: int, k: int, state_row: int):
@@ -363,8 +390,11 @@ def _split_rounds(model: RstModel, items) -> list:
     Round after round, every sentence with frames left pops one; the
     popped spans of three or more EDUs run as one k-row ``fuse`` and
     ``step`` and one row-form ``dot_attend`` (each row scoring its own
-    span's split points through ``index``, masked past ``j - i``), and
-    every popped span gets its label from one ``labeler.distribution``.
+    span's split points through ``index``, masked past ``j - i``).  When
+    every stack is empty, one ``labeler.distribution`` call labels every
+    split of the chunk (``_label_splits``); each label then comes from one
+    2-D product over the chunk's splits, and can differ from the
+    per-split vector form only on a last-bit tie.
     """
     decoder = model.decoder
     sizes = np.array([len(ends) for _, ends in items])
@@ -402,13 +432,10 @@ def _split_rounds(model: RstModel, items) -> list:
                 index = row0[b, None] + i[pointed, None] - 1 + np.minimum(cols, span - 1)
                 probs = dot_attend(edus, d, mask=cols < span, index=index).probs.data
                 k[pointed] = i[pointed] + np.argmax(probs, axis=1)
-            dist = model.labeler.distribution(ad.gather(edus, row0[live] + k - 1),
-                                              ad.gather(edus, row0[live] + j - 1))
-            labels = np.argmax(dist.data, axis=1)
-            for s, i_, j_, k_, label in zip(live.tolist(), i.tolist(), j.tolist(), k.tolist(),
-                                            labels.tolist()):
-                splits[s][(i_, j_)] = (k_, *split_label(model.labels.name(label)))
+            for s, i_, j_, k_ in zip(live.tolist(), i.tolist(), j.tolist(), k.tolist()):
+                splits[s][(i_, j_)] = k_
                 _push_children(stacks[s], i_, j_, k_, int(steps[s]))
+        _label_splits(model, edus, splits, row0)
 
     return [DiscTree(_assemble(table, 1, m)) for table, m in zip(splits, sizes.tolist())]
 

@@ -1,11 +1,15 @@
 """Shared test utilities: finite-difference gradient checking, a scalar
-reduction of any tensor for it, and the training loop's divergence check."""
+reduction of any tensor for it, the training loop's divergence check,
+held-out decoding corpora, and per-step vector-form labeling, the
+reference for the decoders' one labeler call per tree."""
 
 import numpy as np
 import pytest
 
 from ptrparse import autodiff as ad
-from ptrparse.autodiff import Tensor
+from ptrparse.autodiff import Tensor, no_grad
+from ptrparse.corpus import gen_synthetic_dep, gen_synthetic_rst, segmented_from_texts
+from ptrparse.dep import decode_greedy
 
 
 def numeric_gradient(fn, tensor, h=1e-5):
@@ -100,3 +104,59 @@ def lstm_cell_three_logistics(xw, w_h, h, c, mask=None):
     c_new = f * c + i * g
     tc = np.tanh(c_new)
     return o * tc, c_new, (hm, c, i, f, g, o, tc)
+
+
+def dep_held_out():
+    """128 held-out sentences of 1 to 40 words."""
+    sentences = [tokens for tokens, _ in gen_synthetic_dep(11, 128, max_len=40, vocab_size=200,
+                                                           label_count=8)]
+    assert min(map(len, sentences)) == 1 and max(map(len, sentences)) == 40
+    return sentences
+
+
+def rst_held_out():
+    """64 held-out segmented sentences of 1 to 16 EDUs."""
+    items = [segmented_from_texts(texts)
+             for texts, _ in gen_synthetic_rst(11, 64, max_edus=16, label_count=8)]
+    assert min(len(ends) for _, ends in items) == 1
+    assert max(len(ends) for _, ends in items) == 16
+    return items
+
+
+def per_step_dep_labels(model, tokens, monkeypatch):
+    """Greedy decoding's labels as the per-step decoder gave them: each
+    attach step labels its child in vector form, from the top hidden ``d``
+    of its own decoder step.  Returns (labels, the ``decode_greedy`` tree,
+    its trace); the structure does not depend on the labels."""
+    ds = []
+    step = model.decoder.step
+
+    def recording(x, fused):
+        state, d = step(x, fused)
+        ds.append(d)
+        return state, d
+
+    with monkeypatch.context() as patch:
+        patch.setattr(model.decoder, "step", recording)
+        tree, trace = decode_greedy(model, tokens, want_trace=True)
+    labels = [None] * len(tokens)
+    with no_grad():
+        encoded = model.encoder.encode(tokens)
+        for s in trace:
+            if s.head != s.target:
+                dist = model.labeler.distribution(ds[s.step - 1], ad.row(encoded, s.target))
+                labels[s.target - 1] = model.labels.name(int(np.argmax(dist.data)))
+    return labels, tree, trace
+
+
+def per_split_rst_labels(model, words, ends, tree) -> dict:
+    """The label of each split of ``tree`` as the per-split decoder gave it,
+    by span: one vector-form labeler call on the EDU pair (k-1, j-1)."""
+    labels = {}
+    with no_grad():
+        edus = model.encoder.encode(words, ends)
+        for node in tree.internal_nodes():
+            dist = model.labeler.distribution(ad.row(edus, node.left.end - 1),
+                                              ad.row(edus, node.end - 1))
+            labels[node.start, node.end] = model.labels.name(int(np.argmax(dist.data)))
+    return labels

@@ -6,53 +6,14 @@ input."""
 
 from functools import partial
 
-import numpy as np
 import pytest
 
 from ptrparse import dep, rst
-from ptrparse.corpus import gen_synthetic_dep, gen_synthetic_rst, segmented_from_texts
 from ptrparse.errors import ConfigError, DataError, SegmentationError
 from ptrparse.metrics import score_dep_corpus, score_parseval_corpus
 from ptrparse.trees import Token
 
-
-@pytest.fixture(scope="module")
-def dep_trained():
-    """The criterion-3 corpus and configuration, trained for three epochs."""
-    items = gen_synthetic_dep(7, 64, max_len=12, vocab_size=200, label_count=8)
-    config = dep.DepConfig(variant="pst", fusion="sgate", encoder_hidden=64, decoder_hidden=64,
-                           arc_mlp=64, label_mlp=16, batch_size=8, epochs=3, seed=7)
-    model, _ = dep.train_dep(items, config)
-    return model, items
-
-
-@pytest.fixture(scope="module")
-def rst_trained():
-    """The criterion-4 corpus and configuration, trained for three epochs."""
-    items = [segmented_from_texts(texts) + (tree,)
-             for texts, tree in gen_synthetic_rst(7, 64, max_edus=8, label_count=8)]
-    config = rst.RstConfig(word_dim=64, encoder_hidden=64, encoder_layers=2, decoder_layers=2,
-                           rel_mlp=64, fusion="plain", embed_dropout=0.0, encoder_dropout=0.0,
-                           decoder_dropout=0.0, classifier_dropout=0.0, l2=0.0, batch_size=8,
-                           epochs=3, seed=7)
-    return rst.train_rst(items, config).model, items
-
-
-def dep_held_out():
-    """128 held-out sentences of 1 to 40 words."""
-    sentences = [tokens for tokens, _ in gen_synthetic_dep(11, 128, max_len=40, vocab_size=200,
-                                                           label_count=8)]
-    assert min(map(len, sentences)) == 1 and max(map(len, sentences)) == 40
-    return sentences
-
-
-def rst_held_out():
-    """64 held-out segmented sentences of 1 to 16 EDUs."""
-    items = [segmented_from_texts(texts)
-             for texts, _ in gen_synthetic_rst(11, 64, max_edus=16, label_count=8)]
-    assert min(len(ends) for _, ends in items) == 1
-    assert max(len(ends) for _, ends in items) == 16
-    return items
+from helpers import dep_held_out, rst_held_out
 
 
 def dep_equal(batched, one_by_one):

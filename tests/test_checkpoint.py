@@ -138,3 +138,59 @@ def test_empty_params(tmp_path):
     params, meta = load_checkpoint(path)
     assert params == {}
     assert meta == {"note": "empty"}
+
+
+@pytest.fixture(scope="module")
+def fitted_checkpoints(tmp_path_factory):
+    """Checkpoints of a tiny fitted parser of each task, by task tag."""
+    from ptrparse.corpus import gen_synthetic_dep, gen_synthetic_rst
+    from ptrparse.estimators import DependencyParser, DiscourseParser
+
+    root = tmp_path_factory.mktemp("fitted")
+    dep_items = gen_synthetic_dep(3, 3, max_len=4, vocab_size=20, label_count=3)
+    dep = DependencyParser(word_dim=4, pos_dim=2, char_dim=2, char_filters=2, encoder_layers=1,
+                           encoder_hidden=4, decoder_hidden=4, arc_mlp=4, label_mlp=4, epochs=1)
+    dep.fit([tokens for tokens, _ in dep_items], [tree for _, tree in dep_items])
+    rst_items = gen_synthetic_rst(5, 3, max_edus=4, label_count=3)
+    rst = DiscourseParser(word_dim=4, encoder_hidden=2, encoder_layers=1, decoder_layers=1,
+                          rel_mlp=4, epochs=1)
+    rst.fit([[text.split() for text in texts] for texts, _ in rst_items],
+            [tree for _, tree in rst_items])
+    dep.save(root / "dep.ptp")
+    rst.save(root / "rst.ptp")
+    return {"dep": (DependencyParser, root / "dep.ptp"), "rst": (DiscourseParser, root / "rst.ptp")}
+
+
+@pytest.mark.parametrize("task, key, value", [
+    ("dep", "config", [1, 2]),
+    ("dep", "config", "seed=1"),
+    ("rst", "config", None),
+    ("dep", "labels", 5),
+    ("dep", "labels", [1, 2]),
+    ("rst", "labels", "NS-a"),
+    ("dep", "word_vocab", 7),
+    ("dep", "pos_vocab", [["x"]]),
+    ("dep", "char_vocab", [None, "a"]),
+    ("rst", "word_vocab", {"a": 1}),
+])
+def test_load_rejects_metadata_of_the_wrong_type(fitted_checkpoints, tmp_path, task, key, value):
+    # Metadata of the wrong JSON type is a LoadError naming the key, raised
+    # before any model is built, never a raw AttributeError or TypeError.
+    cls, good = fitted_checkpoints[task]
+    cls.load(good)  # the untouched checkpoint loads
+    params, meta = load_checkpoint(good)
+    path = tmp_path / "bad.ptp"
+    save_checkpoint(path, params.items(), {**meta, key: value})
+    with pytest.raises(LoadError, match=repr(key)):
+        cls.load(path)
+
+
+@pytest.mark.parametrize("key, value", [("labels", []), ("labels", ["a", "a"]),
+                                        ("word_vocab", ["x", "x"])])
+def test_load_rejects_an_invalid_inventory(fitted_checkpoints, tmp_path, key, value):
+    cls, good = fitted_checkpoints["dep"]
+    params, meta = load_checkpoint(good)
+    path = tmp_path / "bad.ptp"
+    save_checkpoint(path, params.items(), {**meta, key: value})
+    with pytest.raises(LoadError, match="invalid inventory"):
+        cls.load(path)

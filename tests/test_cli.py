@@ -428,6 +428,21 @@ def test_parse_rejects_checkpoint_without_metadata(task, dep_run, rst_run, tmp_p
         assert f"missing {key!r}" in err and "Traceback" not in err
 
 
+def test_parse_rejects_checkpoint_metadata_of_the_wrong_type(dep_run, tmp_path, capsys):
+    # A metadata value of the wrong JSON type (a config that is not an
+    # object) is a LoadError (exit 2) naming the key, never a traceback.
+    from ptrparse.checkpoint import load_checkpoint, save_checkpoint
+
+    params, meta = load_checkpoint(dep_run["model"])
+    path = tmp_path / "list-config.ptp"
+    save_checkpoint(path, params.items(), {**meta, "config": [1, 2]})
+    capsys.readouterr()
+    assert run(["parse", "--model", str(path), "--input", str(dep_run["data"]),
+                "--output", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "'config'" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("task", ["dep", "rst"])
 def test_non_utf8_corpus_exits_two(task, dep_run, rst_run, tmp_path, capsys):
     # One byte that is not UTF-8 in a CoNLL-U form or an EDU text is a data
