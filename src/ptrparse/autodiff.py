@@ -13,8 +13,8 @@ The op set is what the parsers call, and no more:
 - arithmetic: ``add``, ``mul`` (both broadcasting), ``matmul``,
   ``matvec_rows`` and ``elu``;
 - structure: ``hconcat``, ``stack``, ``row``, ``rows``, ``narrow``,
-  ``reshape``, ``transpose``, ``gather``, ``gather_sum``, ``segment_max``
-  and ``max_over_rows``;
+  ``reshape``, ``transpose``, ``gather``, ``gather_sum`` and
+  ``segment_max``;
 - fused layers: ``lstm_step``, ``gru_step``, ``lstm_seq``, ``gru_seq``,
   ``fuse_state`` and ``hier_seq``;
 - heads and losses: ``softmax`` (masked, over the last axis of a vector
@@ -452,41 +452,35 @@ def gather_sum(a: Tensor, index) -> Tensor:
     return _node(data, (a,), bwd)
 
 
-def _segment_max(a: Tensor, starts, shape: tuple) -> Tensor:
+def segment_max(a: Tensor, starts) -> Tensor:
+    """Column-wise maximum over consecutive row segments of a 2-D tensor.
+
+    Segment k spans rows ``starts[k]`` up to the next start (or the end);
+    the result has one row per segment.  One ``argmax`` runs over the
+    segments padded with ``-inf`` rows to the longest.  Gradient flows to
+    each segment's argmax row, the first one on ties.
+    """
     if a.data.ndim != 2:
-        raise ShapeError(f"segment max expects a 2-D tensor, got shape {a.data.shape}")
+        raise ShapeError(f"segment_max expects a 2-D tensor, got shape {a.data.shape}")
     starts = np.asarray(starts, dtype=np.intp)
-    stops = np.append(starts[1:], a.data.shape[0])
-    if starts.size == 0 or starts[0] != 0 or np.any(stops <= starts):
+    lengths = np.append(starts[1:], a.data.shape[0]) - starts
+    if starts.size == 0 or starts[0] != 0 or np.any(lengths <= 0):
         raise ShapeError(f"segments must start at row 0 and be non-empty, got starts {starts}")
-    arg = np.stack([starts[k] + np.argmax(a.data[starts[k] : stops[k]], axis=0)
-                    for k in range(starts.size)])
+    offsets = np.arange(lengths.max())
+    index = np.where(offsets < lengths[:, None], starts[:, None] + offsets, -1)  # -1: the pad
+    padded = np.vstack([a.data, np.full(a.data.shape[1], -np.inf)])[index]
+    arg = starts[:, None] + np.argmax(padded, axis=1)
     cols = np.arange(a.data.shape[1])
-    data = a.data[arg, cols].reshape(shape)
+    data = a.data[arg, cols]
     if not _tracked(a):
         return _const(data)
 
     def bwd(g):
         if a._grad is None:
             a._grad = np.zeros_like(a.data)
-        a._grad[arg, cols] += g.reshape(arg.shape)
+        a._grad[arg, cols] += g
 
     return _node(data, (a,), bwd)
-
-
-def segment_max(a: Tensor, starts) -> Tensor:
-    """Column-wise maximum over consecutive row segments of a 2-D tensor.
-
-    Segment k spans rows ``starts[k]`` up to the next start (or the end);
-    the result has one row per segment.  Gradient flows to each segment's
-    argmax row, the first one on ties.
-    """
-    return _segment_max(a, starts, (len(starts), a.data.shape[-1]))
-
-
-def max_over_rows(a: Tensor) -> Tensor:
-    """Column-wise maximum of a 2-D tensor: ``segment_max`` with one segment."""
-    return _segment_max(a, [0], (a.data.shape[-1],))
 
 
 def _sig(x: np.ndarray) -> np.ndarray:

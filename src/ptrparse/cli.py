@@ -14,9 +14,10 @@ from .checkpoint import load_checkpoint
 from .corpus import (gen_synthetic_dep, gen_synthetic_rst, load_embeddings, open_text,
                      read_conllu, read_rst_brackets, segmented_from_texts, write_conllu,
                      write_rst_brackets)
+from .decoder import FUSIONS, VARIANTS
 from .dep import (DepConfig, check_beam_size, config_from_dict, config_to_dict, decode_batch,
                   decode_greedy, format_trace, train_dep)
-from .errors import ConfigError, DataError, EncodingError, NumericError
+from .errors import ConfigError, DataError, EncodingError, LoadError, NumericError
 from .estimators import DependencyParser, DiscourseParser
 from .metrics import (bucket_csv, bucket_scores_dep, bucket_scores_rst, score_dep_corpus,
                       score_parseval_corpus)
@@ -46,8 +47,8 @@ def build_parser() -> _Parser:
     train.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY=VALUE", help="override one configuration key")
     train.add_argument("--seed", type=int)
-    train.add_argument("--variant", choices=("p", "ps", "pst"))
-    train.add_argument("--fusion", choices=("gate", "sgate", "plain"))
+    train.add_argument("--variant", choices=VARIANTS)
+    train.add_argument("--fusion", choices=FUSIONS)
     train.add_argument("--epochs", type=int)
     train.add_argument("--batch-size", type=int)
     train.add_argument("--labels", dest="labels_path",
@@ -221,7 +222,7 @@ def run_parse(args):
                                          in zip(items, trees)])
         print(f"parsed {len(items)} sentences to {args.output}")
     else:
-        raise ConfigError(f"{args.model} has unknown task {task!r}")
+        raise LoadError(f"{args.model} has unknown task {task!r}")
 
 
 def run_eval(args):

@@ -476,13 +476,12 @@ class _Walk:
     ``left`` a step (dep) or an encoder row (rst), ``right`` an encoder
     row.  Every index is the sentence's own.  The ``*_keep`` fields hold
     the dropout masks of each part (dep's ``prepare_keep`` that of
-    ``pointer.prepare``), and rst fills ``splits`` with the split table.
+    ``pointer.prepare``).
     """
 
     size: int
     encoder_keep: tuple
     prepare_keep: object = None
-    splits: dict = field(default_factory=dict)
     frames: list = field(default_factory=list)
     state_keep: list = field(default_factory=list)
     pointed: list = field(default_factory=list)

@@ -123,7 +123,11 @@ class DepEncoder(Module):
 
 
 def check_segmentation(n_tokens: int, ends) -> list:
-    """Validate EDU end positions: strictly increasing, covering all tokens."""
+    """Validate EDU end positions: a list, tuple or array of integers (not
+    ``bool``), strictly increasing, covering all tokens."""
+    if not isinstance(ends, (list, tuple, np.ndarray)) or any(
+            isinstance(e, bool) or not isinstance(e, (int, np.integer)) for e in ends):
+        raise SegmentationError(f"EDU ends must be a sequence of integers, got {ends!r}")
     ends = [int(e) for e in ends]
     if not ends:
         raise SegmentationError("sentence has no EDUs")

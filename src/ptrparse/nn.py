@@ -13,6 +13,8 @@ state.  The encoder hands on its output as one state matrix.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from . import autodiff as ad
@@ -94,8 +96,9 @@ class CharCnn(Module):
     One pad symbol is added on each side, so with a window of at most three
     every non-empty word yields a window (a shorter one is a ``ConfigError``).
     No activation follows the convolution; pooling is applied directly to
-    the affine filter responses.  All words of a sentence share one gather,
-    one matmul and one segmented max.
+    the affine filter responses.  One word is a batch of one, and all words
+    of a call share one window index array, one gather, one matmul and one
+    ``segment_max``.
     """
 
     def __init__(self, char_vocab_size: int, char_dim: int, filters: int, window: int,
@@ -115,25 +118,25 @@ class CharCnn(Module):
 
     def __call__(self, char_ids) -> Tensor:
         """Pool one word (a sequence of char ids) into a vector, or a list of
-        such words into a matrix with one row per word."""
+        such words into a matrix with one row per word.  The padded words
+        lie end to end in one id array, from which one index array picks
+        every window, word by word and left to right."""
         batched = len(char_ids) > 0 and not np.isscalar(char_ids[0])
         words = char_ids if batched else [char_ids]
-        windows = []
-        starts = []
-        for word in words:
-            padded = [self.pad_index] + list(word) + [self.pad_index]
-            if len(padded) < self.window:
-                raise ConfigError(f"a word of {len(padded) - 2} chars is too short for "
-                                  f"window {self.window}")
-            starts.append(len(windows))
-            windows.extend(padded[i : i + self.window]
-                           for i in range(len(padded) - self.window + 1))
-        table = self.embedding.rows(np.concatenate(windows))
-        flat = ad.reshape(table, (len(windows), self.window * self.embedding.dim))
-        responses = ad.add(ad.matmul(flat, self.filters), self.bias)
-        if batched:
-            return ad.segment_max(responses, starts)
-        return ad.max_over_rows(responses)
+        sizes = np.fromiter(map(len, words), dtype=np.intp, count=len(words)) + 2
+        counts = sizes - self.window + 1
+        if counts.min() < 1:
+            raise ConfigError(f"a word of {sizes[counts < 1][0] - 2} chars is too short for "
+                              f"window {self.window}")
+        pad = self.pad_index
+        ids = np.fromiter(chain.from_iterable((pad, *word, pad) for word in words),
+                          dtype=np.intp, count=sizes.sum())
+        starts = np.cumsum(counts) - counts
+        shift = np.repeat(np.cumsum(sizes) - sizes - starts, counts)
+        windows = ids[(shift + np.arange(counts.sum()))[:, None] + np.arange(self.window)]
+        flat = ad.reshape(self.embedding.rows(windows.ravel()), (len(windows), -1))
+        pooled = ad.segment_max(ad.add(ad.matmul(flat, self.filters), self.bias), starts)
+        return pooled if batched else ad.reshape(pooled, (self.out_dim,))
 
 
 def linear(w: Tensor, x: Tensor) -> Tensor:

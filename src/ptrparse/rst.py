@@ -170,8 +170,8 @@ def run_splits(model: RstModel, words, ends, gold: DiscTree = None, training: bo
     vector form only on a last-bit tie.  A one-EDU sentence makes no
     labeler call.  With a gold tree every frame is known in advance, and
     the pass is a batch of one of ``batch_losses`` (a fixed number of tape
-    ops) whose dropout ``training``/``rng`` set; training without one is a
-    ``ConfigError``.
+    ops) whose dropout ``training``/``rng`` set; the result's tree is
+    ``gold`` itself.  Training without a gold tree is a ``ConfigError``.
     """
     _check_length(model.config, len(words))
     if training and gold is None:
@@ -179,8 +179,7 @@ def run_splits(model: RstModel, words, ends, gold: DiscTree = None, training: bo
     if gold is not None:
         structure, label, _, (walk,) = _teacher_forced(model, [(words, ends, gold)], training,
                                                        rng)
-        return RstRunResult(tree=DiscTree(_assemble(walk.splits, 1, gold.m)),
-                            structure_loss=structure, label_loss=label,
+        return RstRunResult(tree=gold, structure_loss=structure, label_loss=label,
                             pointer_calls=len(walk.pointed),
                             score_evaluations=walk.evaluations)
 
@@ -256,10 +255,9 @@ def _walk(model: RstModel, words, ends, gold: DiscTree, training, rng) -> _Walk:
     builds each pointed span's frame, its candidate mask over the EDU rows
     [i-1, j-1) and its gold row k-1; pointed step t writes bank row t + 1.
     Every split, forced two-EDU splits included, adds its labeler pair
-    rows (k-1, j-1) and its label id, and its entry in the split table
-    (``splits``).  The random stream is drawn in the order of a per-step
-    pass: the encoder's masks, then the decoder's on a pointed span and
-    the labeler's on every split.
+    rows (k-1, j-1) and its label id.  The random stream is drawn in the
+    order of a per-step pass: the encoder's masks, then the decoder's on a
+    pointed span and the labeler's on every split.
     """
     m = gold.m
     if len(ends) != m:
@@ -282,7 +280,6 @@ def _walk(model: RstModel, words, ends, gold: DiscTree, training, rng) -> _Walk:
             raise TreeError(f"forced split at {(i, j)} disagrees with gold position {k}")
         walk.labeled.append((k - 1, j - 1, model.labels[label]))
         walk.label_keep.append(labeler.draw_keep(training, rng))
-        walk.splits[(i, j)] = (k, *split_label(label))
         _push_children(stack, i, j, k, len(walk.frames))
     if next(events, None) is not None:
         raise TreeError("gold events remain after decoding finished")

@@ -1,7 +1,8 @@
 """Shared test utilities: finite-difference gradient checking, a scalar
 reduction of any tensor for it, the training loop's divergence check,
-held-out decoding corpora, and per-step vector-form labeling, the
-reference for the decoders' one labeler call per tree."""
+held-out decoding corpora, and the references the array paths replaced:
+per-step vector-form labeling, the reference for the decoders' one labeler
+call per tree, and the per-segment pooling loop of ``segment_max``."""
 
 import numpy as np
 import pytest
@@ -104,6 +105,15 @@ def lstm_cell_three_logistics(xw, w_h, h, c, mask=None):
     c_new = f * c + i * g
     tc = np.tanh(c_new)
     return o * tc, c_new, (hm, c, i, f, g, o, tc)
+
+
+def segment_max_per_segment(data, starts):
+    """``autodiff.segment_max`` as it was, one ``argmax`` per segment:
+    ``(values, argmax rows)``, each with one row per segment."""
+    stops = list(starts[1:]) + [data.shape[0]]
+    arg = np.stack([start + np.argmax(data[start:stop], axis=0)
+                    for start, stop in zip(starts, stops)])
+    return data[arg, np.arange(data.shape[1])], arg
 
 
 def dep_held_out():

@@ -11,7 +11,8 @@ from ptrparse.autodiff import Tensor, no_grad
 from ptrparse.errors import ConfigError, MaskError, ShapeError
 from ptrparse.nn import linear
 
-from helpers import check_gradients, lstm_cell_three_logistics, relative_error, total, weighted
+from helpers import (check_gradients, lstm_cell_three_logistics, relative_error,
+                     segment_max_per_segment, total, weighted)
 
 RNG = np.random.default_rng(20240811)
 
@@ -139,10 +140,10 @@ def test_stack_shapes():
         ad.stack([Tensor(np.zeros((2, 2)))])
 
 
-def test_max_over_rows_forward_and_grad_target():
+def test_segment_max_one_segment_forward_and_grad_target():
     m = Tensor(np.array([[1.0, 5.0], [3.0, 2.0]]), requires_grad=True)
-    out = ad.max_over_rows(m)
-    assert np.array_equal(out.data, [3.0, 5.0])
+    out = ad.segment_max(m, [0])
+    assert np.array_equal(out.data, [[3.0, 5.0]])
     ad.backward(total(out))
     assert np.array_equal(m.grad, [[0.0, 1.0], [1.0, 0.0]])
 
@@ -282,7 +283,7 @@ def test_grad_reductions_and_softmax():
         # Spread the entries so the argmax is stable under nudging.
         m = Tensor(RNG.permutation(np.linspace(-2.0, 2.0, int(np.prod(shape)))).reshape(shape),
                    requires_grad=True)
-        check_gradients(lambda: weighted(ad.max_over_rows(m)), [m])
+        check_gradients(lambda: weighted(ad.segment_max(m, [0])), [m])
     for size in (2, 4, 7):
         x = leaf((size,))
         weights = RNG.standard_normal(size)
@@ -525,7 +526,31 @@ def test_segment_max_tie_routes_gradient_to_first_row():
     assert np.array_equal(out.data, [[4.0, 2.0], [7.0, 7.0]])
     ad.backward(total(out))
     assert np.array_equal(m.grad, [[0.0, 1.0], [1.0, 0.0], [0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
-    assert np.array_equal(ad.max_over_rows(m).data, [7.0, 7.0])
+    assert np.array_equal(ad.segment_max(m, [0]).data, [[7.0, 7.0]])
+
+
+def test_segment_max_matches_the_per_segment_loop_bit_for_bit():
+    # Values and the gradient's target rows equal one argmax per segment,
+    # ties to the first row included: ragged segments on a coarse grid of
+    # values (so ties are common), one-row segments, and a single segment.
+    rng = np.random.default_rng(41)
+    cases = [(np.round(rng.standard_normal((rows_, 5)) * 2.0) / 2.0,
+              [0] + sorted(rng.choice(np.arange(1, rows_), size=cut, replace=False).tolist()))
+             for rows_, cut in ((12, 4), (9, 8), (30, 6), (7, 2))]
+    cases += [(rng.standard_normal((6, 3)), [0, 1, 2, 3, 4, 5]),
+              (rng.standard_normal((1, 4)), [0]),
+              (np.round(rng.standard_normal((8, 4))), [0]),
+              (np.array([[2.0, -1.0], [2.0, 3.0], [-np.inf, 3.0], [-np.inf, -np.inf]]), [0, 2])]
+    for data, starts in cases:
+        want, arg = segment_max_per_segment(data, starts)
+        m = Tensor(data.copy(), requires_grad=True)
+        out = ad.segment_max(m, starts)
+        assert out.data.tobytes() == want.tobytes()
+        g = rng.standard_normal(out.data.shape)
+        ad.backward(ad.matmul(ad.reshape(out, (-1,)), Tensor(g.ravel())))
+        target = np.zeros_like(data)
+        target[arg, np.arange(data.shape[1])] = g
+        assert m.grad.tobytes() == target.tobytes()
 
 
 # Row forms: k states stepped, scored or normalized at once, one per row.

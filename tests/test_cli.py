@@ -443,6 +443,23 @@ def test_parse_rejects_checkpoint_metadata_of_the_wrong_type(dep_run, tmp_path, 
     assert "'config'" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("task", ["pos", None])
+def test_parse_rejects_checkpoint_of_unknown_or_missing_task(task, dep_run, tmp_path, capsys):
+    # A checkpoint whose task is unknown or absent is malformed data, a
+    # LoadError (exit 2), as a wrong task given to an estimator's load is.
+    from ptrparse.checkpoint import load_checkpoint, save_checkpoint
+
+    params, meta = load_checkpoint(dep_run["model"])
+    meta = {key: value for key, value in meta.items() if key != "task"}
+    path = tmp_path / "task.ptp"
+    save_checkpoint(path, params.items(), meta if task is None else {**meta, "task": task})
+    capsys.readouterr()
+    assert run(["parse", "--model", str(path), "--input", str(dep_run["data"]),
+                "--output", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"unknown task {task!r}" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("task", ["dep", "rst"])
 def test_non_utf8_corpus_exits_two(task, dep_run, rst_run, tmp_path, capsys):
     # One byte that is not UTF-8 in a CoNLL-U form or an EDU text is a data

@@ -10,7 +10,7 @@ from ptrparse.errors import ConfigError
 from ptrparse.nn import (Biaffine, BiaffineLabeler, BiRecurrentEncoder, CharCnn,
                          Embedding, GruCell, LstmCell, MlpElu, glorot)
 
-from helpers import check_gradients, weighted
+from helpers import check_gradients, segment_max_per_segment, weighted
 
 RNG = np.random.default_rng(20240812)
 
@@ -321,6 +321,26 @@ def test_charcnn_batch_rows_equal_single_words():
     assert single.shape == (1, 4)
     with pytest.raises(ConfigError):
         CharCnn(5, 3, 2, 4, pad_index=0, rng=np.random.default_rng(0))([[1], [1]])
+
+
+def test_charcnn_equals_per_word_windows_and_pooling():
+    # The array path builds the windows of the per-word loop it replaced, in
+    # the same order, so responses and pooled rows agree bit for bit; coarse
+    # weights make ties common.  One word is the batch of one's only row.
+    cnn = CharCnn(6, 2, 3, 3, pad_index=0, rng=np.random.default_rng(15))
+    cnn.embedding.weight.data[:] = np.round(cnn.embedding.weight.data * 20.0)
+    cnn.filters.data[:] = np.round(cnn.filters.data * 2.0)
+    words = [[1], [2, 3, 4, 5], [5, 5], [3, 1, 2], [4, 4, 4, 4, 4, 4]]
+    windows, starts = [], []
+    for word in words:
+        padded = [0] + word + [0]
+        starts.append(len(windows))
+        windows += [padded[i : i + 3] for i in range(len(padded) - 2)]
+    table = cnn.embedding.weight.data[np.concatenate(windows)].reshape(len(windows), 6)
+    want, _ = segment_max_per_segment(table @ cnn.filters.data + cnn.bias.data, starts)
+    assert cnn(words).data.tobytes() == want.tobytes()
+    for word, row in zip(words, want):
+        assert cnn(word).data.tobytes() == row.tobytes()
 
 
 def test_charcnn_batch_gradients():

@@ -10,9 +10,9 @@ import pytest
 from ptrparse import autodiff as ad
 from ptrparse.corpus import gen_synthetic_rst, segmented_from_texts
 from ptrparse.rst import (RstConfig, RstModel, RstTrainResult, build_rst_vocab,
-                          corpus_label_set, decode_rst, example_losses,
+                          corpus_label_set, decode_rst, decode_rst_batch, example_losses,
                           forced_decode, oracle_splits, run_splits, train_rst)
-from ptrparse.errors import ConfigError, TreeError
+from ptrparse.errors import ConfigError, SegmentationError, TreeError
 from ptrparse.scoring import LabelSet
 from ptrparse.trees import DiscTree, internal, leaf
 
@@ -89,6 +89,29 @@ def test_run_splits_teacher_forcing_reproduces_gold():
     result = run_splits(model, words, ends, gold=gold)
     assert result.tree == gold
     assert result.pointer_calls == sum(1 for _, _, _, p in oracle_splits(gold) if p)
+
+
+def test_teacher_forcing_returns_the_gold_tree_itself():
+    model, _ = model_for()
+    for m in (1, 2, 5):
+        words, ends = edus_for(m)
+        gold = chain_tree(m)
+        assert run_splits(model, words, ends, gold=gold).tree is gold
+
+
+@pytest.mark.parametrize("end", [2.5, True, "2", "x"])
+def test_malformed_edu_ends_raise_segmentation_error(end):
+    # A float, a bool or a string is never coerced to an end position.
+    model, _ = model_for()
+    words, _ = edus_for(2)
+    with pytest.raises(SegmentationError, match="integers"):
+        decode_rst(model, words, [end, 4])
+    with pytest.raises(SegmentationError, match="integers"):
+        decode_rst_batch(model, [(words, [1, 4]), (words, [end, 4])])
+    assert decode_rst(model, words, [np.int64(2), 4]).m == 2
+    assert decode_rst(model, words, np.array([2, 4])).m == 2
+    with pytest.raises(SegmentationError, match="integers"):
+        decode_rst(model, words, 4)
 
 
 def test_two_edu_span_never_touches_decoder():
