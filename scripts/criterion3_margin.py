@@ -9,6 +9,12 @@ own seed, through ``train_dep``'s ``init_hook``.  It prints the epoch at
 which each run reaches the target, or the final scores of a run that does
 not, then a summary line.
 
+All N runs share one shuffle and dropout stream: ``train_dep`` seeds it
+with ``config.seed + 1``, and its draws do not depend on the weights.  The
+spread therefore measures sensitivity to the weights' last bits only, and
+a change to the stream, such as a new dropout draw order, moves every run
+together.
+
     python scripts/criterion3_margin.py --runs 8
 
 Runs use seeds 1 to N, one after another; one full-size run takes a few

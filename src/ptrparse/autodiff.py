@@ -1037,7 +1037,7 @@ def hier_seq(x: Tensor, cell: str, layers, fusion_weights, fusion: str, rows,
     step t writes row t + 1, so ``rows[t]`` may name rows 0 to t only.  Each
     step fuses the three states by ``fuse_state``'s arithmetic, all C state
     components of a step as one (C, h) block, scales the result by
-    ``keep[t]`` (state dropout masks drawn beforehand, or None), and runs
+    ``keep[t]`` (row t of an (S, C, h) state dropout mask, or None), and runs
     the cell stack on it: by ``lstm_step``'s arithmetic for ``cell`` "lstm",
     where layer l takes components 2l and 2l+1 as its (h, c), or by
     ``gru_step``'s for "gru", where layer l takes component l as its h.
@@ -1269,21 +1269,18 @@ def keep_mask(shape, rate: float, rng) -> np.ndarray:
     return (rng.random(shape) >= rate) / (1.0 - rate)
 
 
-def dropout(a: Tensor, rate: float, training: bool, rng, keep=None) -> Tensor:
+def dropout(a: Tensor, rate: float, training: bool, rng) -> Tensor:
     """Inverted dropout: zero with probability ``rate``, scale survivors.
 
     Identity at inference or rate 0, so no rescaling is ever needed at
-    prediction time.  ``keep``, a mask of ``a``'s shape drawn beforehand by
-    ``keep_mask``, takes the place of a fresh draw from ``rng``.
+    prediction time.  Otherwise one ``keep_mask`` of ``a``'s shape is drawn
+    from ``rng`` for the whole array, rows of a batch included.
     """
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return a
-    if keep is None:
-        keep = keep_mask(a.data.shape, rate, rng)
-    elif keep.shape != a.data.shape:
-        raise ShapeError(f"keep mask shape {keep.shape} does not match {a.data.shape}")
+    keep = keep_mask(a.data.shape, rate, rng)
     data = a.data * keep
     if not _tracked(a):
         return _const(data)

@@ -10,15 +10,14 @@ import argparse
 import os
 import sys
 
-from .checkpoint import load_checkpoint
 from .corpus import (gen_synthetic_dep, gen_synthetic_rst, load_embeddings, open_text,
                      read_conllu, read_rst_brackets, segmented_from_texts, write_conllu,
                      write_rst_brackets)
 from .decoder import FUSIONS, VARIANTS
 from .dep import (DepConfig, check_beam_size, config_from_dict, config_to_dict, decode_batch,
                   decode_greedy, format_trace, train_dep)
-from .errors import ConfigError, DataError, EncodingError, LoadError, NumericError
-from .estimators import DependencyParser, DiscourseParser
+from .errors import ConfigError, DataError, EncodingError, NumericError
+from .estimators import DependencyParser, DiscourseParser, load_parser
 from .metrics import (bucket_csv, bucket_scores_dep, bucket_scores_rst, score_dep_corpus,
                       score_parseval_corpus)
 from .rst import RstConfig, decode_rst_batch, train_rst
@@ -191,11 +190,10 @@ def run_train(args):
 
 def run_parse(args):
     check_beam_size(args.beam)
-    _, meta = load_checkpoint(args.model)
-    task = meta.get("task")
+    parser = load_parser(args.model)
+    model = parser.model_
 
-    if task == "dep":
-        model = DependencyParser.load(args.model).model_
+    if isinstance(parser, DependencyParser):
         if args.trace_path and args.beam > 1:
             raise ConfigError("trace output requires greedy decoding (beam 1)")
         sentences = [tokens for tokens, _ in read_conllu(args.input, lenient=True)]
@@ -210,19 +208,16 @@ def run_parse(args):
             trees = decode_batch(model, sentences, beam_size=args.beam)
         write_conllu(args.output, list(zip(sentences, trees)))
         print(f"parsed {len(sentences)} sentences to {args.output}")
-    elif task == "rst":
+    else:
         if args.trace_path:
             raise ConfigError("trace output is only available for dependency models")
         if args.beam > 1:
             raise ConfigError("beam search is only available for dependency models")
-        model = DiscourseParser.load(args.model).model_
         items = read_rst_brackets(args.input)
         trees = decode_rst_batch(model, [segmented_from_texts(texts) for texts, _ in items])
         write_rst_brackets(args.output, [(texts, tree) for (texts, _), tree
                                          in zip(items, trees)])
         print(f"parsed {len(items)} sentences to {args.output}")
-    else:
-        raise LoadError(f"{args.model} has unknown task {task!r}")
 
 
 def run_eval(args):

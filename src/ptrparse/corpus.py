@@ -188,9 +188,21 @@ class _BracketReader:
         return tok, line
 
     def node(self, texts):
-        _, line = self.next("(")
-        head, line = self.next()
-        if head == ("atom", "EDU"):
+        """Read one bracketed tree, appending its (index, text) EDUs to
+        ``texts``.  Open internal nodes wait on an explicit stack, so a deep
+        tree does not meet Python's recursion limit."""
+        pending = []  # (nuclearity, relation, children read so far) per open node
+        while True:
+            _, line = self.next("(")
+            head, line = self.next()
+            if head != ("atom", "EDU"):
+                if head[0] != "atom":
+                    raise ParseError("expected a node label", line=line)
+                try:
+                    pending.append((*split_label(head[1]), []))
+                except TreeError as err:
+                    raise ParseError(str(err), line=line) from err
+                continue
             idx_tok, line = self.next()
             if idx_tok[0] != "atom" or not idx_tok[1].isdigit():
                 raise ParseError("EDU index must be a positive integer", line=line)
@@ -200,17 +212,17 @@ class _BracketReader:
                 raise ParseError("EDU text must be a quoted string", line=line)
             self.next(")")
             texts.append((index, text_tok[1]))
-            return leaf(index)
-        if head[0] != "atom":
-            raise ParseError("expected a node label", line=line)
-        try:
-            nuc, rel = split_label(head[1])
-        except TreeError as err:
-            raise ParseError(str(err), line=line) from err
-        left = self.node(texts)
-        right = self.node(texts)
-        self.next(")")
-        return internal(left, right, nuc, rel)
+            done = leaf(index)
+            while pending:
+                nuc, rel, children = pending[-1]
+                children.append(done)
+                if len(children) < 2:
+                    break
+                self.next(")")
+                pending.pop()
+                done = internal(*children, nuc, rel)
+            else:
+                return done
 
 
 def read_rst_brackets(path):
@@ -238,9 +250,19 @@ def read_rst_brackets(path):
 
 
 def _format_node(node: DiscNode, texts) -> str:
-    if node.is_leaf:
-        return f'(EDU {node.start} "{_escape(texts[node.start - 1])}")'
-    return f"({node.label} {_format_node(node.left, texts)} {_format_node(node.right, texts)})"
+    """One tree in bracket form, built with an explicit stack, so a deep
+    tree does not meet Python's recursion limit."""
+    parts, work = [], [node]
+    while work:
+        item = work.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif item.is_leaf:
+            parts.append(f'(EDU {item.start} "{_escape(texts[item.start - 1])}")')
+        else:
+            parts.append(f"({item.label} ")
+            work += [")", item.right, " ", item.left]
+    return "".join(parts)
 
 
 def write_rst_brackets(path, items):

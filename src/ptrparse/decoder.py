@@ -48,7 +48,9 @@ sentence of a training batch, and runs the whole pass as one
 ``autodiff.hier_seq`` op, for LSTM and GRU cells alike.
 In a batch each sentence keeps its own bank rows; the op offsets them into
 one bank whose zero row all sentences share, and advances step t of every
-sentence together.
+sentence together.  State dropout belongs to training alone: in
+``run_schedule`` one mask covers the fused state of every step of the
+batch, and ``fuse`` applies none.
 """
 
 from __future__ import annotations
@@ -121,16 +123,17 @@ class HierDecoder(Module):
         """The zero state in tuple form (see ``fuse``)."""
         return tuple(ad.row(self._zero, i) for i in range(self.components))
 
-    def fuse(self, prev, parent, sibling, training=False, rng=None):
+    def fuse(self, prev, parent, sibling):
         """Combine temporal, parent, and sibling states per the active variant.
 
         Each state is a block: (components, hidden) for one state, or
         (k, components, hidden) for k states, one per row, as read from a
         state bank.  An absent parent or sibling (None) counts as the zero
-        state.  All components are fused by one ``autodiff.fuse_state`` op
-        and then go through state dropout.  Row i of the result fuses row i
-        of each input; a one-state block, such as the zero state, serves
-        every row.
+        state.  All components are fused by one ``autodiff.fuse_state`` op.
+        Row i of the result fuses row i of each input; a one-state block,
+        such as the zero state, serves every row.  Only decoding calls
+        ``fuse``, so it applies no dropout: state dropout is
+        ``run_schedule``'s.
 
         Tuple form: states given as tuples of component vectors (or of
         (k, hidden) matrices) are joined into blocks, and the fused block
@@ -139,40 +142,36 @@ class HierDecoder(Module):
         if isinstance(prev, tuple):
             blocks = (None if state is None else self._block(state)
                       for state in (prev, parent, sibling))
-            return self._split(self.fuse(*blocks, training, rng))
+            return self._split(self.fuse(*blocks))
         zero = self._zero
         prev = prev if self.variant == "pst" else zero
         parent = zero if parent is None else parent
         sibling = zero if self.variant == "p" or sibling is None else sibling
-        fused = ad.fuse_state(prev, parent, sibling, self.w_d, self.w_p, self.w_s,
-                              self.w_gd, self.w_gp, self.w_gs, self.b_g, self.fusion)
-        keep = self.draw_keep(training, rng, fused.data.shape[:-2])
-        return fused if keep is None else ad.dropout(fused, self.state_dropout, training, rng, keep)
+        return ad.fuse_state(prev, parent, sibling, self.w_d, self.w_p, self.w_s,
+                             self.w_gd, self.w_gp, self.w_gs, self.b_g, self.fusion)
 
-    def draw_keep(self, training, rng, rows=()):
-        """The state dropout mask ``fuse`` applies, (components, hidden) for
-        one state or (*rows, components, hidden) for ``rows`` states; None
-        when no dropout applies."""
-        if not training or self.state_dropout == 0.0:
-            return None
-        return ad.keep_mask((*rows, self.components, self.hidden_dim), self.state_dropout, rng)
-
-    def run_schedule(self, x: Tensor, frames: np.ndarray, keep=None, lengths=None) -> Tensor:
+    def run_schedule(self, x: Tensor, frames: np.ndarray, lengths=None, training=False,
+                     rng=None) -> Tensor:
         """Every step of a teacher-forced pass as one op; returns the (S,
         hidden) top hidden states, one row per step.
 
         ``frames`` holds the S frame tuples in step order, one row each,
         and ``x`` their decoder inputs.  Step t reads bank row t as its
         temporal predecessor and writes row t + 1, so the bank rows named in
-        the frames are the rows ``fuse`` would be handed.  ``keep`` stacks
-        one ``draw_keep`` mask per step, (S, components, hidden), or is None
-        for no dropout.  ``lengths`` splits the steps into the consecutive
-        passes of a batch, each with its own bank rows, and runs them as
-        one wavefront (``autodiff.hier_seq``).  LSTM and GRU cells run
+        the frames are the rows ``fuse`` would be handed.  ``lengths``
+        splits the steps into the consecutive passes of a batch, each with
+        its own bank rows, and runs them as one wavefront
+        (``autodiff.hier_seq``).  In training, one (S, components, hidden)
+        state dropout mask is drawn for every step of the batch at once, and
+        step t's fused state is scaled by row t.  LSTM and GRU cells run
         through the same op.
         """
         steps = len(frames)
         lengths = [steps] if lengths is None else lengths
+        keep = None
+        if training and self.state_dropout > 0.0:
+            keep = ad.keep_mask((steps, self.components, self.hidden_dim), self.state_dropout,
+                                rng)
         absent = np.zeros(steps, dtype=np.intp)
         prev = (np.concatenate([np.arange(n) for n in lengths]) if self.variant == "pst"
                 else absent)

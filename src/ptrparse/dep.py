@@ -27,8 +27,9 @@ every frame, target and label before the decoder runs, so one integer
 walk per sentence builds the schedule, and a batch of sentences records
 one tape: one encoder call, one decoder sequence op
 (``HierDecoder.run_schedule``) and one row-form call per head for every
-sentence of the batch.  ``fit_loop``, the training loop of both tasks,
-lives here too.
+sentence of the batch.  Each dropout site draws one mask for the whole
+batch as the pass reaches it.  ``fit_loop``, the training loop of both
+tasks, lives here too.
 """
 
 from __future__ import annotations
@@ -159,6 +160,10 @@ def fit_loop(model, items, config, batch_losses, evaluate, selections, targets,
     (metric, threshold) pairs: training stops once the first threshold is
     set and every set one is reached.  ``init_hook(model)`` runs once
     before training.
+
+    One generator, seeded by ``config.seed + 1``, draws every epoch's order
+    and every dropout mask.  The masks' shapes follow the batches'
+    sentences and gold trees, so its draws never depend on the weights.
     """
     if init_hook is not None:
         init_hook(model)
@@ -460,11 +465,6 @@ def _label_names(model: DepModel, bank: np.ndarray, rows, encoded: Tensor, child
     return [model.labels.name(i) for i in np.argmax(dist.data, axis=1).tolist()]
 
 
-def _stacked(masks):
-    """Per-row dropout masks as one array, or None when none were drawn."""
-    return None if not masks or masks[0] is None else np.stack(masks)
-
-
 @dataclass
 class _Walk:
     """One sentence's teacher-forced pass, from one walk of its gold tree.
@@ -474,20 +474,13 @@ class _Walk:
     mask over the encoder rows, gold row, scored) tuple per pointer row,
     and ``labeled`` one (left, right, label id) tuple per labeler row:
     ``left`` a step (dep) or an encoder row (rst), ``right`` an encoder
-    row.  Every index is the sentence's own.  The ``*_keep`` fields hold
-    the dropout masks of each part (dep's ``prepare_keep`` that of
-    ``pointer.prepare``).
+    row.  Every index is the sentence's own.
     """
 
     size: int
-    encoder_keep: tuple
-    prepare_keep: object = None
     frames: list = field(default_factory=list)
-    state_keep: list = field(default_factory=list)
     pointed: list = field(default_factory=list)
-    pointer_keep: list = field(default_factory=list)
     labeled: list = field(default_factory=list)
-    label_keep: list = field(default_factory=list)
 
     @property
     def evaluations(self) -> int:
@@ -513,7 +506,6 @@ class _Batch:
         for f, r in zip(frames, row0):
             f[:, :3] = np.where(f[:, :3] >= 0, f[:, :3] + r, -1)
         self.frames = np.concatenate(frames)
-        self.state_keep = _stacked([keep for w in walks for keep in w.state_keep])
         pointed = [(s + step, r, size, mask, target, scored)
                    for w, size, r, s in zip(walks, sizes, row0, step0)
                    for step, mask, target, scored in w.pointed]
@@ -526,15 +518,12 @@ class _Batch:
             row[:size] = mask
         self.targets = np.array([p[4] for p in pointed], dtype=np.intp)
         self.scored = np.array([p[5] for p in pointed], dtype=bool)
-        self.pointer_keep = _stacked([keep for w in walks for keep in w.pointer_keep])
         self.scored_counts = [sum(scored for *_, scored in w.pointed) for w in walks]
         left0 = step0 if label_steps else row0
         labeled = [(l0 + left, r + right, label)
                    for w, l0, r in zip(walks, left0, row0) for left, right, label in w.labeled]
         self.label_left, self.label_right, self.label_ids = (
             np.array(column, dtype=np.intp) for column in (zip(*labeled) if labeled else [[]] * 3))
-        pairs = [keep for w in walks for keep in w.label_keep]
-        self.label_keep = (_stacked([a for a, _ in pairs]), _stacked([b for _, b in pairs]))
         self.label_counts = [len(w.labeled) for w in walks]
 
 
@@ -550,44 +539,35 @@ def _head_loss(probs: Tensor, targets, counts):
     return ad.cross_entropy(probs, targets), values
 
 
-def _walk(model: DepModel, tokens, gold: DepTree, training, rng) -> _Walk:
+def _walk(model: DepModel, tokens, gold: DepTree) -> _Walk:
     """One sentence's teacher-forced pass as a ``_Walk``.
 
     One integer walk of ``oracle_order`` builds every step's frame,
     candidate mask and gold target, and the gold label of each attach
-    step.  The random stream is drawn in the order of a per-step pass: the
-    encoder's masks, ``prepare``'s, then step by step the decoder's, the
-    pointer's on a step with more than one candidate, and the labeler's on
-    an attach step.  A self-point row stays out of the loss when
-    ``selfpoint_loss`` is off.
+    step.  A self-point row stays out of the loss when ``selfpoint_loss``
+    is off.
     """
     n = len(tokens)
     config = model.config
     _check_length(config, n)
     if gold.n != n:
         raise TreeError(f"gold tree has {gold.n} words but the sentence has {n}")
-    events = oracle_order(gold)
-    decoder, pointer, labeler = model.decoder, model.pointer, model.labeler
-    walk = _Walk(n + 1, model.encoder.draw_keep(n, training, rng),
-                 prepare_keep=pointer.draw_keep(training, rng, (n + 1,)))
+    walk = _Walk(n + 1)
     stack = [(0, -1, -1, 0, 0)]
     attached = np.zeros(n + 1, dtype=bool)
     attached[0] = True
-    for step, (head, choice) in enumerate(events):
+    for step, (head, choice) in enumerate(oracle_order(gold)):
         frame = stack.pop()
         element = frame[0]
         mask = _candidate_mask(element, attached)
         if head != element or not mask[choice]:
             raise TreeError(f"oracle event ({head}, {choice}) is illegal at frame {element}")
         walk.frames.append(frame)
-        walk.state_keep.append(decoder.draw_keep(training, rng))
         if mask.sum() > 1:
             walk.pointed.append((step, mask, choice, config.selfpoint_loss or choice != element))
-            walk.pointer_keep.append(pointer.draw_keep(training, rng))
         if choice != element:
             attached[choice] = True
             walk.labeled.append((step, choice, model.labels[gold.labels[choice - 1]]))
-            walk.label_keep.append(labeler.draw_keep(training, rng))
             stack.append((element, frame[1], choice, frame[3], step + 1))
             stack.append((choice, element, -1, step + 1, 0))
     return walk
@@ -596,34 +576,32 @@ def _walk(model: DepModel, tokens, gold: DepTree, training, rng) -> _Walk:
 def _teacher_forced(model: DepModel, examples, training, rng):
     """Teacher forcing for a batch of (tokens, gold) examples as one pass.
 
-    ``_walk`` builds each example's schedule in turn, so the random stream
-    is drawn example by example in the per-step order.  The tape then
-    records one ``encoder.encode`` over every sentence, one
-    ``pointer.prepare``, one ``gather_sum`` of decoder inputs, one
-    ``decoder.run_schedule`` running the sentences' steps as a wavefront,
-    one row-form ``pointer.attend`` in which each row scores only its own
-    sentence's positions, one ``labeler.distribution`` over every attach
-    step, and one row-form ``cross_entropy`` per head.  Returns the
-    (structure, label) loss tensors summed over the batch, each example's
-    (structure, label) loss values, and the walks.
+    ``_walk`` builds each example's schedule.  The tape then records one
+    ``encoder.encode`` over every sentence, one ``pointer.prepare``, one
+    ``gather_sum`` of decoder inputs, one ``decoder.run_schedule`` running
+    the sentences' steps as a wavefront, one row-form ``pointer.attend`` in
+    which each row scores only its own sentence's positions, one
+    ``labeler.distribution`` over every attach step, and one row-form
+    ``cross_entropy`` per head.  Each dropout site draws one mask for the
+    whole batch as it runs, so in training the random stream is drawn in
+    that order: the encoder's, ``prepare``'s, the decoder's (S, C, h) state
+    mask, the pointer's and the labeler's pair.  Returns the (structure,
+    label) loss tensors summed over the batch, each example's (structure,
+    label) loss values, and the walks.
     """
-    walks = [_walk(model, tokens, gold, training, rng) for tokens, gold in examples]
+    walks = [_walk(model, tokens, gold) for tokens, gold in examples]
     batch = _Batch(walks, label_steps=True)
     pointer = model.pointer
     encoded = model.encoder.encode([tokens for tokens, _ in examples], training=training,
-                                   rng=rng, keep=[w.encoder_keep for w in walks])
-    prepare_keep = [w.prepare_keep for w in walks]
-    prepared = pointer.prepare(encoded, training=training, rng=rng,
-                               keep=None if prepare_keep[0] is None
-                               else np.concatenate(prepare_keep))
+                                   rng=rng)
+    prepared = pointer.prepare(encoded, training=training, rng=rng)
     top = model.decoder.run_schedule(ad.gather_sum(encoded, batch.frames[:, :3]), batch.frames,
-                                     batch.state_keep, batch.lengths)
+                                     batch.lengths, training, rng)
 
     structure, structure_values = Tensor(0.0), [0.0] * len(walks)
     if len(batch.pointer_rows):
         result = pointer.attend(ad.gather(top, batch.pointer_rows), prepared, batch.masks,
-                                training=training, rng=rng, keep=batch.pointer_keep,
-                                index=batch.index)
+                                training=training, rng=rng, index=batch.index)
         scored = np.flatnonzero(batch.scored)
         if len(scored):
             rows = result.probs if len(scored) == len(batch.scored) else ad.gather(result.probs,
@@ -632,7 +610,7 @@ def _teacher_forced(model: DepModel, examples, training, rng):
                                                      batch.scored_counts)
     dist = model.labeler.distribution(ad.gather(top, batch.label_left),
                                       ad.gather(encoded, batch.label_right),
-                                      training=training, rng=rng, keep=batch.label_keep)
+                                      training=training, rng=rng)
     label, label_values = _head_loss(dist, batch.label_ids, batch.label_counts)
     return structure, label, list(zip(structure_values, label_values)), walks
 
@@ -862,6 +840,12 @@ def _rounds(model: DepModel, sentences, beam_size: int) -> list:
     return results
 
 
+# The special entries each encoder vocabulary starts with, in the order
+# ``DepEncoder`` takes the vocabularies.
+VOCAB_SPECIALS = {"word_vocab": (UNK, ROOT), "pos_vocab": (UNK, ROOT),
+                  "char_vocab": (PAD, UNK, ROOT)}
+
+
 def build_dep_vocabs(items):
     """Word/POS/char vocabularies and the label inventory from training data."""
     words, pos, chars, labels = set(), set(), set(), set()
@@ -871,10 +855,9 @@ def build_dep_vocabs(items):
             pos.add(token.upos)
             chars.update(token.chars)
         labels.update(tree.labels)
-    word_vocab = Vocab.build(words, specials=(UNK, ROOT))
-    pos_vocab = Vocab.build(pos, specials=(UNK, ROOT))
-    char_vocab = Vocab.build(chars, specials=(PAD, UNK, ROOT))
-    return word_vocab, pos_vocab, char_vocab, LabelSet(sorted(labels))
+    vocabs = [Vocab.build(entries, specials=specials)
+              for entries, specials in zip((words, pos, chars), VOCAB_SPECIALS.values())]
+    return (*vocabs, LabelSet(sorted(labels)))
 
 
 def train_dep(items, config: DepConfig, dev_items=None, log=None, init_hook=None):

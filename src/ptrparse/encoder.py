@@ -4,6 +4,8 @@ Both encoders return one state matrix.  The dependency encoder prepends an
 artificial root symbol, so its (n+1, 2h) output has rows 0..n with row 0
 the root.  The discourse encoder runs over tokens and returns one row per
 EDU: the encoder state at the EDU's last token, picked by one ``gather``.
+In training an encoder draws its dropout masks for a whole batch as it
+runs: the embedding rows of every sentence, then the recurrent encoder's.
 """
 
 from __future__ import annotations
@@ -74,25 +76,15 @@ class DepEncoder(Module):
     def out_dim(self):
         return self.encoder.out_dim
 
-    def draw_keep(self, n: int, training, rng):
-        """The dropout masks ``encode`` applies to a sentence of ``n`` tokens:
-        the embedding mask over its n+1 input rows (None at rate 0), then
-        the recurrent encoder's ``draw_keep``."""
-        embed = None
-        if training and self.embed_dropout > 0.0:
-            width = self.word_emb.dim + self.pos_emb.dim + self.char_cnn.out_dim
-            embed = ad.keep_mask((n + 1, width), self.embed_dropout, rng)
-        return embed, self.encoder.draw_keep(training, rng)
-
-    def encode(self, tokens, training=False, rng=None, keep=None) -> ad.Tensor:
+    def encode(self, tokens, training=False, rng=None) -> ad.Tensor:
         """The (n+1, out_dim) state matrix of a sentence of n tokens; row 0 is the root.
 
         Batch form: a list of sentences gives one matrix holding each
         sentence's n+1 rows in turn, from one char CNN call, one embedding
-        lookup per table and one recurrent encoder call.  ``keep`` holds
-        one ``draw_keep`` result per sentence (a single one for a single
-        sentence), drawn beforehand; without it they are drawn sentence by
-        sentence.
+        lookup per table and one recurrent encoder call.  In training the
+        embedding dropout mask covers every input row of the batch at once,
+        and the recurrent encoder then draws its masks (see
+        ``BiRecurrentEncoder.encode``).
         """
         batch = len(tokens) > 0 and isinstance(tokens[0], (list, tuple))
         sentences = tokens if batch else [tokens]
@@ -106,20 +98,13 @@ class DepEncoder(Module):
             forms += words
             tags += [ROOT] + [token.upos for token in sentence]
             chars += [(ROOT,)] + [token.chars for token in sentence]
-        if keep is None:
-            keep = [self.draw_keep(len(sentence), training, rng) for sentence in sentences]
-        elif not batch:
-            keep = [keep]
         inputs = ad.hconcat([
             self.char_cnn([[self.char_vocab[c] for c in word] for word in chars]),
             self.word_emb.rows([self.word_vocab[f] for f in forms]),
             self.pos_emb.rows([self.pos_vocab[t] for t in tags])])
-        embed = [masks[0] for masks in keep]
-        inputs = ad.dropout(inputs, self.embed_dropout, training, rng,
-                            None if embed[0] is None else np.concatenate(embed))
+        inputs = ad.dropout(inputs, self.embed_dropout, training, rng)
         return self.encoder.encode(inputs, training=training, rng=rng,
-                                   lengths=[len(sentence) + 1 for sentence in sentences],
-                                   keep=[masks[1] for masks in keep])
+                                   lengths=[len(sentence) + 1 for sentence in sentences])
 
 
 def check_segmentation(n_tokens: int, ends) -> list:
@@ -158,23 +143,14 @@ class RstEncoder(Module):
     def out_dim(self):
         return self.encoder.out_dim
 
-    def draw_keep(self, n_words: int, training, rng):
-        """The dropout masks ``encode`` applies to a sentence of ``n_words``
-        words: the embedding mask (None at rate 0), then the recurrent
-        encoder's ``draw_keep``."""
-        embed = None
-        if training and self.embed_dropout > 0.0:
-            embed = ad.keep_mask((n_words, self.word_emb.dim), self.embed_dropout, rng)
-        return embed, self.encoder.draw_keep(training, rng)
-
-    def encode(self, words, ends, training=False, rng=None, keep=None) -> ad.Tensor:
+    def encode(self, words, ends, training=False, rng=None) -> ad.Tensor:
         """The (m, out_dim) matrix of m EDUs: row e is token state ``ends[e]-1``.
 
         Batch form: lists of word lists and of end lists give one matrix
         holding each sentence's EDU rows in turn, from one embedding lookup
-        and one recurrent encoder call.  ``keep`` holds one ``draw_keep``
-        result per sentence (a single one for a single sentence), drawn
-        beforehand; without it they are drawn sentence by sentence.
+        and one recurrent encoder call.  In training the embedding dropout
+        mask covers every word of the batch at once, and the recurrent
+        encoder then draws its masks (see ``BiRecurrentEncoder.encode``).
         """
         batch = len(words) > 0 and isinstance(words[0], (list, tuple))
         sentences, segmentations = (words, ends) if batch else ([words], [ends])
@@ -184,15 +160,8 @@ class RstEncoder(Module):
                 raise DataError("cannot encode an empty sentence")
             rows += [start + e - 1 for e in check_segmentation(len(sentence), sentence_ends)]
             start += len(sentence)
-        if keep is None:
-            keep = [self.draw_keep(len(sentence), training, rng) for sentence in sentences]
-        elif not batch:
-            keep = [keep]
-        embed = [masks[0] for masks in keep]
         inputs = ad.dropout(self.word_emb.rows([self.word_vocab[w] for s in sentences for w in s]),
-                            self.embed_dropout, training, rng,
-                            None if embed[0] is None else np.concatenate(embed))
+                            self.embed_dropout, training, rng)
         states = self.encoder.encode(inputs, training=training, rng=rng,
-                                     lengths=[len(sentence) for sentence in sentences],
-                                     keep=[masks[1] for masks in keep])
+                                     lengths=[len(sentence) for sentence in sentences])
         return ad.gather(states, rows)

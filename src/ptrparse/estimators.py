@@ -15,13 +15,14 @@ from dataclasses import fields
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .dep import DepConfig, DepModel, config_from_dict, config_to_dict, decode_batch, train_dep
+from .dep import (VOCAB_SPECIALS as DEP_VOCABS, DepConfig, DepModel, config_from_dict,
+                  config_to_dict, decode_batch, train_dep)
 from .encoder import Vocab, check_segmentation
 from .errors import ConfigError, DataError, LoadError
 from .metrics import score_dep_corpus, score_parseval_corpus
-from .rst import RstConfig, RstModel, decode_rst_batch, train_rst
+from .rst import VOCAB_SPECIALS as RST_VOCABS, RstConfig, RstModel, decode_rst_batch, train_rst
 from .scoring import LabelSet
-from .trees import Token
+from .trees import DepTree, DiscTree, Token
 
 
 class BaseEstimator:
@@ -32,15 +33,16 @@ class BaseEstimator:
     names and never modified; an unknown keyword raises ``ConfigError``.
     ``save``/``load`` write and rebuild the fitted model from the class
     attributes: ``_task`` (the checkpoint's task tag), ``_kind`` (its name in
-    error messages), ``_model_cls`` and ``_vocab_names`` (the encoder's
-    vocabularies, in model-constructor order).
+    error messages), ``_model_cls`` and ``_vocabs`` (the encoder's
+    vocabularies, in model-constructor order, each with the special entries
+    it must hold).
     """
 
     _config_cls = None
     _task = None
     _kind = None
     _model_cls = None
-    _vocab_names = ()
+    _vocabs = {}
 
     def __init__(self, **params):
         for spec in fields(self._config_cls):
@@ -77,7 +79,7 @@ class BaseEstimator:
         """Write the fitted model to a deterministic checkpoint file."""
         model = self._require_fitted()
         meta = {"task": self._task, "config": config_to_dict(model.config)}
-        for name in self._vocab_names:
+        for name in self._vocabs:
             meta[name] = list(getattr(model.encoder, name).tokens)
         meta["labels"] = list(model.labels.names)
         meta["label_hash"] = model.labels.hash
@@ -86,15 +88,19 @@ class BaseEstimator:
     @classmethod
     def load(cls, path):
         """Rebuild a fitted parser from a checkpoint file."""
-        params, meta = load_checkpoint(path)
+        return cls._rebuild(path, *load_checkpoint(path))
+
+    @classmethod
+    def _rebuild(cls, path, params: dict, meta: dict):
+        """A fitted parser from the parameters and metadata read from ``path``."""
         if meta.get("task") != cls._task:
             raise LoadError(f"{path} holds a {meta.get('task')!r} model, not a {cls._kind}")
-        for key in ("config", "labels", "label_hash") + cls._vocab_names:
+        for key in ("config", "labels", "label_hash", *cls._vocabs):
             if key not in meta:
                 raise LoadError(f"{path} metadata is missing {key!r}")
         if not isinstance(meta["config"], dict):
             raise LoadError(f"{path} metadata 'config' is not an object")
-        for key in ("labels",) + cls._vocab_names:
+        for key in ("labels", *cls._vocabs):
             if not (isinstance(meta[key], list) and all(isinstance(s, str) for s in meta[key])):
                 raise LoadError(f"{path} metadata {key!r} is not a list of strings")
         try:
@@ -103,9 +109,13 @@ class BaseEstimator:
             raise LoadError(f"{path} holds an invalid config: {err}") from err
         try:
             labels = LabelSet(meta["labels"])
-            vocabs = [Vocab(meta[name]) for name in cls._vocab_names]
+            vocabs = [Vocab(meta[name]) for name in cls._vocabs]
         except DataError as err:
             raise LoadError(f"{path} holds an invalid inventory: {err}") from err
+        for (name, specials), vocab in zip(cls._vocabs.items(), vocabs):
+            missing = [entry for entry in specials if entry not in vocab]
+            if missing:
+                raise LoadError(f"{path} metadata {name!r} lacks the special entries {missing}")
         if labels.hash != meta["label_hash"]:
             raise LoadError(f"{path} label inventory does not match its recorded hash")
         model = cls._model_cls(config, *vocabs, labels, np.random.default_rng(config.seed))
@@ -122,26 +132,39 @@ class BaseEstimator:
         return parser
 
 
+def _check_sequence(sentence, what: str):
+    """Reject a sentence that is not a list or tuple: one string is not
+    split into one-character words, and None is no sentence."""
+    if isinstance(sentence, str):
+        raise DataError(f"sentence {sentence!r} is a string; pass its {what} as a list, "
+                        f"such as {sentence.split()!r}")
+    if not isinstance(sentence, (list, tuple)):
+        raise DataError(f"cannot interpret {sentence!r} as a sentence; pass its {what} "
+                        "as a list")
+
+
 def _as_tokens(sentence):
     """Coerce one sentence to a list of Token objects.
 
     Accepts Token instances, plain strings (POS defaults to "_"), or
-    (form, upos) pairs.  A sentence given as one string is a ``DataError``,
-    not a sequence of one-character words.
+    (form, upos) pairs; forms and UPOS tags must be strings.  A sentence
+    given as one string, or as anything but a list or tuple, is a
+    ``DataError``.
     """
-    if isinstance(sentence, str):
-        raise DataError(f"sentence {sentence!r} is a string; pass its tokens as a list, "
-                        f"such as {sentence.split()!r}")
+    _check_sequence(sentence, "tokens")
     tokens = []
     for item in sentence:
         if isinstance(item, Token):
-            tokens.append(item)
+            token = item
         elif isinstance(item, str):
-            tokens.append(Token(item))
+            token = Token(item)
         elif isinstance(item, (tuple, list)) and len(item) == 2:
-            tokens.append(Token(item[0], item[1]))
+            token = Token(item[0], item[1])
         else:
             raise DataError(f"cannot interpret {item!r} as a token")
+        if not (isinstance(token.form, str) and isinstance(token.upos, str)):
+            raise DataError(f"token {item!r} needs a string form and UPOS tag")
+        tokens.append(token)
     if not tokens:
         raise DataError("empty sentence")
     return tokens
@@ -154,6 +177,7 @@ def _as_segmented(sentence):
     array, or a list of EDUs, each a list of word strings; boundaries are
     validated either way.
     """
+    _check_sequence(sentence, "EDUs")
     if (isinstance(sentence, tuple) and len(sentence) == 2
             and isinstance(sentence[1], (list, tuple, np.ndarray)) and len(sentence[1])
             and all(isinstance(e, (int, np.integer)) for e in sentence[1])):
@@ -170,11 +194,19 @@ def _as_segmented(sentence):
     return words, check_segmentation(len(words), ends)
 
 
-def _paired(X, y, what):
+def _paired(X, y, tree_cls):
+    """Check that ``y`` holds one ``tree_cls`` target per sentence of X."""
     if y is None:
-        raise DataError(f"fit requires gold {what}")
+        raise DataError("fit requires gold trees")
     if len(X) != len(y):
-        raise DataError(f"got {len(X)} sentences but {len(y)} {what}")
+        raise DataError(f"got {len(X)} sentences but {len(y)} trees")
+    _check_trees(y, tree_cls)
+
+
+def _check_trees(trees, tree_cls):
+    for tree in trees:
+        if not isinstance(tree, tree_cls):
+            raise DataError(f"a target must be a {tree_cls.__name__}, got {tree!r}")
 
 
 class DependencyParser(BaseEstimator):
@@ -191,7 +223,7 @@ class DependencyParser(BaseEstimator):
     _task = "dep"
     _kind = "dependency parser"
     _model_cls = DepModel
-    _vocab_names = ("word_vocab", "pos_vocab", "char_vocab")
+    _vocabs = DEP_VOCABS
 
     def fit(self, X, y=None, dev=None, log=None):
         """Train on sentences X with gold trees y; returns self.
@@ -199,10 +231,11 @@ class DependencyParser(BaseEstimator):
         ``dev`` is an optional held-out list of (sentence, tree) pairs used
         for model selection instead of the training data.
         """
-        _paired(X, y, "trees")
+        _paired(X, y, DepTree)
         items = [(_as_tokens(sentence), tree) for sentence, tree in zip(X, y)]
         dev_items = None
         if dev is not None:
+            _check_trees([tree for _, tree in dev], DepTree)
             dev_items = [(_as_tokens(sentence), tree) for sentence, tree in dev]
         self.model_, self.history_ = train_dep(items, self._config(),
                                                dev_items=dev_items, log=log)
@@ -219,7 +252,7 @@ class DependencyParser(BaseEstimator):
 
     def evaluate(self, X, y, beam_size: int = None, exclude_punct: bool = True):
         """Full attachment scores (UAS and LAS) against gold trees."""
-        _paired(X, y, "trees")
+        _paired(X, y, DepTree)
         predicted = self.predict(X, beam_size=beam_size)
         triples = [(_as_tokens(sentence), gold, pred)
                    for sentence, gold, pred in zip(X, y, predicted)]
@@ -243,7 +276,7 @@ class DiscourseParser(BaseEstimator):
     _task = "rst"
     _kind = "discourse parser"
     _model_cls = RstModel
-    _vocab_names = ("word_vocab",)
+    _vocabs = RST_VOCABS
 
     def fit(self, X, y=None, dev=None, label_set: LabelSet = None, log=None):
         """Train on segmented sentences X with gold trees y; returns self.
@@ -251,10 +284,11 @@ class DiscourseParser(BaseEstimator):
         ``label_set`` fixes the label inventory (otherwise it is collected
         from y); ``dev`` holds optional (sentence, tree) selection pairs.
         """
-        _paired(X, y, "trees")
+        _paired(X, y, DiscTree)
         items = [_as_segmented(sentence) + (tree,) for sentence, tree in zip(X, y)]
         dev_items = None
         if dev is not None:
+            _check_trees([tree for _, tree in dev], DiscTree)
             dev_items = [_as_segmented(sentence) + (tree,) for sentence, tree in dev]
         outcome = train_rst(items, self._config(), dev_items=dev_items,
                             label_set=label_set, log=log)
@@ -272,7 +306,7 @@ class DiscourseParser(BaseEstimator):
 
     def evaluate(self, X, y):
         """Span, nuclearity, and relation F1 against gold trees."""
-        _paired(X, y, "trees")
+        _paired(X, y, DiscTree)
         predicted = self.predict(X)
         return score_parseval_corpus(list(zip(y, predicted)),
                                      include_root=self.include_root)
@@ -292,3 +326,13 @@ class DiscourseParser(BaseEstimator):
             raise ConfigError(f"no {which} selection snapshot available")
         model.restore(states[which])
         return self
+
+
+def load_parser(path):
+    """The fitted parser a checkpoint file holds, of the class its task tag
+    names, from one read of the file; an unknown task is a ``LoadError``."""
+    params, meta = load_checkpoint(path)
+    for cls in (DependencyParser, DiscourseParser):
+        if meta.get("task") == cls._task:
+            return cls._rebuild(path, params, meta)
+    raise LoadError(f"{path} has unknown task {meta.get('task')!r}")

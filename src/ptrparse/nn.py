@@ -1,7 +1,9 @@
 """Neural building blocks: embeddings, char CNN, recurrent cells, MLPs, biaffines.
 
 Everything is built from the autodiff ops and threads randomness through
-explicit ``numpy.random.Generator`` arguments.  Layers take a single
+explicit ``numpy.random.Generator`` arguments.  In training each dropout
+site draws one mask for all its rows at the moment it runs; the encoder's
+variational masks have one row per sequence.  Layers take a single
 vector, or one row matrix holding many of them: every token of a sentence
 (char CNN words, encoder timesteps, pointer candidates), one decoder state
 per beam hypothesis, or the tokens of every sentence of a training batch,
@@ -250,42 +252,33 @@ class BiRecurrentEncoder(Module):
     def out_dim(self):
         return 2 * self.hidden_dim
 
-    def draw_keep(self, training, rng):
-        """One sequence's dropout masks in the order ``encode`` applies them:
-        per layer, the layer mask (None on the first layer), then the
-        forward and backward recurrent masks; None when not training."""
-        if not training:
-            return None
-
-        def draw(size, rate):
-            return ad.keep_mask(size, rate, rng) if rate > 0.0 else None
-
-        h = self.hidden_dim
-        return [(draw(2 * h, self.layer_dropout) if layer else None,
-                 draw(h, self.recurrent_dropout), draw(h, self.recurrent_dropout))
-                for layer in range(len(self.forward_cells))]
-
-    def encode(self, inputs, training: bool = False, rng=None, lengths=None, keep=None):
+    def encode(self, inputs, training: bool = False, rng=None, lengths=None):
         """Map a (T, input_dim) matrix, or a list of T input vectors, to a
         (T, 2*hidden_dim) matrix with one state row per timestep.
 
-        Batch form: ``lengths`` splits the T rows into consecutive
+        Batch form: ``lengths`` splits the T rows into B consecutive
         sequences, each encoded on its own, and every direction of a layer
-        runs them all as one sequence op.  ``keep`` holds one ``draw_keep``
-        result per sequence, drawn beforehand; without it they are drawn
-        sequence by sequence.
+        runs them all as one sequence op.  In training, each layer draws
+        its masks as it runs, one row per sequence: the (B, 2*hidden_dim)
+        layer mask (not on the first layer), then the (B, hidden_dim)
+        forward and backward recurrent masks; a site at rate 0 draws
+        nothing.
         """
         seq = inputs if isinstance(inputs, Tensor) else ad.stack(list(inputs))
         lengths = [seq.data.shape[0]] if lengths is None else list(lengths)
-        if keep is None:
-            keep = [self.draw_keep(training, rng) for _ in lengths]
         starts = np.cumsum(lengths) - lengths
         forward = [range(a, a + n) for a, n in zip(starts, lengths)]
         backward = [range(a + n - 1, a - 1, -1) for a, n in zip(starts, lengths)]
+
+        def draw(size, rate):
+            if not training or rate == 0.0:
+                return None
+            return ad.keep_mask((len(lengths), size), rate, rng)
+
+        h = self.hidden_dim
         for layer, (fw, bw) in enumerate(zip(self.forward_cells, self.backward_cells)):
-            layer_mask, fw_mask, bw_mask = (
-                None if keep[0] is None or keep[0][layer][i] is None
-                else np.stack([masks[layer][i] for masks in keep]) for i in range(3))
+            layer_mask = draw(2 * h, self.layer_dropout) if layer else None
+            fw_mask, bw_mask = draw(h, self.recurrent_dropout), draw(h, self.recurrent_dropout)
             if layer_mask is not None:
                 seq = ad.mul(seq, Tensor(np.repeat(layer_mask, lengths, axis=0)))
             left = fw.run(fw.project(seq), forward, fw_mask)

@@ -20,7 +20,8 @@ forcing uses that to build the whole pass before the decoder runs: one
 walk of the gold events gives every pointed span's frame, candidate range
 and target and every split's labeler pair, and a batch of sentences
 records one tape: one encoder call, one decoder sequence op, one
-row-form dot pointer and one labeler call.
+row-form dot pointer and one labeler call.  Each dropout site draws one
+mask for the whole batch as the pass reaches it.
 """
 
 from __future__ import annotations
@@ -248,23 +249,20 @@ def _push_children(stack, i: int, j: int, k: int, state_row: int):
         stack.append(((i, k), j - 1, -1, state_row, 0))
 
 
-def _walk(model: RstModel, words, ends, gold: DiscTree, training, rng) -> _Walk:
+def _walk(model: RstModel, words, ends, gold: DiscTree) -> _Walk:
     """One segmented sentence's teacher-forced pass as a ``_Walk``.
 
     One integer walk of ``oracle_splits``, in the stack order of decoding,
     builds each pointed span's frame, its candidate mask over the EDU rows
     [i-1, j-1) and its gold row k-1; pointed step t writes bank row t + 1.
     Every split, forced two-EDU splits included, adds its labeler pair
-    rows (k-1, j-1) and its label id.  The random stream is drawn in the
-    order of a per-step pass: the encoder's masks, then the decoder's on a
-    pointed span and the labeler's on every split.
+    rows (k-1, j-1) and its label id.
     """
     m = gold.m
     if len(ends) != m:
         raise TreeError(f"gold tree spans {gold.m} EDUs but segmentation has {len(ends)}")
     events = iter(oracle_splits(gold))
-    decoder, labeler = model.decoder, model.labeler
-    walk = _Walk(m, model.encoder.draw_keep(len(words), training, rng))
+    walk = _Walk(m)
     stack = [((1, m), -1, -1, 0, 0)] if m >= 2 else []
     while stack:
         (i, j), parent, sibling, parent_row, sibling_row = stack.pop()
@@ -275,11 +273,9 @@ def _walk(model: RstModel, words, ends, gold: DiscTree, training, rng) -> _Walk:
             mask[i - 1 : j - 1] = True
             walk.pointed.append((len(walk.frames), mask, k - 1, True))
             walk.frames.append((j - 1, parent, sibling, parent_row, sibling_row))
-            walk.state_keep.append(decoder.draw_keep(training, rng))
         elif k != i:
             raise TreeError(f"forced split at {(i, j)} disagrees with gold position {k}")
         walk.labeled.append((k - 1, j - 1, model.labels[label]))
-        walk.label_keep.append(labeler.draw_keep(training, rng))
         _push_children(stack, i, j, k, len(walk.frames))
     if next(events, None) is not None:
         raise TreeError("gold events remain after decoding finished")
@@ -289,26 +285,28 @@ def _walk(model: RstModel, words, ends, gold: DiscTree, training, rng) -> _Walk:
 def _teacher_forced(model: RstModel, examples, training, rng):
     """Teacher forcing for a batch of (words, ends, gold) examples as one pass.
 
-    ``_walk`` builds each example's schedule in turn, so the random stream
-    is drawn example by example in the per-step order.  The tape then
-    records one ``encoder.encode`` over every sentence, one ``gather_sum``
-    of decoder inputs, one ``decoder.run_schedule`` running the sentences'
-    pointed spans as a wavefront, one row-form ``dot_attend`` in which each
-    row scores only its own sentence's EDUs, one ``labeler.distribution``
-    over every split, and one row-form ``cross_entropy`` per head.  A head
-    with no rows in the batch gives the zero constant.  Returns the
-    (structure, label) loss tensors summed over the batch, each example's
-    (structure, label) loss values, and the walks.
+    ``_walk`` builds each example's schedule.  The tape then records one
+    ``encoder.encode`` over every sentence, one ``gather_sum`` of decoder
+    inputs, one ``decoder.run_schedule`` running the sentences' pointed
+    spans as a wavefront, one row-form ``dot_attend`` in which each row
+    scores only its own sentence's EDUs, one ``labeler.distribution`` over
+    every split, and one row-form ``cross_entropy`` per head.  Each dropout
+    site draws one mask for the whole batch as it runs, so in training the
+    random stream is drawn in that order: the encoder's, the decoder's
+    (S, C, h) state mask and the labeler's pair (the dot pointer has no
+    dropout).  A head with no rows in the batch gives the zero constant
+    and draws nothing.  Returns the (structure, label) loss tensors summed
+    over the batch, each example's (structure, label) loss values, and the
+    walks.
     """
-    walks = [_walk(model, words, ends, gold, training, rng) for words, ends, gold in examples]
+    walks = [_walk(model, words, ends, gold) for words, ends, gold in examples]
     batch = _Batch(walks, label_steps=False)
     edus = model.encoder.encode([words for words, _, _ in examples],
-                                [ends for _, ends, _ in examples], training=training, rng=rng,
-                                keep=[w.encoder_keep for w in walks])
+                                [ends for _, ends, _ in examples], training=training, rng=rng)
     structure, structure_values = Tensor(0.0), [0.0] * len(walks)
     if len(batch.frames):
         top = model.decoder.run_schedule(ad.gather_sum(edus, batch.frames[:, :3]), batch.frames,
-                                         batch.state_keep, batch.lengths)
+                                         batch.lengths, training, rng)
         result = dot_attend(edus, top, mask=batch.masks, index=batch.index)
         structure, structure_values = _head_loss(result.probs, batch.targets,
                                                  batch.scored_counts)
@@ -316,7 +314,7 @@ def _teacher_forced(model: RstModel, examples, training, rng):
     if len(batch.label_ids):
         dist = model.labeler.distribution(ad.gather(edus, batch.label_left),
                                           ad.gather(edus, batch.label_right),
-                                          training=training, rng=rng, keep=batch.label_keep)
+                                          training=training, rng=rng)
         label, label_values = _head_loss(dist, batch.label_ids, batch.label_counts)
     return structure, label, list(zip(structure_values, label_values)), walks
 
@@ -437,11 +435,15 @@ def _split_rounds(model: RstModel, items) -> list:
     return [DiscTree(_assemble(table, 1, m)) for table, m in zip(splits, sizes.tolist())]
 
 
+# The special entries of the encoder's word vocabulary.
+VOCAB_SPECIALS = {"word_vocab": (UNK,)}
+
+
 def build_rst_vocab(items) -> Vocab:
     words = set()
     for tokens, _, _ in items:
         words.update(tokens)
-    return Vocab.build(words, specials=(UNK,))
+    return Vocab.build(words, specials=VOCAB_SPECIALS["word_vocab"])
 
 
 def corpus_label_set(items) -> LabelSet:

@@ -8,6 +8,9 @@ are per-label biaffines over the same kind of vector pair.
 Both pointers and the labelers also take a matrix with one row per decoder
 state (a beam hypothesis, or a teacher-forced step) and answer with one row
 of scores or probabilities per state, through the same weights and ops.
+In training each of their dropout sites draws one mask over all its rows
+(the biaffine pointer's MLP outputs, the labeler's pair); the dot pointer
+has no dropout.
 """
 
 from __future__ import annotations
@@ -111,34 +114,24 @@ class BiaffinePointer(Module):
         self.biaffine = Biaffine(mlp_dim, mlp_dim, rng)
         self.dropout = dropout
 
-    def prepare(self, matrix: Tensor, training=False, rng=None, keep=None) -> Tensor:
+    def prepare(self, matrix: Tensor, training=False, rng=None) -> Tensor:
         """Precompute the encoder-side MLP for all positions of a sentence,
-        or of every sentence of a batch.  ``keep``, a mask from
-        ``draw_keep`` with one row per position, replaces the draw."""
-        return ad.dropout(self.g2(matrix), self.dropout, training, rng, keep)
-
-    def draw_keep(self, training, rng, rows=()):
-        """The dropout mask ``attend`` applies to ``g1``'s output for one
-        decoder state, or for ``rows`` states (``prepare``'s for ``rows``
-        positions); None when no dropout applies."""
-        if not training or self.dropout == 0.0:
-            return None
-        return ad.keep_mask((*rows, self.g1.output_dim), self.dropout, rng)
+        or of every sentence of a batch, under one dropout mask over all
+        its rows."""
+        return ad.dropout(self.g2(matrix), self.dropout, training, rng)
 
     def attend(self, d: Tensor, prepared: Tensor, mask, training=False, rng=None,
-               keep=None, index=None) -> AttentionResult:
+               index=None) -> AttentionResult:
         """Attention from decoder state ``d`` over the prepared positions.
 
         Row form: a (k, state) matrix ``d`` with a (k, positions) ``mask``
         attends from each row under its own mask row.  ``index``, a (k, c)
         array of prepared rows, gives each row its own c candidates (its
         sentence's positions within a batch, padded), and ``mask`` is then
-        (k, c) over them.  ``keep``, masks from ``draw_keep`` drawn
-        beforehand, replaces the draw.
+        (k, c) over them.  In training one dropout mask covers ``g1``'s
+        output for every row.
         """
-        if keep is None:
-            keep = self.draw_keep(training, rng, d.data.shape[:-1])
-        g1 = ad.dropout(self.g1(d), self.dropout, training, rng, keep)
+        g1 = ad.dropout(self.g1(d), self.dropout, training, rng)
         scores = self.biaffine.score_rows(g1, _candidates(prepared, index))
         probs = ad.softmax(scores, mask)
         return AttentionResult(scores, probs, offset=0, mask=mask)
@@ -182,23 +175,11 @@ class PairLabeler(Module):
         self.labeler = BiaffineLabeler(mlp_dim, mlp_dim, labels, rng)
         self.dropout = dropout
 
-    def draw_keep(self, training, rng, rows=()):
-        """The dropout masks ``distribution`` applies to ``g1``'s and then
-        ``g2``'s output for one pair, or for ``rows`` pairs; (None, None)
-        when no dropout applies."""
-        if not training or self.dropout == 0.0:
-            return None, None
-        return tuple(ad.keep_mask((*rows, g.output_dim), self.dropout, rng)
-                     for g in (self.g1, self.g2))
-
-    def distribution(self, left: Tensor, right: Tensor, training=False, rng=None,
-                     keep=None) -> Tensor:
+    def distribution(self, left: Tensor, right: Tensor, training=False, rng=None) -> Tensor:
         """Label probabilities for one pair, or one row per pair when
-        ``left`` and ``right`` are matrices with a row per pair.  ``keep``,
-        a pair of masks from ``draw_keep`` drawn beforehand, replaces the
-        draw."""
-        if keep is None:
-            keep = self.draw_keep(training, rng, left.data.shape[:-1])
-        a = ad.dropout(self.g1(left), self.dropout, training, rng, keep[0])
-        b = ad.dropout(self.g2(right), self.dropout, training, rng, keep[1])
+        ``left`` and ``right`` are matrices with a row per pair.  In
+        training one dropout mask covers ``g1``'s output for every pair,
+        then one covers ``g2``'s."""
+        a = ad.dropout(self.g1(left), self.dropout, training, rng)
+        b = ad.dropout(self.g2(right), self.dropout, training, rng)
         return ad.softmax(self.labeler.scores(a, b))

@@ -194,3 +194,24 @@ def test_load_rejects_an_invalid_inventory(fitted_checkpoints, tmp_path, key, va
     save_checkpoint(path, params.items(), {**meta, key: value})
     with pytest.raises(LoadError, match="invalid inventory"):
         cls.load(path)
+
+
+@pytest.mark.parametrize("task, key, entry", [
+    ("dep", "word_vocab", "<unk>"), ("dep", "word_vocab", "<root>"),
+    ("dep", "pos_vocab", "<unk>"), ("dep", "pos_vocab", "<root>"),
+    ("dep", "char_vocab", "<pad>"), ("dep", "char_vocab", "<unk>"),
+    ("dep", "char_vocab", "<root>"), ("rst", "word_vocab", "<unk>"),
+])
+def test_load_rejects_a_vocabulary_without_a_special_entry(fitted_checkpoints, tmp_path, task,
+                                                           key, entry):
+    # The entry is renamed, so every embedding keeps its shape.  A missing
+    # <pad> used to raise a raw KeyError at load, a missing <unk> one at the
+    # first unknown word, and a missing <root> decoded silently as <unk>.
+    cls, good = fitted_checkpoints[task]
+    params, meta = load_checkpoint(good)
+    assert entry in meta[key]
+    path = tmp_path / "bad.ptp"
+    renamed = [f"{token}?" if token == entry else token for token in meta[key]]
+    save_checkpoint(path, params.items(), {**meta, key: renamed})
+    with pytest.raises(LoadError, match=f"{key!r} lacks the special entries \\['{entry}'\\]"):
+        cls.load(path)

@@ -443,6 +443,52 @@ def test_parse_rejects_checkpoint_metadata_of_the_wrong_type(dep_run, tmp_path, 
     assert "'config'" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("task, key, entry", [("dep", "char_vocab", "<pad>"),
+                                              ("dep", "word_vocab", "<root>"),
+                                              ("rst", "word_vocab", "<unk>")])
+def test_parse_rejects_checkpoint_vocabulary_without_special_entry(task, key, entry, dep_run,
+                                                                   rst_run, tmp_path, capsys):
+    # A vocabulary that lacks one of its special entries is a LoadError
+    # (exit 2) naming the vocabulary, never a traceback or a silent <unk>.
+    from ptrparse.checkpoint import load_checkpoint, save_checkpoint
+
+    fixture = dep_run if task == "dep" else rst_run
+    params, meta = load_checkpoint(fixture["model"])
+    path = tmp_path / "special.ptp"
+    renamed = [f"{token}?" if token == entry else token for token in meta[key]]
+    save_checkpoint(path, params.items(), {**meta, key: renamed})
+    capsys.readouterr()
+    assert run(["parse", "--model", str(path), "--input", str(fixture["data"]),
+                "--output", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"{key!r} lacks the special entries" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("task", ["dep", "rst"])
+def test_parse_reads_its_checkpoint_once(task, dep_run, rst_run, tmp_path, monkeypatch):
+    # One read of the file tells the task and rebuilds the model, through
+    # ``estimators.load_checkpoint``.
+    from ptrparse import checkpoint, estimators
+
+    fixture = dep_run if task == "dep" else rst_run
+    opened, loads = [], []
+    load = estimators.load_checkpoint
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(str(path))
+        return open(path, *args, **kwargs)
+
+    def counting_load(path):
+        loads.append(str(path))
+        return load(path)
+
+    monkeypatch.setattr(checkpoint, "open", counting_open, raising=False)
+    monkeypatch.setattr(estimators, "load_checkpoint", counting_load)
+    assert run(["parse", "--model", str(fixture["model"]), "--input", str(fixture["data"]),
+                "--output", str(tmp_path / "out")]) == 0
+    assert opened == loads == [str(fixture["model"])]
+
+
 @pytest.mark.parametrize("task", ["pos", None])
 def test_parse_rejects_checkpoint_of_unknown_or_missing_task(task, dep_run, tmp_path, capsys):
     # A checkpoint whose task is unknown or absent is malformed data, a

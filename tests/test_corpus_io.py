@@ -146,6 +146,27 @@ def test_bracket_multiple_trees_one_per_line(tmp_path):
     assert items[0][1].m == 1 and items[1][1].m == 2
 
 
+def test_deep_bracket_trees_round_trip_without_recursion(tmp_path):
+    # A 2000-EDU right-branching tree is deeper than Python's recursion
+    # limit; reading it, writing it and ``eval`` on it used to end in a
+    # raw RecursionError.
+    from ptrparse.cli import main
+
+    m = 2000
+    node = leaf(m)
+    for i in range(m - 1, 0, -1):
+        node = internal(leaf(i), node, "NS", "Elaboration")
+    tree, texts = DiscTree(node), [f"edu {i}" for i in range(1, m + 1)]
+    path = tmp_path / "deep.brackets"
+    write_rst_brackets(path, [(texts, tree)])
+    (got_texts, got_tree), = read_rst_brackets(path)
+    assert got_texts == texts and got_tree == tree
+    again = tmp_path / "again.brackets"
+    write_rst_brackets(again, [(got_texts, got_tree)])
+    assert again.read_bytes() == path.read_bytes()
+    assert main(["eval", "--task", "rst", "--gold", str(path), "--pred", str(again)]) == 0
+
+
 def test_bracket_parse_errors(tmp_path):
     cases = [
         '(NS-a (EDU 1 "x") (EDU 3 "y"))',        # indices not consecutive
@@ -153,6 +174,9 @@ def test_bracket_parse_errors(tmp_path):
         '(NS-a (EDU 1 "x")',                     # unbalanced
         '(EDU x "y")',                           # bad index
         '(NS-a (EDU 1 "x") (EDU 2 "y") (EDU 3 "z"))',  # ternary node
+        '(NS-a (EDU 1 "x") "y")',                # a string where a node belongs
+        '(x (EDU 1 "x") (EDU 2 "y"))',           # malformed label
+        '((EDU 1 "x") (EDU 2 "y"))',             # no label
     ]
     for i, text in enumerate(cases):
         path = tmp_path / f"bad{i}.brackets"

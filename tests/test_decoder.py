@@ -203,16 +203,24 @@ def test_fusion_weights_shared_across_components():
 
 
 def test_state_dropout_training_only():
+    # Only teacher forcing applies state dropout: ``run_schedule`` draws one
+    # (steps, components, hidden) mask in training, and ``fuse`` none.
     dec = HierDecoder("lstm", 1, 6, 4, "pst", "gate", np.random.default_rng(11),
                       state_dropout=0.5)
     rng = np.random.default_rng(7)
+    x = Tensor(rng.standard_normal((3, 6)))
+    frames = np.array([(0, -1, -1, 0, 0), (1, 0, -1, 1, 0), (0, -1, 1, 0, 2)])
+    a = dec.run_schedule(x, frames)
+    b = dec.run_schedule(x, frames)
+    assert np.array_equal(a.data, b.data)
+    train_rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+    c = dec.run_schedule(x, frames, training=True, rng=train_rng)
+    assert not np.array_equal(a.data, c.data)
+    ref_rng.random((3, dec.components, 4))
+    assert train_rng.bit_generator.state == ref_rng.bit_generator.state
     prev, par, sib = (random_state(dec, rng) for _ in range(3))
-    a = dec.fuse(prev, par, sib)
-    b = dec.fuse(prev, par, sib)
-    for x, y in zip(a, b):
-        assert np.array_equal(x.data, y.data)
-    c = dec.fuse(prev, par, sib, training=True, rng=np.random.default_rng(8))
-    assert any((x.data == 0.0).any() for x in c)
+    for u, v in zip(dec.fuse(prev, par, sib), dec.fuse(prev, par, sib)):
+        assert np.array_equal(u.data, v.data)
 
 
 def test_fused_step_gradients():

@@ -109,6 +109,27 @@ def test_dep_input_coercions():
         parser.predict(["a b c"])
 
 
+def test_malformed_input_is_a_data_error():
+    # Each of these used to end in a raw TypeError or AttributeError.
+    X, y = dep_data()
+    dep = DependencyParser(**FAST_DEP).fit(X, y)
+    for bad in ([[(5, "N")]], [[Token(5)]], [[("the", 5)]], [None], [7]):
+        with pytest.raises(DataError):
+            dep.predict(bad)
+    with pytest.raises(DataError, match="must be a DepTree"):
+        DependencyParser(**FAST_DEP).fit(X[:1], ["x"])
+    with pytest.raises(DataError, match="must be a DepTree"):
+        dep.evaluate(X[:1], ["x"])
+    X, y = rst_data()
+    rst = DiscourseParser(**FAST_RST).fit(X, y)
+    with pytest.raises(DataError):
+        rst.predict([None])
+    with pytest.raises(DataError, match="must be a DiscTree"):
+        DiscourseParser(**FAST_RST).fit(X[:1], ["x"])
+    with pytest.raises(DataError, match="must be a DiscTree"):
+        rst.evaluate(X[:1], [y[0].root])
+
+
 def test_dep_predict_rejects_empty_form():
     # An empty word is a data error of that token, for greedy and beam
     # decoding alike, not a char-CNN window error.
